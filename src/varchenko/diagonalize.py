@@ -345,6 +345,7 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
     ]
 
     capped = [[Polynomial.one() for _ in range(r)] for _ in range(r)]
+    factors: dict[int, Polynomial] = {}  # 1 - m^2 per separation mask
     pivots: list[Polynomial] = []
     diagonal: list[FactoredPoly] = []
 
@@ -402,7 +403,12 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
             for n_ in range(m, r):
                 if n_ <= k:
                     continue
-                factor = one_minus_square_of_mask(sep[k][m] & sep[k][n_])
+                mask = sep[k][m] & sep[k][n_]
+                factor = factors.get(mask)
+                if factor is None:
+                    factor = factors[mask] = one_minus_square(
+                        monomial_from_mask(mask).variables()
+                    )
                 capped[m][n_] = (capped[m][n_] * factor).capped()
                 expected = original[m][n_] * capped[m][n_]
                 if rows[m][n_] != expected or rows[n_][m] != expected:
@@ -433,13 +439,6 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
         Q=Q,
         checks=checks,
     )
-
-
-def one_minus_square_of_mask(mask: int) -> Polynomial:
-    m = monomial_from_mask(mask)
-    if m.is_one():
-        return Polynomial.zero()
-    return Polynomial.one() - Polynomial.from_monomial(m) * Polynomial.from_monomial(m)
 
 
 def _certificate_checks(

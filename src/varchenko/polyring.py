@@ -1,32 +1,128 @@
 """Sparse multivariate polynomials over the integers.
 
-Coefficients are Python ints (arbitrary precision).  Monomials are sorted
-tuples of (variable id, exponent); variable ids are 0-based but print
-1-based ("x1", "x2", ...).  The exponent-capping map (`capped`) replaces
-every exponent >= 3 by 2; applied eagerly it keeps elimination
-intermediates bounded.
+Coefficients are Python ints (arbitrary precision).  Variable ids are
+0-based but print 1-based ("x1", "x2", ...).
+
+Packed monomials.  A monomial is one non-negative int made of 16-bit
+fields: field 0 holds the total degree and field v + 1 the exponent of
+variable v.  The top bit of every field is a guard bit that a valid
+monomial leaves clear, so exponents and total degrees stay below 2**15.
+Multiplying two monomials is an int add; no field can carry into the next,
+and a product that sets a guard bit raises TooLarge.  `b` divides `a`
+exactly when `a - b` sets no guard bit.  A `Polynomial` maps packed ints to
+nonzero coefficients; `Monomial` wraps one packed int for the public API.
+
+Division order.  `exact_div` reduces by leading terms in graded order on
+the packed ints: total degree first, then the packed int itself (graded
+lex with the higher variable id the more significant).  This is a
+monomial order, so reducing by a single divisor decides divisibility
+exactly.
+
+Print order.  `sorted_terms` and `to_string` list terms by total degree,
+then by the sparse tuple of (variable id, exponent) pairs.  That tuple is
+unpacked only when printing, so the printed form does not depend on the
+packing.
+
+The exponent-capping map (`capped`) replaces every exponent >= 3 by 2;
+applied eagerly it keeps elimination intermediates bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 from typing import Iterable, Mapping, Union
 
-from .errors import InvalidInput, NotDivisible
+from .errors import InvalidInput, NotDivisible, TooLarge
+
+_W = 16  # bits per field
+_FIELD = (1 << _W) - 1
+_GUARD_BIT = 1 << (_W - 1)
+_MAX_EXP = _GUARD_BIT - 1
+_CAP_HIGH = _FIELD & ~3  # field bits that are set once an exponent + 1 exceeds 3
+
+
+def _repeat(field: int, top: int) -> int:
+    """`field` copied into every field of `top` and the one above it."""
+    n = top.bit_length() // _W + 1
+    return field * (((1 << (_W * n)) - 1) // _FIELD)
+
+
+# Masks precomputed for keys below _FAST_TOP, i.e. variable ids below 62.
+_FAST_TOP = 1 << (_W * 63)
+_GUARDS = _repeat(_GUARD_BIT, _FAST_TOP)
+_ONES = _repeat(1, _FAST_TOP) - 1
+_HIGHS = _repeat(_CAP_HIGH, _FAST_TOP) - _CAP_HIGH
+
+
+def _guards(top: int) -> int:
+    """Guard bits of every field of keys up to `top`."""
+    return _GUARDS if top < _FAST_TOP else _repeat(_GUARD_BIT, top)
+
+
+def _cap_masks(top: int) -> tuple[int, int]:
+    """(ones, highs) over the variable fields of keys up to `top`: an
+    exponent is >= 3 exactly when `(key + ones) & highs` is set in its field."""
+    if top < _FAST_TOP:
+        return _ONES, _HIGHS
+    return _repeat(1, top) - 1, _repeat(_CAP_HIGH, top) - _CAP_HIGH
+
+
+def _check_fields(key: int) -> int:
+    """`key` itself, or TooLarge if it (or an OR of keys) overflowed a field."""
+    if key & _guards(key):
+        raise TooLarge(f"exponent or degree exceeds {_MAX_EXP}")
+    return key
+
+
+def _pack(exps: Iterable[tuple[int, int]]) -> int:
+    key = 0
+    for v, e in exps:
+        if not e:
+            continue
+        if v < 0 or e < 0:
+            raise InvalidInput(f"bad monomial entry ({v}, {e})")
+        if e > _MAX_EXP:
+            raise TooLarge(f"exponent {e} exceeds {_MAX_EXP}")
+        key = _check_fields(key + (e << (_W * (v + 1))) + e)
+    return key
+
+
+def _unpack(key: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (variable id, exponent) pairs of a packed key."""
+    pairs = []
+    key >>= _W
+    v = 0
+    while key:
+        skip = ((key & -key).bit_length() - 1) // _W  # empty fields below
+        key >>= _W * skip
+        v += skip
+        pairs.append((v, key & _FIELD))
+        key >>= _W
+        v += 1
+    return tuple(pairs)
+
+
+def _cap_key(key: int) -> int:
+    return _pack((v, min(e, 2)) for v, e in _unpack(key))
 
 
 class Monomial:
-    """Product of variable powers; immutable, hashable."""
+    """Product of variable powers, stored as one packed int; immutable,
+    hashable."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("key",)
 
     def __init__(self, exps: Iterable[tuple[int, int]] = ()):
-        items = tuple(sorted((v, e) for v, e in exps if e))
-        for v, e in items:
-            if v < 0 or e < 0:
-                raise InvalidInput(f"bad monomial entry ({v}, {e})")
-        self.exps = items
-        self._hash = hash(items)
+        self.key = _pack(exps)
+
+    @classmethod
+    def _of(cls, key: int) -> "Monomial":
+        m = cls.__new__(cls)
+        m.key = key
+        return m
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -41,61 +137,50 @@ class Monomial:
         return cls((v, 1) for v in variables)
 
     def is_one(self) -> bool:
-        return not self.exps
+        return not self.key
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return self.key & _FIELD
 
     def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.exps)
+        return frozenset(v for v, _ in _unpack(self.key))
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not self.exps:
-            return other
-        if not other.exps:
-            return self
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
+        return Monomial._of(_check_fields(self.key + other.key))
 
     def divides(self, other: "Monomial") -> bool:
-        their = dict(other.exps)
-        return all(their.get(v, 0) >= e for v, e in self.exps)
+        return not (other.key - self.key) & _guards(max(self.key, other.key))
 
     def div(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; raises NotDivisible if not exact."""
-        mine = dict(self.exps)
-        for v, e in other.exps:
-            left = mine.get(v, 0) - e
-            if left < 0:
-                raise NotDivisible(f"{other} does not divide {self}")
-            mine[v] = left
-        return Monomial(mine.items())
+        key = self.key - other.key
+        if key & _guards(max(self.key, other.key)):
+            raise NotDivisible(f"{other} does not divide {self}")
+        return Monomial._of(key)
 
     def capped(self) -> "Monomial":
         """Exponents clipped to at most 2."""
-        if all(e <= 2 for _, e in self.exps):
+        ones, highs = _cap_masks(self.key)
+        if not (self.key + ones) & highs:
             return self
-        return Monomial((v, min(e, 2)) for v, e in self.exps)
+        return Monomial._of(_cap_key(self.key))
 
     def sort_key(self) -> tuple:
-        # graded ordering: total degree first, then the exponent tuple
-        return (self.degree(), self.exps)
+        # print order: total degree first, then the sparse exponent tuple
+        return (self.degree(), _unpack(self.key))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self.key:
             return "1"
-        parts = []
-        for v, e in self.exps:
-            parts.append(f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}")
-        return "*".join(parts)
+        return "*".join(
+            f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}" for v, e in _unpack(self.key)
+        )
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -107,12 +192,17 @@ _MONOMIAL_ONE = Monomial()
 class Polynomial:
     """Sparse integer polynomial: a map monomial -> nonzero coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
-            m: c for m, c in (terms or {}).items() if c
+        self._terms: dict[int, int] = {
+            m.key: c for m, c in (terms or {}).items() if c
         }
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """A fresh map monomial -> nonzero coefficient."""
+        return {Monomial._of(k): c for k, c in self._terms.items()}
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -124,7 +214,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls({_MONOMIAL_ONE: c}) if c else cls()
+        return _raw({0: c}) if c else cls()
 
     @classmethod
     def variable(cls, v: int, e: int = 1) -> "Polynomial":
@@ -132,107 +222,109 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, m: Monomial, c: int = 1) -> "Polynomial":
-        return cls({m: c}) if c else cls()
+        return _raw({m.key: c}) if c else cls()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_one(self) -> bool:
-        return self.terms == {_MONOMIAL_ONE: 1}
+        return self._terms == {0: 1}
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {_MONOMIAL_ONE}
+        return not self._terms or self._terms.keys() == {0}
 
     def as_int(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return 0
         if self.is_constant():
-            return self.terms[_MONOMIAL_ONE]
+            return self._terms[0]
         raise InvalidInput(f"{self} is not a constant")
 
     def as_monomial(self) -> Monomial:
-        if len(self.terms) == 1:
-            (m, c), = self.terms.items()
+        if len(self._terms) == 1:
+            (k, c), = self._terms.items()
             if c == 1:
-                return m
+                return Monomial._of(k)
         raise InvalidInput(f"{self} is not a monic monomial")
 
     def constant_term(self) -> int:
-        return self.terms.get(_MONOMIAL_ONE, 0)
+        return self._terms.get(0, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(m.degree() for m in self.terms)
+        return max(k & _FIELD for k in self._terms)
 
     def variables(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(m.variables())
-        return frozenset(out)
+        return frozenset(v for v, _ in _unpack(reduce(or_, self._terms, 0)))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not self.terms:
+        if not self._terms:
             return other
-        if not other.terms:
+        if not other._terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[m] = s
+                out[k] = s
             else:
-                del out[m]
+                del out[k]
         return _raw(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not other.terms:
+        if not other._terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) - c
             if s:
-                out[m] = s
+                out[k] = s
             else:
-                del out[m]
+                del out[k]
         return _raw(out)
 
     def __neg__(self) -> "Polynomial":
-        return _raw({m: -c for m, c in self.terms.items()})
+        return _raw({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.terms or not other.terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return Polynomial.zero()
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        if len(a) > len(b):
+            a, b = b, a
+        acc: dict[int, int] = {}
+        get = acc.get
+        b_items = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in b_items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        out = {k: c for k, c in acc.items() if c}
+        if out:
+            _check_fields(reduce(or_, out))
         return _raw(out)
 
     def scaled(self, c: int) -> "Polynomial":
         if not c:
             return Polynomial.zero()
-        return _raw({m: c * v for m, v in self.terms.items()})
+        return _raw({k: c * v for k, v in self._terms.items()})
 
     def capped(self) -> "Polynomial":
         """Cap every exponent at 2, recombining like terms."""
-        if all(all(e <= 2 for _, e in m.exps) for m in self.terms):
+        t = self._terms
+        if not t:
             return self
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            cm = m.capped()
-            s = out.get(cm, 0) + c
-            if s:
-                out[cm] = s
-            else:
-                del out[cm]
-        return _raw(out)
+        ones, highs = _cap_masks(max(t))
+        if not any((k + ones) & highs for k in t):
+            return self
+        out: dict[int, int] = {}
+        for k, c in t.items():
+            if (k + ones) & highs:
+                k = _cap_key(k)
+            out[k] = out.get(k, 0) + c
+        return _raw({k: c for k, c in out.items() if c})
 
     def substitute(
         self, sigma: Mapping[int, Union[int, "Polynomial"]]
@@ -242,9 +334,9 @@ class Polynomial:
         `sigma` must cover every variable that occurs.
         """
         out = Polynomial.zero()
-        for m, c in self.terms.items():
+        for k, c in self._terms.items():
             term = Polynomial.constant(c)
-            for v, e in m.exps:
+            for v, e in _unpack(k):
                 if v not in sigma:
                     raise InvalidInput(f"substitution missing variable x{v + 1}")
                 val = sigma[v]
@@ -261,13 +353,13 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def to_string(self, spaces: bool = True) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         sep_plus, sep_minus = (" + ", " - ") if spaces else ("+", "-")
         parts: list[str] = []
@@ -292,9 +384,9 @@ class Polynomial:
         return f"Polynomial({self.to_string()})"
 
 
-def _raw(terms: dict[Monomial, int]) -> Polynomial:
+def _raw(terms: dict[int, int]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
-    p.terms = terms
+    p._terms = terms
     return p
 
 
@@ -308,8 +400,13 @@ def _power(p: Polynomial, e: int) -> Polynomial:
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return r with r*q == p, or raise NotDivisible.
 
-    Reduction by the graded-lex leading term of q; with a single divisor this
-    decides divisibility exactly.
+    Reduction by the leading term of q in the division order.  Each term
+    is kept under its position in that order, the degree shifted above
+    the packed key, so products stay int adds.  The remainder is a dict
+    over these positions, each entry pushed once on a heap that pops the
+    leading term; a step costs one pop and one dict update per term of q.
+    Every term popped must be divisible by q's leading term, in its
+    coefficient and its monomial.
     """
     if q.is_zero():
         raise InvalidInput("division by the zero polynomial")
@@ -317,20 +414,45 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         return Polynomial.zero()
     if q.is_one():
         return p
-    lead_m = max(q.terms, key=Monomial.sort_key)
-    lead_c = q.terms[lead_m]
-    quotient: dict[Monomial, int] = {}
-    rest = p
-    while not rest.is_zero():
-        m = max(rest.terms, key=Monomial.sort_key)
-        c = rest.terms[m]
-        if c % lead_c or not lead_m.divides(m):
+    pt, qt = p._terms, q._terms
+    top = max(max(pt), max(qt))
+    # Every key met below has its fields within those of `top`.
+    guards = _repeat(_GUARD_BIT, top)
+    shift = guards.bit_length()
+    low = (1 << shift) - 1
+
+    def position(k: int) -> int:
+        return ((k & _FIELD) << shift) + k
+
+    lead = max(qt, key=position)
+    lead_c = qt[lead]
+    # Positions are stored negated, so the heap's smallest is the leader.
+    neg_lead = -position(lead)
+    tail = [(-position(k), c) for k, c in qt.items() if k != lead]
+    rest = {-position(k): c for k, c in pt.items()}
+    heap = list(rest)
+    heapify(heap)
+    get = rest.get
+    quotient: dict[int, int] = {}
+    while heap:
+        neg = heappop(heap)
+        c = rest.pop(neg)
+        if not c:
+            continue  # cancelled
+        qpos = neg_lead - neg
+        if qpos & guards or c % lead_c:
             raise NotDivisible(f"({q}) does not divide ({p})")
-        qm = m.div(lead_m)
         qc = c // lead_c
-        quotient[qm] = quotient.get(qm, 0) + qc
-        rest = rest - q * Polynomial.from_monomial(qm, qc)
-    return _raw({m: c for m, c in quotient.items() if c})
+        quotient[qpos & low] = qc
+        for neg_d, dc in tail:
+            k = neg_d - qpos
+            old = get(k)
+            if old is None:
+                rest[k] = -qc * dc
+                heappush(heap, k)
+            else:
+                rest[k] = old - qc * dc
+    return _raw(quotient)
 
 
 def one_minus_square(variables: Iterable[int]) -> Polynomial:
@@ -338,7 +460,7 @@ def one_minus_square(variables: Iterable[int]) -> Polynomial:
     m = Monomial((v, 2) for v in variables)
     if m.is_one():
         return Polynomial.zero()  # 1 - 1
-    return _raw({_MONOMIAL_ONE: 1, m: -1})
+    return _raw({0: 1, m.key: -1})
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,16 @@ def test_size_cap_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_det_exponent_overflow_exit_code(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"entries": [["x1^20000", "1"], ["1", "x1^20000"]]}))
+    code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds" in err
+    assert "Traceback" not in err
+
+
 def test_workers_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VARCHENKO_WORKERS", "2")
     code, _, _ = run(capsys, "regions", fx("single_line"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from varchenko.errors import InvalidInput, NotDivisible
+from varchenko.errors import InvalidInput, NotDivisible, TooLarge
 from varchenko.polyring import (
     FactoredPoly,
     Monomial,
@@ -179,3 +179,42 @@ def test_factored_exponent_map():
     base = one_minus_square((0,))
     f = FactoredPoly.from_factors([(base, 2), (base, 1), (one_minus_square((1, 2)), 1)])
     assert f.exponent_map() == {base: 3, one_minus_square((1, 2)): 1}
+
+
+def test_exact_div_tied_leading_terms():
+    # x2^2 and x1*x3 tie on degree; the division order must still be a
+    # monomial order for this exact division to go through
+    q = parse_polynomial("x2^2 + x1*x3")
+    assert exact_div(X1 * q, q) == X1
+    assert exact_div(q * q - X2 * q, q) == q - X2
+
+
+def test_print_order_is_degree_then_sparse_exponents():
+    assert str(parse_polynomial("x2^2 + x1*x3")) == "x1*x3 + x2^2"
+    assert str(parse_polynomial("x3 + x1^2 + 1 + x2*x1")) == "1 + x3 + x1*x2 + x1^2"
+
+
+def test_product_overflowing_an_exponent_field_raises_too_large():
+    big = Polynomial.variable(0, 20000)
+    with pytest.raises(TooLarge):
+        big * big
+    with pytest.raises(TooLarge):
+        Monomial.variable(1, 20000).mul(Monomial.variable(1, 20000))
+    with pytest.raises(TooLarge):
+        parse_polynomial("x1^20000*x2^20000")  # total degree overflows
+    assert (big * Polynomial.variable(0, 12767)).degree() == 32767
+
+
+def test_large_variable_ids():
+    # ids far above the precomputed masks take the computed-mask path
+    x100 = parse_polynomial("x100")
+    p = parse_polynomial("x100^3*x2 - x1000000 + 4")
+    assert str(p) == "4 - x1000000 + x2*x100^3"
+    assert p.variables() == frozenset({1, 99, 999999})
+    q = ONE - x100 * x100
+    assert exact_div(p * q, q) == p
+    with pytest.raises(NotDivisible):
+        exact_div(p * q + ONE, q)
+    assert p.capped() == parse_polynomial("x100^2*x2 - x1000000 + 4")
+    with pytest.raises(TooLarge):
+        parse_polynomial("x100^20000") * parse_polynomial("x100^20000")

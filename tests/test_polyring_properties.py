@@ -1,0 +1,79 @@
+"""Property tests of the polynomial core over small integer polynomials in
+at most five variables."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from varchenko.errors import NotDivisible
+from varchenko.polyring import Monomial, Polynomial, exact_div
+
+NVARS = 5
+ONE = Polynomial.one()
+
+# Deterministic examples, so that a failure reproduces on every run.
+property_test = settings(deadline=None, derandomize=True, database=None)
+
+exponent_vectors = st.tuples(*[st.integers(0, 3)] * NVARS)
+coefficients = st.integers(-6, 6).filter(bool)
+
+
+def from_terms(terms) -> Polynomial:
+    return Polynomial(
+        {Monomial(enumerate(exps)): c for exps, c in terms.items()}
+    )
+
+
+polys = st.dictionaries(exponent_vectors, coefficients, max_size=6).map(from_terms)
+
+
+@st.composite
+def tied_divisors(draw):
+    """Nonconstant divisors whose top degree has two or more terms, so
+    the leading term is decided by the tie-break of the division order."""
+    top = draw(exponent_vectors.filter(lambda e: len(set(e)) > 1))
+    other = draw(st.permutations(top).filter(lambda e: tuple(e) != top))
+    terms = {top: draw(coefficients), tuple(other): draw(coefficients)}
+    for exps, c in draw(st.dictionaries(exponent_vectors, coefficients, max_size=4)).items():
+        if sum(exps) < sum(top):
+            terms[exps] = c
+    return from_terms(terms)
+
+
+divisors = st.one_of(polys.filter(lambda q: not q.is_constant()), tied_divisors())
+
+
+@property_test
+@given(polys, divisors)
+def test_exact_div_recovers_the_cofactor(p, q):
+    assert exact_div(p * q, q) == p
+
+
+@property_test
+@given(polys, divisors)
+def test_exact_div_rejects_a_unit_offset(p, q):
+    with pytest.raises(NotDivisible):
+        exact_div(p * q + ONE, q)
+
+
+@property_test
+@given(st.integers(0, NVARS - 1), polys)
+def test_cap_absorbs_squares_of_a_fresh_variable(i, p):
+    # criterion 8: for p free of x_i, capping pulls x_i^2 out of
+    # x_i^2 (1 - x_i^2 p) and absorbs (1 - x_i^2 p) into (1 - x_i^2)
+    p = p.substitute(
+        {v: 1 if v == i else Polynomial.variable(v) for v in range(NVARS)}
+    )
+    xi2 = Polynomial.variable(i, 2)
+    assert (xi2 * (ONE - xi2 * p)).capped() == xi2 * (ONE - p).capped()
+    assert ((ONE - xi2) * (ONE - xi2 * p)).capped() == ONE - xi2
+
+
+@property_test
+@given(polys, polys)
+def test_cap_is_idempotent_and_additive(p, q):
+    cap = p.capped()
+    assert cap.capped() == cap
+    assert (p + q).capped() == cap + q.capped()
