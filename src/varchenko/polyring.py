@@ -4,19 +4,23 @@ Coefficients are Python ints (arbitrary precision).  Variable ids are
 0-based but print 1-based ("x1", "x2", ...).
 
 Packed monomials.  A monomial is one non-negative int made of 16-bit
-fields: field 0 holds the total degree and field v + 1 the exponent of
-variable v.  The top bit of every field is a guard bit that a valid
-monomial leaves clear, so exponents and total degrees stay below 2**15.
-Multiplying two monomials is an int add; no field can carry into the next,
-and a product that sets a guard bit raises TooLarge.  `b` divides `a`
-exactly when `a - b` sets no guard bit.  A `Polynomial` maps packed ints to
-nonzero coefficients; `Monomial` wraps one packed int for the public API.
+fields: field 0 holds the total degree and field s + 1 the exponent of
+the s-th variable in a process-wide variable table, which gives each
+variable id the next free field the first time a monomial names it.  So a
+key is as wide as the number of distinct variables in use, whatever their
+ids; keys are only meaningful within one process.  The top bit of every
+field is a guard bit that a valid monomial leaves clear, so exponents and
+total degrees stay below 2**15.  Multiplying two monomials is an int add;
+no field can carry into the next, and a product that sets a guard bit
+raises TooLarge.  `b` divides `a` exactly when `a - b` sets no guard bit.
+A `Polynomial` maps packed ints to nonzero coefficients; `Monomial` wraps
+one packed int for the public API.
 
 Division order.  `exact_div` reduces by leading terms in graded order on
 the packed ints: total degree first, then the packed int itself (graded
-lex with the higher variable id the more significant).  This is a
+lex with the variable met later the more significant).  This is a
 monomial order, so reducing by a single divisor decides divisibility
-exactly.
+exactly, and the quotient does not depend on the table's order.
 
 Print order.  `sorted_terms` and `to_string` list terms by total degree,
 then by the sparse tuple of (variable id, exponent) pairs.  That tuple is
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
+from threading import Lock
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidInput, NotDivisible, TooLarge
@@ -43,36 +48,38 @@ _GUARD_BIT = 1 << (_W - 1)
 _MAX_EXP = _GUARD_BIT - 1
 _CAP_HIGH = _FIELD & ~3  # field bits that are set once an exponent + 1 exceeds 3
 
-
-def _repeat(field: int, top: int) -> int:
-    """`field` copied into every field of `top` and the one above it."""
-    n = top.bit_length() // _W + 1
-    return field * (((1 << (_W * n)) - 1) // _FIELD)
-
-
-# Masks precomputed for keys below _FAST_TOP, i.e. variable ids below 62.
-_FAST_TOP = 1 << (_W * 63)
-_GUARDS = _repeat(_GUARD_BIT, _FAST_TOP)
-_ONES = _repeat(1, _FAST_TOP) - 1
-_HIGHS = _repeat(_CAP_HIGH, _FAST_TOP) - _CAP_HIGH
+# The variable table: field s + 1 holds the exponent of variable _VARS[s].
+# A variable gets the next free field the first time a monomial names it,
+# and the masks grow with it, so they cover every field a key can use.
+# An exponent is >= 3 exactly when (key + _ONES) & _HIGHS is set in its field.
+_SLOT: dict[int, int] = {}
+_VARS: list[int] = []
+_LOCK = Lock()
+_GUARDS = _GUARD_BIT  # guard bit of every field in use
+_ONES = 0  # 1 in every variable field
+_HIGHS = 0  # _CAP_HIGH in every variable field
 
 
-def _guards(top: int) -> int:
-    """Guard bits of every field of keys up to `top`."""
-    return _GUARDS if top < _FAST_TOP else _repeat(_GUARD_BIT, top)
-
-
-def _cap_masks(top: int) -> tuple[int, int]:
-    """(ones, highs) over the variable fields of keys up to `top`: an
-    exponent is >= 3 exactly when `(key + ones) & highs` is set in its field."""
-    if top < _FAST_TOP:
-        return _ONES, _HIGHS
-    return _repeat(1, top) - 1, _repeat(_CAP_HIGH, top) - _CAP_HIGH
+def _slot(v: int) -> int:
+    s = _SLOT.get(v)
+    if s is None:
+        global _GUARDS, _ONES, _HIGHS
+        with _LOCK:
+            s = _SLOT.get(v)
+            if s is None:
+                s = len(_VARS)
+                shift = _W * (s + 1)
+                _GUARDS |= _GUARD_BIT << shift
+                _ONES |= 1 << shift
+                _HIGHS |= _CAP_HIGH << shift
+                _VARS.append(v)
+                _SLOT[v] = s
+    return s
 
 
 def _check_fields(key: int) -> int:
     """`key` itself, or TooLarge if it (or an OR of keys) overflowed a field."""
-    if key & _guards(key):
+    if key & _GUARDS:
         raise TooLarge(f"exponent or degree exceeds {_MAX_EXP}")
     return key
 
@@ -86,27 +93,36 @@ def _pack(exps: Iterable[tuple[int, int]]) -> int:
             raise InvalidInput(f"bad monomial entry ({v}, {e})")
         if e > _MAX_EXP:
             raise TooLarge(f"exponent {e} exceeds {_MAX_EXP}")
-        key = _check_fields(key + (e << (_W * (v + 1))) + e)
+        key = _check_fields(key + (e << (_W * (_slot(v) + 1))) + e)
     return key
+
+
+def _fields(key: int) -> list[tuple[int, int]]:
+    """The (table index, exponent) pairs of the nonzero variable fields."""
+    pairs = []
+    key >>= _W
+    s = 0
+    while key:
+        skip = ((key & -key).bit_length() - 1) // _W  # empty fields below
+        key >>= _W * skip
+        s += skip
+        pairs.append((s, key & _FIELD))
+        key >>= _W
+        s += 1
+    return pairs
 
 
 def _unpack(key: int) -> tuple[tuple[int, int], ...]:
     """The sorted (variable id, exponent) pairs of a packed key."""
-    pairs = []
-    key >>= _W
-    v = 0
-    while key:
-        skip = ((key & -key).bit_length() - 1) // _W  # empty fields below
-        key >>= _W * skip
-        v += skip
-        pairs.append((v, key & _FIELD))
-        key >>= _W
-        v += 1
-    return tuple(pairs)
+    return tuple(sorted((_VARS[s], e) for s, e in _fields(key)))
 
 
 def _cap_key(key: int) -> int:
-    return _pack((v, min(e, 2)) for v, e in _unpack(key))
+    out = 0
+    for s, e in _fields(key):
+        e = min(e, 2)
+        out += (e << (_W * (s + 1))) + e
+    return out
 
 
 class Monomial:
@@ -149,19 +165,18 @@ class Monomial:
         return Monomial._of(_check_fields(self.key + other.key))
 
     def divides(self, other: "Monomial") -> bool:
-        return not (other.key - self.key) & _guards(max(self.key, other.key))
+        return not (other.key - self.key) & _GUARDS
 
     def div(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; raises NotDivisible if not exact."""
         key = self.key - other.key
-        if key & _guards(max(self.key, other.key)):
+        if key & _GUARDS:
             raise NotDivisible(f"{other} does not divide {self}")
         return Monomial._of(key)
 
     def capped(self) -> "Monomial":
         """Exponents clipped to at most 2."""
-        ones, highs = _cap_masks(self.key)
-        if not (self.key + ones) & highs:
+        if not (self.key + _ONES) & _HIGHS:
             return self
         return Monomial._of(_cap_key(self.key))
 
@@ -316,7 +331,7 @@ class Polynomial:
         t = self._terms
         if not t:
             return self
-        ones, highs = _cap_masks(max(t))
+        ones, highs = _ONES, _HIGHS
         if not any((k + ones) & highs for k in t):
             return self
         out: dict[int, int] = {}
@@ -415,9 +430,7 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     if q.is_one():
         return p
     pt, qt = p._terms, q._terms
-    top = max(max(pt), max(qt))
-    # Every key met below has its fields within those of `top`.
-    guards = _repeat(_GUARD_BIT, top)
+    guards = _GUARDS
     shift = guards.bit_length()
     low = (1 << shift) - 1
 

@@ -235,6 +235,16 @@ def test_det_exponent_overflow_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_det_from_json_with_a_huge_variable_id(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    big = "x1000000000"
+    entries = [["1", big, "x2"], [big, "1", f"{big}*x2"], ["x2", f"{big}*x2", "1"]]
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
+    assert code == 0 and err == ""
+    assert out == "1 - x2^2 - x1000000000^2 + x2^2*x1000000000^2\n"
+
+
 def test_workers_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VARCHENKO_WORKERS", "2")
     code, _, _ = run(capsys, "regions", fx("single_line"))
