@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,30 +34,13 @@ from .signedsets import (
 )
 from .varmatrix import LabeledMatrix, build_varchenko, det_bruteforce, det_formula
 
-WORKERS_ENV = "VARCHENKO_WORKERS"
-
-
 @dataclass
 class RunConfig:
     subcommand: str
     input_path: Path
     output_path: Optional[Path]
     format: str
-    workers: int
     flags: dict = field(default_factory=dict)
-
-
-def _read_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InvalidInput(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise InvalidInput(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,7 +316,6 @@ def main(argv=None) -> int:
             input_path=Path(args.input),
             output_path=Path(args.output) if args.output else None,
             format=args.format,
-            workers=_read_workers(),
             flags={
                 k: v
                 for k, v in vars(args).items()

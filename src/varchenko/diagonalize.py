@@ -4,14 +4,15 @@ arrangement, with a verifiable transformation certificate.
 The pipeline is: order the regions so that each new region extends the
 encompassed part of the flat poset by exactly one flat; then run the
 symmetric pivot elimination step by step, verifying the predicted closed
-forms after every step; finally assemble unimodular transforms P, Q with
-P * V * Q diagonal.
+forms after every step.  The row transform P is the whole certificate:
+P * V * P^T is diagonal, and P is a unit lower-triangular matrix times the
+ordering's permutation, so det P is the sign of the ordering.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -23,19 +24,8 @@ from .errors import (
     PivotDivisionFailure,
 )
 from .geometry import Arrangement
-from .matinvariants import int_det
 from .polyring import FactoredPoly, Polynomial, exact_div, one_minus_square
-from .varmatrix import LabeledMatrix, build_varchenko, det_bruteforce, monomial_from_mask
-
-MAX_EXACT_UNIT_DET = 12
-
-
-@dataclass
-class EncompassState:
-    """Search state of the region-coloring process."""
-
-    colored: list[int] = field(default_factory=list)
-    encompassed: set[int] = field(default_factory=set)
+from .varmatrix import LabeledMatrix, build_varchenko, monomial_from_mask
 
 
 def _face_data(arrangement: Arrangement):
@@ -117,15 +107,13 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
 
     base = 0
     uncolored = [m & ~(1 << base) for m in adj_masks]
-    state = EncompassState([base], set())
-    for f in range(nfaces):
-        if uncolored[f] == 0:
-            state.encompassed.add(flat_ids[f])
-    if len(state.encompassed) != 1:
+    colored = [base]
+    encompassed = {flat_ids[f] for f in range(nfaces) if uncolored[f] == 0}
+    if len(encompassed) != 1:
         raise OrderingStuck(
-            f"coloring the base region encompassed {len(state.encompassed)} flats"
+            f"coloring the base region encompassed {len(encompassed)} flats"
         )
-    step_flats = [next(iter(state.encompassed))]
+    step_flats = [next(iter(encompassed))]
 
     def next_candidates() -> list[tuple[int, int, int]]:
         """(new flat dim, region, new flat) for regions encompassing exactly
@@ -135,7 +123,7 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
             m = uncolored[f]
             if m and m & (m - 1) == 0:  # exactly one uncolored adjacent region
                 flat = flat_ids[f]
-                if flat not in state.encompassed:
+                if flat not in encompassed:
                     ready.setdefault(m.bit_length() - 1, set()).add(flat)
         out = []
         for region, flats in ready.items():
@@ -152,8 +140,8 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
             if uncolored[f] & bit:
                 uncolored[f] &= ~bit
                 touched.append(f)
-        state.colored.append(region)
-        state.encompassed.add(flat)
+        colored.append(region)
+        encompassed.add(flat)
         step_flats.append(flat)
         return touched
 
@@ -161,12 +149,12 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         bit = 1 << region
         for f in touched:
             uncolored[f] |= bit
-        state.colored.pop()
-        state.encompassed.discard(flat)
+        colored.pop()
+        encompassed.discard(flat)
         step_flats.pop()
 
     def extend() -> bool:
-        if len(state.colored) == r:
+        if len(colored) == r:
             return True
         for _, region, flat in next_candidates():
             touched = color(region, flat)
@@ -179,7 +167,7 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         raise OrderingStuck(
             "exhaustive search found no valid region ordering (internal bug)"
         )
-    return RegionOrdering(tuple(state.colored), tuple(step_flats))
+    return RegionOrdering(tuple(colored), tuple(step_flats))
 
 
 def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
@@ -220,7 +208,7 @@ def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
 @dataclass
 class DiagonalizationCertificate:
     """Region ordering, per-step flats, factored diagonal and the unimodular
-    transforms P, Q with P V Q = diag(diagonal)."""
+    transforms P, Q with P V Q = diag(diagonal), where Q is P transposed."""
 
     ordering: tuple[int, ...]
     step_flats: tuple[int, ...]
@@ -274,32 +262,28 @@ def _matmul(
     return out
 
 
-def _unit_det_str(rows: list[list[Polynomial]]) -> str:
-    """Certify det in {+1, -1} and return it as a string.
+def _ordering_det(P: list[list[Polynomial]], perm: Sequence[int]) -> str:
+    """Prove det P in {+1, -1} from the shape of P and return it as a string.
 
-    Exact determinant for small sizes; otherwise two integer
-    specializations of the (by construction constant) determinant.
+    P = L * Pi, where Pi[i][perm[i]] = 1 and L[i][j] = P[i][perm[j]].  Once
+    L is checked to be unit lower-triangular, det P = det Pi = sign(perm)
+    at every size.
     """
-    n = len(rows)
-    if n <= MAX_EXACT_UNIT_DET:
-        det = det_bruteforce(LabeledMatrix(list(range(n)), rows))
-        if not det.is_constant() or det.as_int() not in (1, -1):
-            raise ClosedFormViolation(f"transform determinant is {det}, not a unit")
-        return str(det.as_int())
-    variables = set()
-    for row in rows:
-        for e in row:
-            variables.update(e.variables())
-    at_zero = int_det([[e.constant_term() for e in row] for row in rows])
-    probe = {v: v + 2 for v in variables}
-    at_probe = int_det(
-        [[e.substitute(probe).as_int() for e in row] for row in rows]
-    )
-    if at_zero not in (1, -1) or at_probe != at_zero:
-        raise ClosedFormViolation(
-            f"transform determinant specializes to {at_zero} and {at_probe}"
-        )
-    return str(at_zero)
+    n = len(perm)
+    for i, row in enumerate(P):
+        if row[perm[i]] != Polynomial.one():
+            raise ClosedFormViolation(
+                f"transform entry ({i},{perm[i]}) is {row[perm[i]]}, not 1, "
+                f"on the diagonal in elimination order"
+            )
+        for j in range(i + 1, n):
+            if not row[perm[j]].is_zero():
+                raise ClosedFormViolation(
+                    f"transform entry ({i},{perm[j]}) is nonzero above the "
+                    f"diagonal in elimination order"
+                )
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return "-1" if inversions % 2 else "1"
 
 
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
@@ -333,14 +317,11 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
         for i in range(r)
     ]
 
-    # P starts as the permutation matrix with P V = (rows permuted),
-    # Q as its transpose; both stay unimodular under the row/column updates.
+    # P starts as the permutation matrix with P V = (rows permuted); each
+    # step subtracts multiples of row k from later rows only.  The column
+    # updates mirror the row updates, so the column transform is P^T.
     P = [
         [Polynomial.one() if j == perm[i] else Polynomial.zero() for j in range(r)]
-        for i in range(r)
-    ]
-    Q = [
-        [Polynomial.one() if i == perm[j] else Polynomial.zero() for j in range(r)]
         for i in range(r)
     ]
 
@@ -395,8 +376,6 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
             for m in range(r):
                 if not rows[m][k].is_zero():
                     rows[m][j] = rows[m][j] - qj * rows[m][k]
-            for i in range(r):
-                Q[i][j] = Q[i][j] - qj * Q[i][k]
         rows[k][k] = pivot
 
         for m in range(r):
@@ -430,7 +409,8 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
         pivots.append(pivot)
         diagonal.append(factored)
 
-    checks = _certificate_checks(v_canonical, P, Q, diagonal)
+    Q = [list(col) for col in zip(*P)]
+    checks = _certificate_checks(v_canonical, P, Q, perm, diagonal)
     return DiagonalizationCertificate(
         ordering=order.order,
         step_flats=order.step_flats,
@@ -445,6 +425,7 @@ def _certificate_checks(
     v: LabeledMatrix,
     P: list[list[Polynomial]],
     Q: list[list[Polynomial]],
+    perm: Sequence[int],
     diagonal: list[FactoredPoly],
 ) -> dict:
     r = v.size
@@ -457,12 +438,8 @@ def _certificate_checks(
                 ok = False
     if not ok:
         raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
-    checks = {
-        "pvq_equals_d": True,
-        "det_p": _unit_det_str(P),
-        "det_q": _unit_det_str(Q),
-    }
-    return checks
+    det = _ordering_det(P, perm)
+    return {"pvq_equals_d": True, "det_p": det, "det_q": det}
 
 
 def expected_diagonal(arrangement: Arrangement) -> list[FactoredPoly]:

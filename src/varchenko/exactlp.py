@@ -101,13 +101,6 @@ class LinearSystem:
         return basis
 
 
-def rank_of(rows: Sequence[Sequence[Fraction]], nvars: int) -> int:
-    sys = LinearSystem(nvars)
-    for r in rows:
-        sys.add(r, Fraction(0))
-    return sys.rank
-
-
 def solve_equalities(
     eqs: Sequence[Constraint], nvars: int
 ) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:

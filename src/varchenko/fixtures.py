@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import InvalidArrangement
 from .geometry import Arrangement, Hyperplane
 
 
@@ -170,62 +171,61 @@ def suspension_three_generic_lines() -> Arrangement:
     )
 
 
-def random_generic_lines(n: int, seed: int) -> Arrangement:
-    """Random semigeneral line arrangement with small rational coefficients."""
+def _random_semigeneral(dim: int, n: int, seed: int, draw) -> Arrangement:
+    """Redraw n hyperplanes until they form a semigeneral arrangement.
+
+    `draw(rng)` draws one hyperplane's integer normal, then its rational
+    offset; draws that make two hyperplanes coincide are discarded whole.
+    """
     rng = random.Random(seed)
     while True:
         hyps = []
+        for i in range(n):
+            normal, offset = draw(rng)
+            hyps.append(Hyperplane(f"S{i + 1}", tuple(map(Fraction, normal)), offset))
         try:
-            for i in range(n):
-                a = b = 0
-                while (a, b) == (0, 0):
-                    a, b = rng.randint(-6, 6), rng.randint(-6, 6)
-                c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                hyps.append(Hyperplane(f"S{i + 1}", (Fraction(a), Fraction(b)), c))
-            arr = Arrangement("affine", 2, hyps)
-        except Exception:
+            arr = Arrangement("affine", dim, hyps)
+        except InvalidArrangement:
             continue
         if arr.is_semigeneral():
             return arr
+
+
+def _nonzero_vector(rng: random.Random, dim: int, bound: int) -> tuple[int, ...]:
+    v = (0,) * dim
+    while not any(v):
+        v = tuple(rng.randint(-bound, bound) for _ in range(dim))
+    return v
+
+
+def random_generic_lines(n: int, seed: int) -> Arrangement:
+    """Random semigeneral line arrangement with small rational coefficients."""
+
+    def draw(rng):
+        normal = _nonzero_vector(rng, 2, 6)
+        return normal, Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    return _random_semigeneral(2, n, seed, draw)
 
 
 def random_parallel_heavy_lines(n: int, seed: int) -> Arrangement:
     """Random semigeneral lines drawn from four slope classes, so parallel
     pairs are frequent."""
-    rng = random.Random(seed)
     slopes = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    while True:
-        hyps = []
-        try:
-            for i in range(n):
-                a, b = rng.choice(slopes)
-                c = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-                hyps.append(Hyperplane(f"S{i + 1}", (Fraction(a), Fraction(b)), c))
-            arr = Arrangement("affine", 2, hyps)
-        except Exception:
-            continue
-        if arr.is_semigeneral():
-            return arr
+
+    def draw(rng):
+        normal = rng.choice(slopes)
+        return normal, Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+
+    return _random_semigeneral(2, n, seed, draw)
 
 
 def random_generic_planes(n: int, seed: int) -> Arrangement:
-    rng = random.Random(seed)
-    while True:
-        hyps = []
-        try:
-            for i in range(n):
-                v = (0, 0, 0)
-                while v == (0, 0, 0):
-                    v = tuple(rng.randint(-4, 4) for _ in range(3))
-                c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                hyps.append(
-                    Hyperplane(f"S{i + 1}", tuple(Fraction(x) for x in v), c)
-                )
-            arr = Arrangement("affine", 3, hyps)
-        except Exception:
-            continue
-        if arr.is_semigeneral():
-            return arr
+    def draw(rng):
+        normal = _nonzero_vector(rng, 3, 4)
+        return normal, Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    return _random_semigeneral(3, n, seed, draw)
 
 
 def named_fixtures() -> dict[str, Arrangement]:

@@ -24,11 +24,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArrangement, InvalidInput, TooLarge, Unsupported
-from .exactlp import feasible_strict, solve_equalities
+from .exactlp import _normalize_int, feasible_strict, solve_equalities
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
 MAX_GROUND_SIZE = 16
@@ -67,20 +66,11 @@ def _canonical_key(normal: Sequence[Fraction], offset: Fraction) -> tuple[int, .
     Two hyperplanes with the same key have the same point set regardless of
     orientation or scaling.
     """
-    entries = list(normal) + [offset]
-    denom = 1
-    for c in entries:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    coeffs, rhs = _normalize_int(normal, offset)
+    ints = coeffs + (rhs,)
+    if next(v for v in ints if v) < 0:
+        ints = tuple(-v for v in ints)
+    return ints
 
 
 @dataclass(frozen=True)
@@ -90,7 +80,6 @@ class Flat:
     index: int
     defining_set: frozenset[int]
     dim: int
-    sample_point: Optional[tuple[Fraction, ...]] = None
 
     def defining_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.defining_set))
@@ -121,9 +110,6 @@ class IntersectionPoset:
     @property
     def bottom(self) -> Flat:
         return self.flats[0]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.flats[i].defining_set <= self.flats[j].defining_set
 
     def flat_index(self, defining_set: Iterable[int]) -> Optional[int]:
         return self._by_defset.get(frozenset(defining_set))
@@ -325,9 +311,6 @@ class Arrangement:
         """Zero-free sign vectors in canonical (lex, '+' < '-') order."""
         return list(self._regions)
 
-    def region_index(self) -> dict[SignVector, int]:
-        return {v: i for i, v in enumerate(self._regions)}
-
     def faces(self) -> SignedFamily:
         return self._faces
 
@@ -349,9 +332,7 @@ class Arrangement:
     # ------------------------------------------------------------------
     # flats and the intersection poset
 
-    def _flat_geometry(
-        self, defset: frozenset[int]
-    ) -> tuple[int, Optional[tuple[Fraction, ...]]]:
+    def _flat_dim(self, defset: frozenset[int]) -> int:
         eqs = [
             (self.hyperplanes[i].normal, self.hyperplanes[i].offset)
             for i in sorted(defset)
@@ -359,13 +340,13 @@ class Arrangement:
         solved = solve_equalities(eqs, self._nvars)
         if solved is None:
             raise InvalidArrangement("flat from an infeasible defining set")
-        particular, basis = solved
+        _, basis = solved
         if self.mode == "central":
             if not basis:
                 # meets R^{dim+1} only at the origin: empty on the sphere
                 raise InvalidArrangement("flat does not meet the sphere")
-            return len(basis) - 1, tuple(basis[0])
-        return len(basis), tuple(particular)
+            return len(basis) - 1
+        return len(basis)
 
     @cached_property
     def _poset(self) -> IntersectionPoset:
@@ -392,10 +373,7 @@ class Arrangement:
                     )
                 flats.append(Flat(idx, z, dim))
         else:
-            flats = []
-            for idx, z in enumerate(zsets):
-                dim, sample = self._flat_geometry(z)
-                flats.append(Flat(idx, z, dim, sample))
+            flats = [Flat(idx, z, self._flat_dim(z)) for idx, z in enumerate(zsets)]
         return IntersectionPoset(flats, self.dim)
 
     def poset(self) -> IntersectionPoset:
@@ -518,20 +496,36 @@ class Arrangement:
             dim = data["dim"]
         except KeyError as exc:
             raise InvalidInput(f"arrangement JSON missing key {exc}") from None
-        if not isinstance(dim, int):
+        if type(dim) is not int:  # bool is an int subclass: reject true/false
             raise InvalidInput("dim must be an integer")
         if mode == "covector":
             strings = data.get("covectors")
-            if not isinstance(strings, list) or not strings:
-                raise InvalidInput("covector mode needs a nonempty 'covectors' list")
+            if (
+                not isinstance(strings, list)
+                or not strings
+                or not all(isinstance(s, str) for s in strings)
+            ):
+                raise InvalidInput(
+                    "covector mode needs a nonempty 'covectors' list of sign strings"
+                )
             return cls(mode, dim, covectors=SignedFamily.from_strings(strings))
+        items = data.get("hyperplanes", [])
+        if not isinstance(items, list):
+            raise InvalidInput("'hyperplanes' must be a list")
         hyps = []
-        for item in data.get("hyperplanes", []):
-            if not isinstance(item, dict) or "name" not in item or "normal" not in item:
-                raise InvalidInput(f"bad hyperplane entry {item!r}")
+        for item in items:
+            if (
+                not isinstance(item, dict)
+                or not isinstance(item.get("name"), str)
+                or not isinstance(item.get("normal"), list)
+            ):
+                raise InvalidInput(
+                    f"bad hyperplane entry {item!r}: needs a string 'name' and "
+                    f"a list 'normal' of rational strings"
+                )
             normal = tuple(parse_rational(c) for c in item["normal"])
             offset = parse_rational(item.get("offset", "0"))
-            hyps.append(Hyperplane(str(item["name"]), normal, offset))
+            hyps.append(Hyperplane(item["name"], normal, offset))
         return cls(mode, dim, hyps)
 
     def to_json(self) -> str:

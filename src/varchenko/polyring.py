@@ -522,6 +522,8 @@ def parse_polynomial(s: str) -> Polynomial:
     text = s.replace(" ", "")
     if not text:
         raise InvalidInput("empty polynomial string")
+    if text[-1] in "+-":
+        raise InvalidInput(f"dangling sign in {s!r}")
     out = Polynomial.zero()
     i = 0
     sign = 1

@@ -119,10 +119,15 @@ class LabeledMatrix:
         if not isinstance(data, dict) or "entries" not in data:
             raise InvalidInput("matrix JSON must be an object with 'entries'")
         entries = data["entries"]
-        if not isinstance(entries, list):
-            raise InvalidInput("'entries' must be a list of rows")
+        if not isinstance(entries, list) or not all(
+            isinstance(row, list) and all(isinstance(cell, str) for cell in row)
+            for row in entries
+        ):
+            raise InvalidInput("'entries' must be a list of rows of polynomial strings")
         rows = [[parse_polynomial(cell) for cell in row] for row in entries]
         labels = data.get("labels", list(range(len(rows))))
+        if not isinstance(labels, list) or not all(type(i) is int for i in labels):
+            raise InvalidInput("'labels' must be a list of integers")
         return cls(labels, rows)
 
     @classmethod

@@ -215,6 +215,37 @@ def test_bad_json_input(tmp_path, capsys):
     assert code == 2
 
 
+def _line(name="S1", normal=None):
+    return {"name": name, "normal": ["1", "0"] if normal is None else normal}
+
+
+REGIONS = ("regions",)
+DET_GRID = ("det", "--from-json", "--method", "bruteforce")
+MALFORMED = [
+    # (case, command, JSON document): each was misparsed or crashed before
+    ("normal_as_string", REGIONS,
+     {"mode": "affine", "dim": 2, "hyperplanes": [_line(normal="10")]}),
+    ("dim_as_bool", REGIONS,
+     {"mode": "affine", "dim": True, "hyperplanes": [_line(normal=["1"])]}),
+    ("covectors_as_ints", REGIONS, {"mode": "covector", "dim": 1, "covectors": [1, 2]}),
+    ("hyperplanes_as_int", REGIONS, {"mode": "affine", "dim": 2, "hyperplanes": 3}),
+    ("name_as_int", REGIONS, {"mode": "affine", "dim": 2, "hyperplanes": [_line(name=1)]}),
+    ("matrix_entry_as_int", DET_GRID, {"entries": [["1", 2], ["x1", "1"]]}),
+    ("matrix_row_as_string", DET_GRID, {"entries": ["1x", "x1"]}),
+    ("matrix_labels_as_int", DET_GRID, {"entries": [["1"]], "labels": 0}),
+    ("matrix_entry_trailing_sign", DET_GRID, {"entries": [["1-"]]}),
+]
+
+
+def test_malformed_input_exits_2_with_a_message(tmp_path, capsys):
+    for case, (subcommand, *flags), document in MALFORMED:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, subcommand, str(path), *flags)
+        assert (code, out) == (2, ""), case
+        assert err.startswith("error: ") and "Traceback" not in err, case
+
+
 def test_size_cap_exit_code(tmp_path, capsys):
     hyps = [
         {"name": f"S{i}", "normal": ["1", str(i)], "offset": "0"} for i in range(17)
@@ -243,18 +274,6 @@ def test_det_from_json_with_a_huge_variable_id(tmp_path, capsys):
     code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
     assert code == 0 and err == ""
     assert out == "1 - x2^2 - x1000000000^2 + x2^2*x1000000000^2\n"
-
-
-def test_workers_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VARCHENKO_WORKERS", "2")
-    code, _, _ = run(capsys, "regions", fx("single_line"))
-    assert code == 0
-    monkeypatch.setenv("VARCHENKO_WORKERS", "zero")
-    code, _, err = run(capsys, "regions", fx("single_line"))
-    assert code == 2
-    monkeypatch.setenv("VARCHENKO_WORKERS", "0")
-    code, _, _ = run(capsys, "regions", fx("single_line"))
-    assert code == 2
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

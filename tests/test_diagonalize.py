@@ -2,6 +2,8 @@ import pytest
 
 from varchenko import fixtures
 from varchenko.diagonalize import (
+    _certificate_checks,
+    _ordering_det,
     pivot_step,
     diagonalize,
     encompassed_flats,
@@ -10,12 +12,13 @@ from varchenko.diagonalize import (
     snf_q,
 )
 from varchenko.errors import (
+    ClosedFormViolation,
     NotSemigeneral,
     OrderingStuck,
     PivotDivisionFailure,
 )
 from varchenko.geometry import Arrangement
-from varchenko.matinvariants import gcd_minors
+from varchenko.matinvariants import gcd_minors, int_det
 from varchenko.polyring import Polynomial, parse_polynomial
 from varchenko.varmatrix import (
     LabeledMatrix,
@@ -156,6 +159,52 @@ def test_certificate_product_verified_independently():
     det_q = det_bruteforce(LabeledMatrix(list(range(7)), cert.Q))
     assert det_p.is_constant() and det_p.as_int() in (1, -1)
     assert det_q.is_constant() and det_q.as_int() in (1, -1)
+
+
+def ordering_sign(order):
+    """Sign of a permutation by sorting it with transpositions."""
+    perm, sign = list(order), 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def test_transform_det_is_the_ordering_sign_beyond_the_exact_oracle():
+    """Above the 12-region cap of det_bruteforce, det P and det Q are the
+    sign of the ordering, and so is det P at an integer point."""
+    for arr, r in (
+        (fixtures.five_generic_lines(), 16),
+        (fixtures.random_generic_lines(8, 108), 37),
+    ):
+        cert = diagonalize(arr)
+        assert len(cert.ordering) == r
+        sign = ordering_sign(cert.ordering)
+        assert cert.checks["det_p"] == cert.checks["det_q"] == str(sign)
+        assert cert.Q == [list(col) for col in zip(*cert.P)]
+        point = {v: v + 2 for v in range(arr.n)}
+        assert int_det([[e.substitute(point).as_int() for e in row] for row in cert.P]) == sign
+
+
+def test_tampered_transform_raises():
+    arr = fixtures.three_generic_lines()
+    cert = diagonalize(arr)
+    perm = list(cert.ordering)
+    v = build_varchenko(arr)
+    # negating a row keeps P V P^T = D, so only the structure catches it
+    negated = [row[:] for row in cert.P]
+    negated[3] = [-e for e in negated[3]]
+    transposed = [list(col) for col in zip(*negated)]
+    assert matmul(matmul(negated, v.rows), transposed) == cert.diagonal_matrix().rows
+    with pytest.raises(ClosedFormViolation, match="not 1"):
+        _certificate_checks(v, negated, transposed, perm, cert.diagonal)
+    above = [row[:] for row in cert.P]
+    above[2][perm[5]] = Polynomial.one()
+    with pytest.raises(ClosedFormViolation, match="above the diagonal"):
+        _ordering_det(above, perm)
+    assert _ordering_det(cert.P, perm) == cert.checks["det_p"]
 
 
 def test_diagonal_matches_expected_multiset():
