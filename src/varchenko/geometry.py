@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidArrangement, InvalidInput, TooLarge, Unsupported
+from .errors import InvalidArrangement, InvalidInput, TooLarge
 from .exactlp import _normalize_int, feasible_strict, solve_equalities
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
@@ -43,6 +43,14 @@ def parse_rational(s: str) -> Fraction:
 
 def rational_str(q: Fraction) -> str:
     return str(q)
+
+
+def _reject_unknown_keys(data: dict, allowed: Sequence[str], what: str) -> None:
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise InvalidInput(
+            f"unknown key {unknown[0]!r} in {what}; allowed keys: {', '.join(allowed)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -396,80 +404,6 @@ class Arrangement:
         return self.semigeneral_witness() is None
 
     # ------------------------------------------------------------------
-    # restriction and localization
-
-    def _check_flat(self, flat: Flat) -> Flat:
-        idx = self._poset.flat_index(flat.defining_set)
-        if idx is None:
-            raise InvalidInput("flat does not belong to this arrangement")
-        return self._poset.flats[idx]
-
-    def localization(self, flat: Flat) -> "Arrangement":
-        """Sub-arrangement of the hyperplanes containing the flat."""
-        flat = self._check_flat(flat)
-        keep = sorted(flat.defining_set)
-        if self.mode == "covector":
-            members = set()
-            for v in self.covectors.members:
-                proj = SignVector.from_signs([v[i] for i in keep])
-                if not proj.is_zero():
-                    members.add(proj)
-            family = SignedFamily.from_vectors(len(keep), members)
-            return Arrangement("covector", self.dim, covectors=family)
-        return Arrangement(
-            self.mode, self.dim, [self.hyperplanes[i] for i in keep]
-        )
-
-    def restriction(self, flat: Flat) -> "Arrangement":
-        """The arrangement induced inside the flat, in exact flat coordinates.
-
-        Hyperplanes containing or missing the flat are dropped; hyperplanes
-        with the same trace are merged and their names joined with '&'.
-        """
-        if self.mode == "covector":
-            raise Unsupported("restriction needs coordinates (covector mode)")
-        flat = self._check_flat(flat)
-        eqs = [
-            (self.hyperplanes[i].normal, self.hyperplanes[i].offset)
-            for i in sorted(flat.defining_set)
-        ]
-        particular, basis = solve_equalities(eqs, self._nvars)
-        m = len(basis)
-        central = self.mode == "central"
-        if central and m <= 1:
-            # traces on a 0-sphere are empty
-            return Arrangement("central", m - 1 if m else 0, [])
-
-        merged: dict[tuple[int, ...], list[str]] = {}
-        order: list[tuple[int, ...]] = []
-        for i, h in enumerate(self.hyperplanes):
-            if i in flat.defining_set:
-                continue
-            coeffs = tuple(
-                sum(a * b for a, b in zip(h.normal, vec)) for vec in basis
-            )
-            if not any(coeffs):
-                continue  # contains or misses the flat
-            offset = h.offset - sum(a * p for a, p in zip(h.normal, particular))
-            key = _canonical_key(coeffs, offset)
-            if key not in merged:
-                merged[key] = []
-                order.append(key)
-            merged[key].append(h.name)
-
-        hyperplanes = []
-        for key in order:
-            normal = tuple(Fraction(c) for c in key[:-1])
-            offset = Fraction(key[-1])
-            if central:
-                offset = Fraction(0)
-            hyperplanes.append(
-                Hyperplane("&".join(merged[key]), normal, offset)
-            )
-        new_dim = m - 1 if central else m
-        return Arrangement(self.mode, new_dim, hyperplanes)
-
-    # ------------------------------------------------------------------
     # serialization
 
     def to_json_dict(self) -> dict:
@@ -498,6 +432,8 @@ class Arrangement:
             raise InvalidInput(f"arrangement JSON missing key {exc}") from None
         if type(dim) is not int:  # bool is an int subclass: reject true/false
             raise InvalidInput("dim must be an integer")
+        family_key = "covectors" if mode == "covector" else "hyperplanes"
+        _reject_unknown_keys(data, ("mode", "dim", family_key), f"{mode!r} arrangement")
         if mode == "covector":
             strings = data.get("covectors")
             if (
@@ -523,6 +459,9 @@ class Arrangement:
                     f"bad hyperplane entry {item!r}: needs a string 'name' and "
                     f"a list 'normal' of rational strings"
                 )
+            _reject_unknown_keys(
+                item, ("name", "normal", "offset"), f"hyperplane {item['name']!r}"
+            )
             normal = tuple(parse_rational(c) for c in item["normal"])
             offset = parse_rational(item.get("offset", "0"))
             hyps.append(Hyperplane(item["name"], normal, offset))

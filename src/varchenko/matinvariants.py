@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 from .errors import InvalidInput, SemigeneralInput, TooLarge
 from .geometry import Arrangement
-from .polyring import Monomial, Polynomial
+from .polyring import FactoredPoly, Monomial, Polynomial
 from .varmatrix import LabeledMatrix, build_varchenko, det_bruteforce, det_formula
 
 MAX_SNF_SIZE = 64
@@ -433,8 +433,9 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
         )
     )
 
+    formula = det_formula(arrangement)
     deficient = []
-    for flat, factor in _deficient_factors(arrangement):
+    for flat, factor in _deficient_factors(arrangement, formula):
         deficient.append(
             {
                 "defining_set": sorted(arrangement.names[i] for i in flat.defining_set),
@@ -446,7 +447,7 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
     checks.append(
         ObstructionCheck(
             name="determinant_mixed_factor",
-            inputs={"formula": str(det_formula(arrangement))},
+            inputs={"formula": str(formula)},
             result={"deficient_factors": deficient},
             consistent=bool(deficient),
         )
@@ -496,10 +497,9 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
     return ObstructionReport(semigeneral=False, checks=tuple(checks))
 
 
-def _deficient_factors(arrangement: Arrangement):
-    factored = det_formula(arrangement)
+def _deficient_factors(arrangement: Arrangement, formula: FactoredPoly):
     by_defset = {}
-    for base, exp in factored.factors:
+    for base, exp in formula.factors:
         variables = tuple(sorted(base.variables()))
         by_defset[variables] = f"({base.to_string(spaces=False)})" + (
             f"^{exp}" if exp > 1 else ""

@@ -4,6 +4,7 @@ and an independent brute-force determinant oracle."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Mapping, Sequence, Union
 
 from .errors import InvalidInput, TooLarge, Unsupported
@@ -164,27 +165,38 @@ def distance(arrangement: Arrangement, k: int, m: int, n: int) -> Monomial:
 
 
 def det_formula(arrangement: Arrangement) -> FactoredPoly:
-    """Closed-form determinant.
+    """Closed-form determinant, read off the cached faces and poset.
 
-    Each flat above the bottom contributes (1 - m^2)^e, where m is the
-    product of the variables of the hyperplanes containing the flat and the
-    exponent e multiplies the region count of the restriction to the flat
-    by the absolute derivative at 1 of the localization's characteristic
-    polynomial."""
+    Each flat X above the bottom contributes (1 - m_X^2)^(n_X * p_X), where
+    m_X is the product of the variables of the hyperplanes containing X,
+    n_X is the number of faces whose zero set is exactly X's defining set
+    (the regions of the restriction to X), and p_X = |sum mu(Y) * dim Y|
+    over the flats Y whose defining set lies in X's (|chi'(1)| of the
+    localization at X).  In central mode, when the hyperplanes meet only at
+    the origin, the origin is a flat too: it contributes
+    (1 - (x_1 ... x_n)^2)^p with p = |sum mu(Y) * (dim Y + 1)| over all
+    flats, its linear dimension being 0."""
     if arrangement.mode == "covector":
         raise Unsupported("determinant formula needs coordinates (covector mode)")
+    poset = arrangement.poset()
+    face_counts = Counter(f.zero_set() for f in arrangement.faces().members)
     factors = []
-    for flat in arrangement.poset():
+    for flat in poset:
         if not flat.defining_set:
             continue
-        n_m = len(arrangement.restriction(flat).regions())
-        coeffs = arrangement.localization(flat).charpoly()
-        p_m = abs(sum(deg * c for deg, c in enumerate(coeffs)))
-        exponent = n_m * p_m
-        if exponent:
-            factors.append(
-                (one_minus_square(flat.defining_tuple()), exponent)
+        p_x = abs(
+            sum(
+                mu * y.dim
+                for y, mu in zip(poset, poset.mobius)
+                if y.defining_set <= flat.defining_set
             )
+        )
+        n_x = face_counts[flat.defining_set]
+        factors.append((one_minus_square(flat.defining_tuple()), n_x * p_x))
+    n = arrangement.n
+    if arrangement.mode == "central" and poset.flat_index(range(n)) is None:
+        p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))
+        factors.append((one_minus_square(range(n)), p_origin))
     return FactoredPoly.from_factors(factors)
 
 

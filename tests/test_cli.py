@@ -105,13 +105,38 @@ def test_matrix_text_single(capsys):
     assert out.splitlines() == ["1   x1", "x1  1"]
 
 
-def test_det_both(capsys):
-    code, out, _ = run(capsys, "det", fx("three_generic_lines"), "--method", "both")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "formula: (1-x1^2)^3(1-x2^2)^3(1-x3^2)^3"
-    assert lines[1] == "bruteforce: (1-x1^2)^3(1-x2^2)^3(1-x3^2)^3"
-    assert lines[0].split(": ")[1] == lines[1].split(": ")[1]
+def _central(dim, *normals):
+    """A central arrangement; each normal is given as a string of digits."""
+    hyps = [
+        {"name": f"S{i + 1}", "normal": list(digits), "offset": "0"}
+        for i, digits in enumerate(normals)
+    ]
+    return {"mode": "central", "dim": dim, "hyperplanes": hyps}
+
+
+DET_BOTH = [
+    ("three_generic_lines", None, "(1-x1^2)^3(1-x2^2)^3(1-x3^2)^3"),
+    # a 0-sphere split by a hyperplane, and spheres whose hyperplanes meet
+    # only at the origin
+    ("point_pair", _central(0, "1"), "(1-x1^2)"),
+    ("two_lines_on_the_circle", _central(1, "10", "01"), "(1-x1^2)^2(1-x2^2)^2"),
+    (
+        "concurrent_central_plus_equator",
+        _central(2, "100", "010", "110", "001"),
+        "(1-x1^2)^4(1-x2^2)^4(1-x3^2)^4(1-x4^2)^6(1-x1^2*x2^2*x3^2)^2",
+    ),
+]
+
+
+def test_det_both(tmp_path, capsys):
+    for case, document, formula in DET_BOTH:
+        path = fx(case)
+        if document is not None:
+            path = tmp_path / f"{case}.json"
+            path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "det", str(path), "--method", "both")
+        assert (code, err) == (0, ""), case
+        assert out == f"formula: {formula}\nbruteforce: {formula}\n", case
 
 
 def test_det_matrix_round_trip(tmp_path, capsys):
@@ -234,6 +259,15 @@ MALFORMED = [
     ("matrix_row_as_string", DET_GRID, {"entries": ["1x", "x1"]}),
     ("matrix_labels_as_int", DET_GRID, {"entries": [["1"]], "labels": 0}),
     ("matrix_entry_trailing_sign", DET_GRID, {"entries": [["1-"]]}),
+    ("hyperplane_unknown_key", REGIONS,
+     {"mode": "affine", "dim": 1,
+      "hyperplanes": [{"name": "S1", "normal": ["1"], "ofset": "5"}]}),
+    ("top_level_unknown_key", REGIONS,
+     {"mode": "affine", "dim": 2, "hyperplanes": [_line()], "hyperplane": []}),
+    ("covectors_in_affine_mode", REGIONS,
+     {"mode": "affine", "dim": 2, "hyperplanes": [_line()], "covectors": ["+", "-"]}),
+    ("hyperplanes_in_covector_mode", REGIONS,
+     {"mode": "covector", "dim": 1, "covectors": ["+", "-"], "hyperplanes": []}),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from varchenko import fixtures
-from varchenko.errors import InvalidArrangement, InvalidInput, TooLarge, Unsupported
+from varchenko.errors import InvalidArrangement, InvalidInput, TooLarge
 from varchenko.exactlp import feasible_strict, solve_equalities
 from varchenko.geometry import Arrangement, Hyperplane, charpoly_string, parse_rational
 from varchenko.signedsets import SignedFamily, SignVector
@@ -141,50 +141,6 @@ def test_dim_strictly_decreasing_along_order():
             for b in poset:
                 if a.defining_set < b.defining_set:
                     assert a.dim > b.dim
-
-
-def test_restriction_generic():
-    arr = fixtures.three_generic_lines()
-    flat = arr.poset().flats[arr.poset().flat_index([0])]
-    inside = arr.restriction(flat)
-    assert inside.dim == 1
-    assert inside.n == 2
-    assert len(inside.regions()) == 3
-
-
-def test_restriction_to_bottom_is_identity():
-    arr = fixtures.three_generic_lines()
-    back = arr.restriction(arr.poset().bottom)
-    assert back.dim == arr.dim
-    assert [h.name for h in back.hyperplanes] == list(arr.names)
-    assert len(back.regions()) == len(arr.regions())
-
-
-def test_restriction_concurrent_merges():
-    arr = fixtures.three_concurrent_lines()
-    flat = arr.poset().flats[arr.poset().flat_index([0])]
-    inside = arr.restriction(flat)
-    assert inside.n == 1
-    assert inside.hyperplanes[0].name == "S2&S3"
-    assert len(inside.regions()) == 2
-
-
-def test_restriction_covector_unsupported():
-    arr = fixtures.suspension_three_generic_lines()
-    with pytest.raises(Unsupported):
-        arr.restriction(arr.poset().bottom)
-
-
-def test_localization():
-    arr = fixtures.three_generic_lines()
-    poset = arr.poset()
-    double = poset.flats[poset.flat_index([0, 1])]
-    local = arr.localization(double)
-    assert [h.name for h in local.hyperplanes] == ["S1", "S2"]
-    assert arr.localization(poset.bottom).n == 0
-    conc = fixtures.three_concurrent_lines()
-    point = conc.poset().flats[conc.poset().flat_index([0, 1, 2])]
-    assert conc.localization(point).n == 3
 
 
 def test_regions_are_the_zero_free_faces():
@@ -335,12 +291,3 @@ def test_central_fixtures():
     three = fixtures.three_central_spheres()
     assert len(three.regions()) == 8
     assert len(three.poset()) == 8
-    # restriction of a circle pencil to one circle merges the trace pair
-    cen = fixtures.three_concurrent_central()
-    flat = cen.poset().flats[cen.poset().flat_index([0])]
-    inside = cen.restriction(flat)
-    assert inside.mode == "central" and inside.dim == 1
-    assert inside.n == 1 and len(inside.regions()) == 2
-    point = cen.poset().flats[cen.poset().flat_index([0, 1, 2])]
-    empty = cen.restriction(point)
-    assert empty.n == 0 and len(empty.regions()) == 1

@@ -131,6 +131,26 @@ def test_det_formula_covector_unsupported():
         det_formula(fixtures.suspension_three_generic_lines())
 
 
+def test_det_formula_enumerates_nothing_once_faces_and_poset_are_cached(monkeypatch):
+    arrangements = [
+        fixtures.three_concurrent_lines(),
+        fixtures.pencil_four_planes(),
+        fixtures.three_concurrent_central(),
+    ]
+    for arr in arrangements:
+        arr.poset()  # forces faces() too
+    calls = []
+    original = Arrangement._enumerate
+    monkeypatch.setattr(
+        Arrangement,
+        "_enumerate",
+        lambda self, allow_zero: calls.append(self) or original(self, allow_zero),
+    )
+    for arr in arrangements:
+        det_formula(arr)
+    assert calls == []
+
+
 def test_det_bruteforce_examples():
     x = Polynomial.variable(0)
     one = Polynomial.one()
