@@ -9,11 +9,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
-from typing import Sequence, Union
+from math import comb, gcd, prod
+from typing import Optional, Sequence, Union
 
-from .errors import InvalidInput, SemigeneralInput, TooLarge
-from .geometry import Arrangement
+from .errors import InvalidInput, SemigeneralInput, TooLarge, Unsupported
+from .geometry import Arrangement, Flat
 from .polyring import FactoredPoly, Monomial, Polynomial
 from .varmatrix import LabeledMatrix, build_varchenko, det_bruteforce, det_formula
 
@@ -201,6 +201,12 @@ def gcd_minors(matrix, k: int):
     Accepts integer grids, polynomial grids and LabeledMatrix; polynomial
     entries must involve at most one variable.  Returns an int for integer
     input, a Polynomial otherwise; 0 when every minor vanishes.
+
+    For an integer grid the gcd of the k x k minors is the k-th
+    determinantal divisor d_1...d_k, the product of the first k invariant
+    factors of the Smith normal form (Newman, Integral Matrices, 1972), so
+    no minor is formed; it is 0 exactly when the rank is below k.
+    Polynomial grids take the gcd of every minor's determinant.
     """
     rows = _entry_grid(matrix)
     nrows = len(rows)
@@ -214,15 +220,7 @@ def gcd_minors(matrix, k: int):
         raise TooLarge(f"too many {k}x{k} minors")
 
     if integer_input:
-        grid = [[e.as_int() for e in r] for r in rows]
-        g = 0
-        for rsel in combinations(range(nrows), k):
-            for csel in combinations(range(ncols), k):
-                minor = int_det([[grid[i][j] for j in csel] for i in rsel])
-                g = gcd(g, abs(minor))
-                if g == 1:
-                    return 1
-        return g
+        return prod(_snf_prefix([[e.as_int() for e in r] for r in rows], k))
 
     g = Polynomial.zero()
     for rsel in combinations(range(nrows), k):
@@ -239,19 +237,19 @@ def gcd_minors(matrix, k: int):
     return g
 
 
-def integer_snf(grid: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form: nonnegative, divisibility chain.
+def _snf_prefix(rows: IntGrid, limit: int) -> list[int]:
+    """The first `limit` Smith invariant factors of `rows`, reduced in place.
 
-    Pivot reduction with smallest-entry pivoting to limit growth.
+    Pivot reduction with smallest-entry pivoting to limit growth.  A pivot is
+    appended only once it divides every entry left below and right of it, so
+    each factor is final when appended and the loop can stop at `limit`.
+    Factors past the rank are 0.
     """
-    rows = _check_int_grid(grid)
     n = len(rows)
     m = len(rows[0]) if rows else 0
-    if max(n, m) > MAX_SNF_SIZE:
-        raise TooLarge(f"SNF capped at {MAX_SNF_SIZE}, got {n}x{m}")
     diag: list[int] = []
     t = 0
-    while t < min(n, m):
+    while t < limit:
         best = None
         for i in range(t, n):
             for j in range(t, m):
@@ -295,8 +293,18 @@ def integer_snf(grid: Sequence[Sequence[int]]) -> list[int]:
             continue
         diag.append(abs(pivot))
         t += 1
-    diag.extend([0] * (min(n, m) - len(diag)))
+    diag.extend([0] * (limit - len(diag)))
     return diag
+
+
+def integer_snf(grid: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonal of the Smith normal form: nonnegative, divisibility chain."""
+    rows = _check_int_grid(grid)
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    if max(n, m) > MAX_SNF_SIZE:
+        raise TooLarge(f"SNF capped at {MAX_SNF_SIZE}, got {n}x{m}")
+    return _snf_prefix(rows, min(n, m))
 
 
 def deletion_reduction(v_ext: LabeledMatrix, e: int) -> tuple[LabeledMatrix, dict[int, int]]:
@@ -393,41 +401,75 @@ class ObstructionReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _minimal_core(arrangement: Arrangement) -> Arrangement:
-    """Greedily delete hyperplanes while the result stays non-semigeneral."""
-    current = arrangement
+def _deletion_witness(arrangement: Arrangement, kept: frozenset[int]) -> Optional[Flat]:
+    """The parent flat behind the first deficient flat of the deletion to
+    the hyperplanes `kept`, or None if that deletion is semigeneral.
+
+    Every flat of the deletion is a parent flat Y that is the first flat,
+    in poset order, whose defining set contains D(Y) & kept; there its
+    defining set is D(Y) & kept and its dimension is Y's.  Deletion keeps
+    the hyperplanes' relative order, so the deletion's poset order is
+    (size, sorted indices) of those sets.
+    """
+    flats = arrangement.poset().flats
+    witness, best = None, None
+    for y in flats:
+        defset = y.defining_set & kept
+        if y.dim == arrangement.dim - len(defset):
+            continue
+        if next(f for f in flats if defset <= f.defining_set) is not y:
+            continue  # the deletion's flat on defset is another parent flat
+        key = (len(defset), sorted(defset))
+        if best is None or key < best:
+            witness, best = y, key
+    return witness
+
+
+def _minimal_core(arrangement: Arrangement) -> tuple[list[int], Flat]:
+    """Greedily delete hyperplanes while the result stays non-semigeneral.
+
+    Returns the kept hyperplane indices and the parent flat behind the
+    core's first deficient flat, all read off the parent's poset.
+    """
+    kept = list(range(arrangement.n))
+    witness = _deletion_witness(arrangement, frozenset(kept))
     while True:
-        for i in range(current.n):
-            kept = [h for j, h in enumerate(current.hyperplanes) if j != i]
-            candidate = Arrangement(current.mode, current.dim, kept)
-            if not candidate.is_semigeneral():
-                current = candidate
+        for i in range(len(kept)):
+            candidate = kept[:i] + kept[i + 1 :]
+            found = _deletion_witness(arrangement, frozenset(candidate))
+            if found is not None:
+                kept, witness = candidate, found
                 break
         else:
-            return current
+            return kept, witness
 
 
 def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
-    """Run the degenerate-arrangement diagnostics; refuses semigeneral input."""
+    """Run the degenerate-arrangement diagnostics; refuses semigeneral input.
+
+    Reads the minimal core off the arrangement's own poset, so it runs no
+    enumeration beyond the arrangement's regions, faces and poset.
+    """
     if arrangement.is_semigeneral():
         raise SemigeneralInput("arrangement is semigeneral: nothing to obstruct")
+    if arrangement.mode == "covector":
+        raise Unsupported("obstruction report needs coordinates (covector mode)")
     v = build_varchenko(arrangement)
     n = arrangement.n
+    names = arrangement.names
     checks = []
 
-    core = _minimal_core(arrangement)
-    core_witness = core.semigeneral_witness()
+    kept, witness = _minimal_core(arrangement)
+    witness_set = witness.defining_set.intersection(kept)
     checks.append(
         ObstructionCheck(
             name="core",
-            inputs={"hyperplanes": list(arrangement.names)},
+            inputs={"hyperplanes": list(names)},
             result={
-                "core_hyperplanes": list(core.names),
-                "witness": sorted(
-                    core.names[i] for i in core_witness.defining_set
-                ),
-                "witness_dim": core_witness.dim,
-                "expected_dim": core.dim - len(core_witness.defining_set),
+                "core_hyperplanes": [names[i] for i in kept],
+                "witness": sorted(names[i] for i in witness_set),
+                "witness_dim": witness.dim,
+                "expected_dim": arrangement.dim - len(witness_set),
             },
             consistent=True,
         )

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from varchenko import fixtures
 from varchenko.cli import main
+from varchenko.geometry import Arrangement, Hyperplane
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -225,6 +227,50 @@ def test_obstruct(capsys):
     assert payload["all_consistent"] is True
     code, _, _ = run(capsys, "obstruct", fx("three_generic_lines"))
     assert code == 3
+
+
+def test_obstruct_covector_mode_unsupported(tmp_path, capsys):
+    # x1 = x2 = 0 lies on S1, S2 and S3: a deficient flat in covector mode
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
+    central = Arrangement(
+        "central",
+        3,
+        [Hyperplane(f"S{i + 1}", tuple(map(Fraction, r))) for i, r in enumerate(rows)],
+    )
+    covectors = [f.to_string() for f in central.faces().sorted_members() if not f.is_zero()]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"mode": "covector", "dim": 3, "covectors": covectors}))
+    code, out, err = run(capsys, "obstruct", str(path))
+    assert code == 3 and out == ""
+    assert "covector mode" in err
+
+
+def test_obstruct_at_45_regions(tmp_path, capsys):
+    # S1, S2, S3 meet at the origin; the other six lines are generic
+    rows = [
+        (1, 0, 0), (0, 1, 0), (1, 1, 0), (-3, 7, -3), (-4, 7, -10),
+        (-7, 3, 19), (5, 3, -12), (-9, 1, -7), (-3, 3, -10),
+    ]
+    hyperplanes = [
+        {"name": f"S{i + 1}", "normal": [str(a), str(b)], "offset": str(c)}
+        for i, (a, b, c) in enumerate(rows)
+    ]
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}))
+    code, out, _ = run(capsys, "regions", str(path))
+    assert code == 0 and len(out.split()) == 45
+    code, out, _ = run(capsys, "obstruct", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_consistent"] is True
+    by_name = {c["name"]: c["result"] for c in payload["checks"]}
+    assert by_name["gcd_minors_all_threes"] == {"gcd": 8}
+    assert by_name["core"] == {
+        "core_hyperplanes": ["S1", "S2", "S3"],
+        "witness": ["S1", "S2", "S3"],
+        "witness_dim": 0,
+        "expected_dim": -1,
+    }
 
 
 def test_missing_input(capsys):

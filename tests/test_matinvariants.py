@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varchenko import fixtures
-from varchenko.errors import InvalidInput, SemigeneralInput, TooLarge
+from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.matinvariants import (
     gcd_minors,
@@ -21,6 +24,27 @@ from varchenko.varmatrix import (
     build_varchenko,
     equal_up_to_relabeling,
 )
+
+# Deterministic examples, so that a failure reproduces on every run.
+property_test = settings(deadline=None, derandomize=True, database=None)
+
+
+def minor_gcd_reference(grid, k):
+    """Brute force: the gcd of int_det over every k x k row/column selection."""
+    g = 0
+    for rsel in combinations(range(len(grid)), k):
+        for csel in combinations(range(len(grid[0])), k):
+            g = gcd(g, int_det([[grid[i][j] for j in csel] for i in rsel]))
+    return g
+
+
+def check_minor_gcds(grid):
+    """The SNF prefix products and gcd_minors equal the reference for every k."""
+    diag = integer_snf(grid)
+    for k in range(len(diag) + 1):
+        reference = minor_gcd_reference(grid, k)
+        assert prod(diag[:k]) == reference
+        assert gcd_minors(grid, k) == reference
 
 
 def test_int_det_and_rank():
@@ -79,10 +103,30 @@ def test_integer_snf_divisibility_and_minor_products():
         diag = integer_snf(grid)
         for a, b in zip(diag, diag[1:]):
             assert b == 0 or (a != 0 and b % a == 0) or (a == 0 and b == 0)
-        prod = 1
-        for k, d in enumerate(diag, start=1):
-            prod *= d
-            assert abs(prod) == gcd_minors(grid, k)
+        check_minor_gcds(grid)
+
+
+@st.composite
+def integer_grids(draw):
+    """Grids up to 5 x 5: plain, products A.B of rank at most the inner
+    size, and either with some rows zeroed."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.integers(-4, 4)
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(n, m)))
+        a = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner), min_size=n, max_size=n))
+        b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=inner, max_size=inner))
+        grid = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    else:
+        grid = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    zeroed = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [[0] * m if i in zeroed else row for i, row in enumerate(grid)]
+
+
+@property_test
+@given(integer_grids())
+def test_gcd_minors_equals_the_brute_force_reference(grid):
+    check_minor_gcds(grid)
 
 
 def test_integer_snf_invariance_under_unimodular_moves():
@@ -238,3 +282,92 @@ def test_obstruction_json():
     )
     for check in data["checks"]:
         assert set(check) == {"name", "inputs", "result", "consistent"}
+
+
+def core_reference(arrangement):
+    """The core check's result by rebuilding every one-hyperplane deletion
+    and enumerating its faces and poset."""
+    current = arrangement
+    while True:
+        for i in range(current.n):
+            kept = [h for j, h in enumerate(current.hyperplanes) if j != i]
+            candidate = Arrangement(current.mode, current.dim, kept)
+            if not candidate.is_semigeneral():
+                current = candidate
+                break
+        else:
+            break
+    witness = current.semigeneral_witness()
+    return {
+        "core_hyperplanes": list(current.names),
+        "witness": sorted(current.names[i] for i in witness.defining_set),
+        "witness_dim": witness.dim,
+        "expected_dim": current.dim - len(witness.defining_set),
+    }
+
+
+def random_degenerate(rng, mode, dim):
+    """At most six lines or five planes, shuffled: s + 1 of them have
+    normals in an s-dimensional coordinate span and pass through one point
+    (a concurrent triple, a pencil or a concurrent quadruple), one of those
+    sometimes has a parallel copy (affine only), the rest are random."""
+    nvars = dim + 1 if mode == "central" else dim
+    span = rng.randint(2, nvars - 1 if mode == "central" else nvars)
+    point = [0] * nvars if mode == "central" else [rng.randint(-2, 2) for _ in range(nvars)]
+    rows = []
+    for _ in range(span + 1):
+        normal = [rng.randint(-3, 3) for _ in range(span)] + [0] * (nvars - span)
+        rows.append((normal, sum(a * p for a, p in zip(normal, point))))
+    if mode == "affine" and rng.random() < 0.5:
+        normal, offset = rows[0]
+        rows.append((normal, offset + rng.choice((-1, 1))))
+    for _ in range(rng.randint(len(rows), 8 - dim) - len(rows)):
+        normal = [rng.randint(-3, 3) for _ in range(nvars)]
+        rows.append((normal, 0 if mode == "central" else rng.randint(-3, 3)))
+    rng.shuffle(rows)
+    hyperplanes = [
+        Hyperplane(f"S{i + 1}", tuple(map(Fraction, normal)), Fraction(offset))
+        for i, (normal, offset) in enumerate(rows)
+    ]
+    return Arrangement(mode, dim, hyperplanes)
+
+
+def test_core_equals_the_rebuild_and_enumerate_reference():
+    rng = random.Random(23)
+    for mode in ("affine", "central"):
+        for dim in (2, 3):
+            deletes = []
+            while len(deletes) < 6:
+                try:
+                    arr = random_degenerate(rng, mode, dim)
+                    if arr.is_semigeneral():
+                        continue
+                except InvalidArrangement:  # zero normal or coinciding hyperplanes
+                    continue
+                report = obstruction_report(arr)
+                core = next(c for c in report.checks if c.name == "core")
+                reference = core_reference(arr)
+                assert core.result == reference, arr.to_json()
+                deletes.append(len(reference["core_hyperplanes"]) < arr.n)
+            assert any(deletes) and not all(deletes), (mode, dim)
+
+
+def test_obstruction_enumerates_nothing_once_faces_and_poset_are_cached(monkeypatch):
+    arrangements = [
+        fixtures.three_concurrent_lines(),
+        fixtures.pencil_four_planes(),
+        fixtures.three_concurrent_central(),
+    ]
+    for arr in arrangements:
+        arr.regions()
+        arr.poset()  # forces faces() too
+    calls = []
+    original = Arrangement._enumerate
+    monkeypatch.setattr(
+        Arrangement,
+        "_enumerate",
+        lambda self, allow_zero: calls.append(self) or original(self, allow_zero),
+    )
+    for arr in arrangements:
+        obstruction_report(arr)
+    assert calls == []
