@@ -13,6 +13,7 @@ from .diagonalize import (
 )
 from .errors import (
     ClosedFormViolation,
+    InconsistentWitness,
     InvalidArrangement,
     InvalidInput,
     NotDivisible,
@@ -62,6 +63,7 @@ __all__ = [
     "FactoredPoly",
     "Flat",
     "Hyperplane",
+    "InconsistentWitness",
     "IntersectionPoset",
     "InvalidArrangement",
     "InvalidInput",

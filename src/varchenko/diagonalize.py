@@ -244,24 +244,6 @@ class DiagonalizationCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _matmul(
-    a: Sequence[Sequence[Polynomial]], b: Sequence[Sequence[Polynomial]]
-) -> list[list[Polynomial]]:
-    n = len(a)
-    out = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(n):
-                if not brow[j].is_zero():
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
-
-
 def _ordering_det(P: list[list[Polynomial]], perm: Sequence[int]) -> str:
     """Prove det P in {+1, -1} from the shape of P and return it as a string.
 
@@ -428,16 +410,22 @@ def _certificate_checks(
     perm: Sequence[int],
     diagonal: list[FactoredPoly],
 ) -> dict:
+    """Check P V Q = D entry by entry, using only the nonzero entries of P's
+    rows and Q's columns, and prove det P = det Q = +-1 (Q is P^T)."""
     r = v.size
-    product = _matmul(_matmul(P, v.rows), Q)
-    ok = True
-    for i in range(r):
-        for j in range(r):
-            expected = diagonal[i].expand() if i == j else Polynomial.zero()
-            if product[i][j] != expected:
-                ok = False
-    if not ok:
-        raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
+    rows = [[(a, p) for a, p in enumerate(row) if not p.is_zero()] for row in P]
+    cols = [[(b, q) for b, q in enumerate(col) if not q.is_zero()] for col in zip(*Q)]
+    zero = Polynomial.zero()
+    for i, terms in enumerate(rows):
+        pv = [zero] * r  # row i of P V
+        for a, p in terms:
+            pv = [x + p * e for x, e in zip(pv, v.rows[a])]
+        for j, col in enumerate(cols):
+            entry = zero
+            for b, q in col:
+                entry = entry + pv[b] * q
+            if entry != (diagonal[i].expand() if i == j else zero):
+                raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
     det = _ordering_det(P, perm)
     return {"pvq_equals_d": True, "det_p": det, "det_q": det}
 

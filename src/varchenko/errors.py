@@ -23,6 +23,10 @@ class TooLarge(VarchenkoError):
     """Input exceeds a documented brute-force size cap."""
 
 
+class InconsistentWitness(VarchenkoError):
+    """A face's witness point does not realise its sign vector (internal bug)."""
+
+
 class NotDivisible(VarchenkoError):
     """Exact polynomial division has a nonzero remainder."""
 

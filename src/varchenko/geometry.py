@@ -12,9 +12,13 @@ Supported modes:
   list of sign vectors, with flats read off as zero sets and dimensions
   taken from poset height.
 
-Faces are enumerated by depth-first sign assignment with exact
-Fourier-Motzkin pruning, so every reported sign vector is backed by a
-rational feasibility certificate and no floating point is involved.
+Faces come from one witness-guided depth-first pass over the hyperplanes
+that carries a rational point in the relative interior of every face it
+visits: a hyperplane either has one sign on the face's affine hull, passes
+through the face's point, or is tested by one exact Fourier-Motzkin call
+that returns a point of the face on it.  Regions are the zero-free faces.  Every reported sign vector
+is backed by an explicit rational point, checked to realise it, and no
+floating point is involved.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidArrangement, InvalidInput, TooLarge
-from .exactlp import _normalize_int, feasible_strict, solve_equalities
+from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
+from .exactlp import _dot, _normalize_int, solve_equalities, strict_point
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
 MAX_GROUND_SIZE = 16
@@ -43,6 +47,25 @@ def parse_rational(s: str) -> Fraction:
 
 def rational_str(q: Fraction) -> str:
     return str(q)
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _step(point: list[Fraction], d: list[Fraction], stricts) -> list[Fraction]:
+    """point + t * d for half the largest t > 0 that keeps every strict
+    constraint (a, b), a . x > b, strict at the new point (t = 1 if none
+    limits it)."""
+    limit = None
+    for a, b in stricts:
+        rate = _dot(a, d)
+        if rate < 0:
+            t = (_dot(a, point) - b) / -rate
+            if limit is None or t < limit:
+                limit = t
+    t = Fraction(1) if limit is None else limit / 2
+    return [x + t * c for x, c in zip(point, d)]
 
 
 def _reject_unknown_keys(data: dict, allowed: Sequence[str], what: str) -> None:
@@ -259,61 +282,119 @@ class Arrangement:
     # ------------------------------------------------------------------
     # face / region enumeration
 
-    def _constraints(self, signs: Sequence[int]):
-        """Equalities and strict inequalities for a sign prefix."""
-        eqs = []
-        stricts = []
-        for h, s in zip(self.hyperplanes, signs):
-            if s == 0:
-                eqs.append((h.normal, h.offset))
-            elif s > 0:
-                stricts.append((h.normal, h.offset))
-            else:
-                neg = tuple(-c for c in h.normal)
-                stricts.append((neg, -h.offset))
-        return eqs, stricts
+    def _enumerate_faces(self) -> list[SignVector]:
+        """Every face, from one depth-first pass over the hyperplanes.
 
-    def _prefix_feasible(self, signs: Sequence[int]) -> bool:
-        eqs, stricts = self._constraints(signs)
-        return feasible_strict(
-            eqs, stricts, self._nvars, require_nonzero=self.mode == "central"
-        )
+        A node is a face of the first i hyperplanes, held as a rational
+        point p in its relative interior, the strict constraints that bound
+        it and a basis of the directions of its affine hull.  Hyperplane
+        i = (a, b) splits it by v = a . p - b:
 
-    def _enumerate(self, allow_zero: bool) -> list[SignVector]:
+        * a constant on the hull: one child, sign(v), which keeps p;
+        * v = 0: all three children; 0 keeps p and the signed ones step
+          exactly from p along the hull;
+        * v != 0: one Fourier-Motzkin call for a point q of the face on the
+          hyperplane.  If there is one, all three children: 0 gets q,
+          sign(v) keeps p and the other side steps past q away from p;
+          else only sign(v).
+
+        In central mode the root is e_0, and a face with no strict
+        constraint is a punctured linear subspace, symmetric under
+        x -> -x: both of its sides exist (p and -p) even where the
+        hyperplane meets it only at the origin.  Each leaf's point is
+        checked to realise the sign vector it is reported under.
+        """
         if self.n > MAX_GROUND_SIZE:
             raise TooLarge(
                 f"enumeration capped at {MAX_GROUND_SIZE} hyperplanes, got {self.n}"
             )
-        choices = (1, 0, -1) if allow_zero else (1, -1)
-        out: list[SignVector] = []
-        assign: list[int] = []
+        nvars = self._nvars
+        central = self.mode == "central"
+        planes = [
+            (tuple(Fraction(c) for c in h.normal), Fraction(h.offset))
+            for h in self.hyperplanes
+        ]
+        sides = [
+            {1: (a, b), -1: (tuple(-c for c in a), -b)} for a, b in planes
+        ]
+        identity = [
+            [Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)
+        ]
+        root = [Fraction(int(central and j == 0)) for j in range(nvars)]
+        faces: list[SignVector] = []
+        signs: list[int] = []
 
-        def dfs(i: int) -> None:
-            if i == self.n:
-                out.append(SignVector.from_signs(assign))
+        def visit(point, stricts, basis) -> None:
+            i = len(signs)
+            if i == len(planes):
+                faces.append(self._witnessed(planes, signs, point))
                 return
-            for s in choices:
-                assign.append(s)
-                if self._prefix_feasible(assign):
-                    dfs(i + 1)
-                assign.pop()
+            a, b = planes[i]
+            value = _dot(a, point) - b
+            rates = [_dot(a, d) for d in basis]
+            pivot = next((j for j, rate in enumerate(rates) if rate), None)
+            if pivot is None:
+                # the hyperplane's sign is constant on the face's hull
+                child(_sign(value), point, stricts, basis)
+                return
+            d, rate = basis[pivot], rates[pivot]
+            on_plane = [
+                [x - r / rate * y for x, y in zip(e, d)]
+                for j, (e, r) in enumerate(zip(basis, rates))
+                if j != pivot
+            ]
+            if not value:
+                up = d if rate > 0 else [-c for c in d]
+                child(1, _step(point, up, stricts), stricts + [sides[i][1]], basis)
+                child(0, point, stricts, on_plane)
+                down = [-c for c in up]
+                child(-1, _step(point, down, stricts), stricts + [sides[i][-1]], basis)
+                return
+            s = _sign(value)
+            origin = [x - value / rate * c for x, c in zip(point, d)]
+            if central and not stricts:
+                q = origin if any(origin) else on_plane[0] if on_plane else None
+                far = [-x for x in point]
+            else:
+                q = strict_point(origin, on_plane, stricts)
+                far = None if q is None else _step(
+                    q, [y - x for x, y in zip(point, q)], stricts
+                )
+            child(s, point, stricts + [sides[i][s]], basis)
+            if q is not None:
+                child(0, q, stricts, on_plane)
+            if far is not None:
+                child(-s, far, stricts + [sides[i][-s]], basis)
 
-        dfs(0)
-        return out
+        def child(sign, point, stricts, basis) -> None:
+            signs.append(sign)
+            visit(point, stricts, basis)
+            signs.pop()
+
+        visit(root, [], identity)
+        return faces
+
+    def _witnessed(self, planes, signs, point) -> SignVector:
+        """The face's sign vector, once its point is checked to realise it."""
+        if any(
+            _sign(_dot(a, point) - b) != s for (a, b), s in zip(planes, signs)
+        ) or (self.mode == "central" and not any(point)):
+            raise InconsistentWitness(
+                f"witness point {[str(x) for x in point]} does not realise "
+                f"the face {SignVector.from_signs(signs).to_string()}"
+            )
+        return SignVector.from_signs(signs)
 
     @cached_property
     def _regions(self) -> tuple[SignVector, ...]:
-        if self.mode == "covector":
-            vecs = [v for v in self.covectors.sorted_members() if v.is_zero_free()]
-        else:
-            vecs = self._enumerate(allow_zero=False)
+        vecs = [v for v in self._faces.members if v.is_zero_free()]
         return tuple(sorted(vecs, key=SignVector.sort_key))
 
     @cached_property
     def _faces(self) -> SignedFamily:
         if self.mode == "covector":
             return self.covectors
-        return SignedFamily.from_vectors(self.n, self._enumerate(allow_zero=True))
+        return SignedFamily.from_vectors(self.n, self._enumerate_faces())
 
     def regions(self) -> list[SignVector]:
         """Zero-free sign vectors in canonical (lex, '+' < '-') order."""

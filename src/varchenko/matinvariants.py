@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 from .errors import InvalidInput, SemigeneralInput, TooLarge, Unsupported
 from .geometry import Arrangement, Flat
 from .polyring import FactoredPoly, Monomial, Polynomial
-from .varmatrix import LabeledMatrix, build_varchenko, det_bruteforce, det_formula
+from .varmatrix import LabeledMatrix, det_bruteforce, det_formula
 
 MAX_SNF_SIZE = 64
 MAX_MINOR_PAIRS = 10**6
@@ -454,7 +454,10 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
         raise SemigeneralInput("arrangement is semigeneral: nothing to obstruct")
     if arrangement.mode == "covector":
         raise Unsupported("obstruction report needs coordinates (covector mode)")
-    v = build_varchenko(arrangement)
+    # V's entry (m, n) is the squarefree monomial over sep(R_m, R_n), so
+    # each specialisation below is read straight off the separation masks
+    regions = arrangement.regions()
+    masks = [[x.separation_mask(y) for y in regions] for x in regions]
     n = arrangement.n
     names = arrangement.names
     checks = []
@@ -495,7 +498,7 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
         )
     )
 
-    g = gcd_minors(v.substitute_all(3).to_int_grid(), 2)
+    g = gcd_minors([[3 ** m.bit_count() for m in row] for row in masks], 2)
     checks.append(
         ObstructionCheck(
             name="gcd_minors_all_threes",
@@ -505,7 +508,7 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
         )
     )
 
-    rank = int_rank(v.substitute_all(1).to_int_grid())
+    rank = int_rank([[1] * len(row) for row in masks])
     checks.append(
         ObstructionCheck(
             name="rank_all_ones",
@@ -518,8 +521,10 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
     snf_values = {}
     ok = True
     for i in range(n):
-        sigma = {j: 3 if j == i else 0 for j in range(n)}
-        diag = integer_snf(v.substitute(sigma).to_int_grid())
+        only_i = 1 << i
+        diag = integer_snf(
+            [[3 if m == only_i else 0 if m else 1 for m in row] for row in masks]
+        )
         values = sorted(set(diag))
         snf_values[arrangement.names[i]] = {
             str(val): diag.count(val) for val in values

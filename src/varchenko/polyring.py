@@ -58,12 +58,13 @@ _LOCK = Lock()
 _GUARDS = _GUARD_BIT  # guard bit of every field in use
 _ONES = 0  # 1 in every variable field
 _HIGHS = 0  # _CAP_HIGH in every variable field
+_LOWS = 0  # _CAP_HIGH without the guard bit in every variable field
 
 
 def _slot(v: int) -> int:
     s = _SLOT.get(v)
     if s is None:
-        global _GUARDS, _ONES, _HIGHS
+        global _GUARDS, _ONES, _HIGHS, _LOWS
         with _LOCK:
             s = _SLOT.get(v)
             if s is None:
@@ -72,6 +73,7 @@ def _slot(v: int) -> int:
                 _GUARDS |= _GUARD_BIT << shift
                 _ONES |= 1 << shift
                 _HIGHS |= _CAP_HIGH << shift
+                _LOWS |= (_CAP_HIGH & ~_GUARD_BIT) << shift
                 _VARS.append(v)
                 _SLOT[v] = s
     return s
@@ -118,11 +120,17 @@ def _unpack(key: int) -> tuple[tuple[int, int], ...]:
 
 
 def _cap_key(key: int) -> int:
-    out = 0
-    for s, e in _fields(key):
-        e = min(e, 2)
-        out += (e << (_W * (s + 1))) + e
-    return out
+    """`key` with every exponent >= 3 clipped to 2, by mask arithmetic.
+
+    A field's flag bits (those of _HIGHS in key + _ONES) are pushed up into
+    its guard bit, which marks the whole field.  The degree field then
+    drops by the sum of the excess fields; that sum is below 2**16 - 1, so
+    it equals their packed value mod 2**16 - 1 (each field weighs 1 there).
+    """
+    flags = (key + _ONES) & _HIGHS
+    marks = ((flags & _LOWS) + _LOWS | flags) & _GUARDS
+    excess = (key & (marks >> (_W - 1)) * _FIELD) - (marks >> (_W - 2))
+    return key - excess - excess % _FIELD
 
 
 class Monomial:

@@ -167,25 +167,44 @@ def test_faces_compose_with_regions_into_regions():
                 assert face.compose(region) in regions
 
 
+def faces_by_full_scan(arr):
+    """Independent oracle: one feasibility call per sign vector in {+,0,-}^n."""
+    nvars = arr.dim + 1 if arr.mode == "central" else arr.dim
+    found = set()
+    for signs in itertools.product((1, 0, -1), repeat=arr.n):
+        eqs, stricts = [], []
+        for h, s in zip(arr.hyperplanes, signs):
+            if s == 0:
+                eqs.append((h.normal, h.offset))
+            elif s > 0:
+                stricts.append((h.normal, h.offset))
+            else:
+                stricts.append((tuple(-c for c in h.normal), -h.offset))
+        if feasible_strict(eqs, stricts, nvars, require_nonzero=arr.mode == "central"):
+            found.add(SignVector.from_signs(signs))
+    return found
+
+
 def test_feasibility_oracle_consistency():
     """Full 3^n scan with direct feasibility calls matches the DFS output."""
     for arr in (fixtures.three_generic_lines(), fixtures.three_concurrent_lines()):
-        nvars = arr.dim
-        expected = set()
-        for signs in itertools.product((1, 0, -1), repeat=arr.n):
-            eqs, stricts = [], []
-            for h, s in zip(arr.hyperplanes, signs):
-                if s == 0:
-                    eqs.append((h.normal, h.offset))
-                elif s > 0:
-                    stricts.append((h.normal, h.offset))
-                else:
-                    stricts.append(
-                        (tuple(-c for c in h.normal), -h.offset)
-                    )
-            if feasible_strict(eqs, stricts, nvars):
-                expected.add(SignVector.from_signs(signs))
-        assert set(arr.faces().members) == expected
+        assert set(arr.faces().members) == faces_by_full_scan(arr)
+
+
+def test_two_lines_on_the_circle_keep_every_face():
+    # the face 0 of S1 is the split 0-sphere {(0, 1), (0, -1)}: S2 cuts it
+    # only at the origin, and both of its sides are faces
+    arr = Arrangement(
+        "central",
+        1,
+        [
+            Hyperplane("S1", (Fraction(1), Fraction(0))),
+            Hyperplane("S2", (Fraction(0), Fraction(1))),
+        ],
+    )
+    expected = {"++", "+-", "-+", "--", "+0", "-0", "0+", "0-"}
+    assert {f.to_string() for f in arr.faces().members} == expected
+    assert [r.to_string() for r in arr.regions()] == ["++", "+-", "-+", "--"]
 
 
 def test_covector_mode_fixture():

@@ -362,11 +362,11 @@ def test_obstruction_enumerates_nothing_once_faces_and_poset_are_cached(monkeypa
         arr.regions()
         arr.poset()  # forces faces() too
     calls = []
-    original = Arrangement._enumerate
+    original = Arrangement._enumerate_faces
     monkeypatch.setattr(
         Arrangement,
-        "_enumerate",
-        lambda self, allow_zero: calls.append(self) or original(self, allow_zero),
+        "_enumerate_faces",
+        lambda self: calls.append(self) or original(self),
     )
     for arr in arrangements:
         obstruction_report(arr)

@@ -41,6 +41,11 @@ def test_ring_examples():
 def test_cap_caps_exponents():
     assert Polynomial.variable(0, 3).capped() == Polynomial.variable(0, 2)
     assert Polynomial.variable(0, 7).capped() == Polynomial.variable(0, 2)
+    assert Polynomial.variable(0, 32767).capped() == Polynomial.variable(0, 2)
+    for e in (3, 256, 32000):  # one field clipped, the degree field follows
+        mixed = Polynomial({Monomial([(1, e), (3, 1), (4, 5)]): 5})
+        assert mixed.capped() == Polynomial({Monomial([(1, 2), (3, 1), (4, 2)]): 5})
+        assert mixed.capped().degree() == 5
     assert X1.capped() == X1
     assert ONE.capped() == ONE
 
