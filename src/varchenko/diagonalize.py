@@ -2,18 +2,19 @@
 arrangement, with a verifiable transformation certificate.
 
 The pipeline is: order the regions so that each new region extends the
-encompassed part of the flat poset by exactly one flat; then run the
-symmetric pivot elimination step by step, verifying the predicted closed
-forms after every step.  The row transform P is the whole certificate:
-P * V * P^T is diagonal, and P is a unit lower-triangular matrix times the
-ordering's permutation, so det P is the sign of the ordering.
+encompassed part of the flat poset by exactly one flat, completing one face
+of it; then write the row transform P in closed form from those faces.  P
+is the whole certificate, checked rather than trusted: P * V * P^T is
+diagonal, and P is a unit lower-triangular matrix times the ordering's
+permutation, so det P is the sign of the ordering.  `replay_elimination` is
+the step-by-step elimination that P summarises, kept as a test reference.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ClosedFormViolation,
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .geometry import Arrangement
 from .polyring import FactoredPoly, Polynomial, exact_div, one_minus_square
+from .signedsets import SignVector
 from .varmatrix import LabeledMatrix, build_varchenko, monomial_from_mask
 
 
@@ -67,10 +69,12 @@ def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[i
 
 @dataclass(frozen=True)
 class RegionOrdering:
-    """A coloring order together with the flat first encompassed per step."""
+    """A coloring order together with the flat first encompassed per step
+    and the face of that flat whose adjacent regions the step completes."""
 
     order: tuple[int, ...]
     step_flats: tuple[int, ...]
+    step_faces: tuple[SignVector, ...]
 
 
 def _semigeneral_gate(arrangement: Arrangement) -> None:
@@ -90,7 +94,8 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
     under reorienting, so no coordinates change).  Greedy choice: among the
     uncolored regions that encompass exactly one new flat, prefer the one
     whose new flat has the smallest dimension, tie-broken by region id, with
-    full backtracking behind the greedy front.
+    full backtracking behind the greedy front (an explicit stack, so the
+    depth is not bounded by the interpreter's recursion limit).
     """
     _semigeneral_gate(arrangement)
     regions = arrangement.regions()
@@ -101,6 +106,7 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
             f"flat count {len(poset)} differs from region count {r}; the "
             f"one-new-flat-per-region coloring cannot complete"
         )
+    faces = arrangement.faces().sorted_members()
     adj_masks, flat_ids = _face_data(arrangement)
     dims = [f.dim for f in poset.flats]
     nfaces = len(adj_masks)
@@ -108,66 +114,63 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
     base = 0
     uncolored = [m & ~(1 << base) for m in adj_masks]
     colored = [base]
-    encompassed = {flat_ids[f] for f in range(nfaces) if uncolored[f] == 0}
+    completed = [f for f in range(nfaces) if uncolored[f] == 0]
+    encompassed = {flat_ids[f] for f in completed}
     if len(encompassed) != 1:
         raise OrderingStuck(
             f"coloring the base region encompassed {len(encompassed)} flats"
         )
-    step_flats = [next(iter(encompassed))]
+    step_flats = [flat_ids[completed[0]]]
+    step_faces = [completed[0]]
 
-    def next_candidates() -> list[tuple[int, int, int]]:
-        """(new flat dim, region, new flat) for regions encompassing exactly
-        one new flat."""
-        ready: dict[int, set[int]] = {}
+    def next_candidates() -> list[tuple[int, int, int, int]]:
+        """(new flat dim, region, new flat, completed face) for regions
+        encompassing exactly one new flat."""
+        ready: dict[int, dict[int, int]] = {}
         for f in range(nfaces):
             m = uncolored[f]
             if m and m & (m - 1) == 0:  # exactly one uncolored adjacent region
                 flat = flat_ids[f]
                 if flat not in encompassed:
-                    ready.setdefault(m.bit_length() - 1, set()).add(flat)
+                    ready.setdefault(m.bit_length() - 1, {})[flat] = f
         out = []
         for region, flats in ready.items():
             if len(flats) == 1:
-                flat = next(iter(flats))
-                out.append((dims[flat], region, flat))
+                [(flat, face)] = flats.items()
+                out.append((dims[flat], region, flat, face))
         out.sort()
         return out
 
-    def color(region: int, flat: int) -> list[int]:
-        touched = []
+    # frames[d] holds the untried candidates after d + 1 colored regions;
+    # trail[d] the faces the region colored from frames[d] touched.
+    frames: list[Iterator[tuple[int, int, int, int]]] = []
+    trail: list[list[int]] = []
+    while len(colored) < r:
+        frames.append(iter(next_candidates()))
+        while (move := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                raise OrderingStuck(
+                    "exhaustive search found no valid region ordering (internal bug)"
+                )
+            bit = 1 << colored.pop()
+            for f in trail.pop():
+                uncolored[f] |= bit
+            encompassed.discard(step_flats.pop())
+            step_faces.pop()
+        _, region, flat, face = move
         bit = 1 << region
-        for f in range(nfaces):
-            if uncolored[f] & bit:
-                uncolored[f] &= ~bit
-                touched.append(f)
+        touched = [f for f in range(nfaces) if uncolored[f] & bit]
+        for f in touched:
+            uncolored[f] &= ~bit
+        trail.append(touched)
         colored.append(region)
         encompassed.add(flat)
         step_flats.append(flat)
-        return touched
-
-    def uncolor(region: int, flat: int, touched: list[int]) -> None:
-        bit = 1 << region
-        for f in touched:
-            uncolored[f] |= bit
-        colored.pop()
-        encompassed.discard(flat)
-        step_flats.pop()
-
-    def extend() -> bool:
-        if len(colored) == r:
-            return True
-        for _, region, flat in next_candidates():
-            touched = color(region, flat)
-            if extend():
-                return True
-            uncolor(region, flat, touched)
-        return False
-
-    if not extend():
-        raise OrderingStuck(
-            "exhaustive search found no valid region ordering (internal bug)"
-        )
-    return RegionOrdering(tuple(colored), tuple(step_flats))
+        step_faces.append(face)
+    return RegionOrdering(
+        tuple(colored), tuple(step_flats), tuple(faces[f] for f in step_faces)
+    )
 
 
 def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
@@ -268,131 +271,50 @@ def _ordering_det(P: list[list[Polynomial]], perm: Sequence[int]) -> str:
     return "-1" if inversions % 2 else "1"
 
 
+def _diagonal_entry(flat) -> FactoredPoly:
+    """The product of (1 - x_a^2) over the flat's defining set."""
+    return FactoredPoly.from_factors(
+        (one_minus_square((a,)), 1) for a in flat.defining_tuple()
+    )
+
+
+def _transform_entry(sep: int) -> Polynomial:
+    """(-1)^|S| x^S for the separation mask S of two regions."""
+    return Polynomial.from_monomial(
+        monomial_from_mask(sep), -1 if sep.bit_count() % 2 else 1
+    )
+
+
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
-    """Reduce V to its diagonal form, verifying every predicted closed form.
+    """Reduce V to its diagonal form and prove the result.
 
-    After each elimination step k the implementation asserts:
-
-    * the pivot equals the product of (1 - x_a^2) over the defining set of
-      the flat first encompassed at step k;
-    * before the step, every entry of the pivot column is zero or the
-      original monomial times the pivot;
-    * each remaining entry equals the original entry times the capped
-      product of (1 - distance^2) over all completed steps;
-    * all earlier rows and columns stay zero off the diagonal.
-
-    Any violation raises ClosedFormViolation.
+    Row k of P is (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
+    to the face that step k completes, and 0 elsewhere; diagonal entry k is
+    the product of (1 - x_a^2) over the defining set of the flat first
+    encompassed at step k.  The certificate checks prove P V P^T = D and
+    det P = +-1, or raise ClosedFormViolation.  No intermediate matrix of
+    the elimination is formed; `replay_elimination` checks those.
     """
     order = ordering(arrangement)
     poset = arrangement.poset()
     regions = arrangement.regions()
-    r = len(regions)
-    perm = list(order.order)
-
-    v_canonical = build_varchenko(arrangement)
-    work = v_canonical.permuted(perm)
-    original = [row[:] for row in work.rows]
-
-    permuted_regions = [regions[p] for p in perm]
-    sep = [
-        [permuted_regions[i].separation_mask(permuted_regions[j]) for j in range(r)]
-        for i in range(r)
-    ]
-
-    # P starts as the permutation matrix with P V = (rows permuted); each
-    # step subtracts multiples of row k from later rows only.  The column
-    # updates mirror the row updates, so the column transform is P^T.
-    P = [
-        [Polynomial.one() if j == perm[i] else Polynomial.zero() for j in range(r)]
-        for i in range(r)
-    ]
-
-    capped = [[Polynomial.one() for _ in range(r)] for _ in range(r)]
-    factors: dict[int, Polynomial] = {}  # 1 - m^2 per separation mask
-    pivots: list[Polynomial] = []
-    diagonal: list[FactoredPoly] = []
-
-    for k in range(r):
-        defset = poset.flats[order.step_flats[k]].defining_tuple()
-        factored = FactoredPoly.from_factors(
-            (one_minus_square((a,)), 1) for a in defset
+    zero = Polynomial.zero()
+    P = []
+    for region, face in zip(order.order, order.step_faces):
+        step = regions[region]
+        P.append(
+            [
+                _transform_entry(step.separation_mask(other))
+                if other.conforms_to(face)
+                else zero
+                for other in regions
+            ]
         )
-        pivot = factored.expand()
-        if work.rows[k][k] != pivot:
-            raise ClosedFormViolation(
-                f"step {k}: pivot {work.rows[k][k]} does not match the "
-                f"predicted {factored}"
-            )
-        for m in range(r):
-            if m == k:
-                continue
-            entry = work.rows[m][k]
-            if not entry.is_zero() and entry != original[m][k] * pivot:
-                raise ClosedFormViolation(
-                    f"step {k}: pivot-column entry ({m},{k}) is neither zero "
-                    f"nor the original monomial times the pivot"
-                )
-
-        quotients = []
-        for m in range(r):
-            try:
-                quotients.append(exact_div(work.rows[m][k], pivot))
-            except NotDivisible:
-                raise PivotDivisionFailure(k, m) from None
-
-        rows = work.rows
-        for m in range(r):
-            qm = quotients[m]
-            if m == k or qm.is_zero():
-                continue
-            row_m = rows[m]
-            row_k = rows[k]
-            for j in range(r):
-                if not row_k[j].is_zero():
-                    row_m[j] = row_m[j] - qm * row_k[j]
-            P[m] = [pm - qm * pk for pm, pk in zip(P[m], P[k])]
-        for j in range(r):
-            qj = quotients[j]
-            if j == k or qj.is_zero():
-                continue
-            for m in range(r):
-                if not rows[m][k].is_zero():
-                    rows[m][j] = rows[m][j] - qj * rows[m][k]
-        rows[k][k] = pivot
-
-        for m in range(r):
-            for n_ in range(m, r):
-                if n_ <= k:
-                    continue
-                mask = sep[k][m] & sep[k][n_]
-                factor = factors.get(mask)
-                if factor is None:
-                    factor = factors[mask] = one_minus_square(
-                        monomial_from_mask(mask).variables()
-                    )
-                capped[m][n_] = (capped[m][n_] * factor).capped()
-                expected = original[m][n_] * capped[m][n_]
-                if rows[m][n_] != expected or rows[n_][m] != expected:
-                    raise ClosedFormViolation(
-                        f"step {k}: entry ({m},{n_}) does not match the "
-                        f"capped closed form"
-                    )
-        for m in range(k + 1):
-            for n_ in range(m + 1, k + 1):
-                if not rows[m][n_].is_zero() or not rows[n_][m].is_zero():
-                    raise ClosedFormViolation(
-                        f"step {k}: entry ({m},{n_}) was not cleared"
-                    )
-        for m, prior in enumerate(pivots):
-            if rows[m][m] != prior:
-                raise ClosedFormViolation(
-                    f"step {k}: earlier pivot ({m},{m}) changed"
-                )
-        pivots.append(pivot)
-        diagonal.append(factored)
-
+    diagonal = [_diagonal_entry(poset.flats[flat]) for flat in order.step_flats]
     Q = [list(col) for col in zip(*P)]
-    checks = _certificate_checks(v_canonical, P, Q, perm, diagonal)
+    checks = _certificate_checks(
+        build_varchenko(arrangement), P, Q, order.order, diagonal
+    )
     return DiagonalizationCertificate(
         ordering=order.order,
         step_flats=order.step_flats,
@@ -401,6 +323,87 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
         Q=Q,
         checks=checks,
     )
+
+
+def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
+    """Fold `pivot_step` over the ordering and return the row transform P.
+
+    The reference for `diagonalize`'s closed-form P.  Step k subtracts
+    (entry (m, k) / pivot) times row k of P from every other row m, and
+    checks the paper's closed forms:
+
+    * the pivot equals the product of (1 - x_a^2) over the defining set of
+      the flat first encompassed at step k;
+    * before the step, every entry of the pivot column is zero or the
+      original monomial times the pivot (so the quotient is that monomial);
+    * each remaining entry equals the original entry times the capped
+      product of (1 - distance^2) over all completed steps;
+    * all earlier rows and columns stay zero off the diagonal, and earlier
+      pivots are unchanged.
+
+    Any violation raises ClosedFormViolation.
+    """
+    order = ordering(arrangement)
+    poset = arrangement.poset()
+    perm = list(order.order)
+    r = len(perm)
+    regions = arrangement.regions()
+    stepped = [regions[p] for p in perm]
+    sep = [[a.separation_mask(b) for b in stepped] for a in stepped]
+    work = build_varchenko(arrangement).permuted(perm)
+    original = [row[:] for row in work.rows]
+    P = [
+        [Polynomial.one() if j == perm[i] else Polynomial.zero() for j in range(r)]
+        for i in range(r)
+    ]
+    capped = [[Polynomial.one()] * r for _ in range(r)]
+    factors: dict[int, Polynomial] = {}  # 1 - m^2 per separation mask
+    pivots: list[Polynomial] = []
+    for k, flat in enumerate(order.step_flats):
+        factored = _diagonal_entry(poset.flats[flat])
+        pivot = factored.expand()
+        if work.rows[k][k] != pivot:
+            raise ClosedFormViolation(
+                f"step {k}: pivot {work.rows[k][k]} does not match the "
+                f"predicted {factored}"
+            )
+        for m in range(r):
+            entry = work.rows[m][k]
+            if m == k or entry.is_zero():
+                continue
+            if entry != original[m][k] * pivot:
+                raise ClosedFormViolation(
+                    f"step {k}: pivot-column entry ({m},{k}) is neither zero "
+                    f"nor the original monomial times the pivot"
+                )
+            P[m] = [pm - original[m][k] * pk for pm, pk in zip(P[m], P[k])]
+        work = pivot_step(work, k)
+        rows = work.rows
+        for m in range(r):
+            for n in range(max(m, k + 1), r):
+                mask = sep[k][m] & sep[k][n]
+                if mask not in factors:
+                    factors[mask] = one_minus_square(
+                        monomial_from_mask(mask).variables()
+                    )
+                capped[m][n] = (capped[m][n] * factors[mask]).capped()
+                expected = original[m][n] * capped[m][n]
+                if rows[m][n] != expected or rows[n][m] != expected:
+                    raise ClosedFormViolation(
+                        f"step {k}: entry ({m},{n}) does not match the "
+                        f"capped closed form"
+                    )
+        for m in range(k + 1):
+            for n in range(m + 1, k + 1):
+                if not rows[m][n].is_zero() or not rows[n][m].is_zero():
+                    raise ClosedFormViolation(
+                        f"step {k}: entry ({m},{n}) was not cleared"
+                    )
+        for m, prior in enumerate(pivots):
+            if rows[m][m] != prior:
+                raise ClosedFormViolation(f"step {k}: earlier pivot ({m},{m}) changed")
+        pivots.append(pivot)
+    return P
 
 
 def _certificate_checks(
@@ -433,14 +436,7 @@ def _certificate_checks(
 def expected_diagonal(arrangement: Arrangement) -> list[FactoredPoly]:
     """The diagonal multiset read directly off the flat poset."""
     _semigeneral_gate(arrangement)
-    out = []
-    for flat in arrangement.poset():
-        out.append(
-            FactoredPoly.from_factors(
-                (one_minus_square((a,)), 1) for a in flat.defining_tuple()
-            )
-        )
-    return out
+    return [_diagonal_entry(flat) for flat in arrangement.poset()]
 
 
 def snf_q(arrangement: Arrangement) -> list[tuple[int, int]]:

@@ -1,7 +1,13 @@
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
 import pytest
 
-from varchenko import fixtures
+from varchenko import fixtures, polyring
 from varchenko.diagonalize import (
+    RegionOrdering,
     _certificate_checks,
     _ordering_det,
     pivot_step,
@@ -9,6 +15,7 @@ from varchenko.diagonalize import (
     encompassed_flats,
     expected_diagonal,
     ordering,
+    replay_elimination,
     snf_q,
 )
 from varchenko.errors import (
@@ -26,6 +33,9 @@ from varchenko.varmatrix import (
     det_bruteforce,
     det_formula,
 )
+
+# the package exports the function `diagonalize` under the module's name
+diagonalize_module = importlib.import_module("varchenko.diagonalize")
 
 
 def matmul(a, b):
@@ -305,3 +315,91 @@ def test_diagonalize_randomized_fixture():
         for base, e in d.exponent_map().items():
             exponents[base] = exponents.get(base, 0) + e
     assert exponents == det_formula(arr).exponent_map()
+
+
+def test_ordering_does_not_recurse_per_region():
+    arr = fixtures.random_generic_lines(8, 108)
+    arr.regions(), arr.faces(), arr.poset()  # cached before the limit drops
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        result = ordering(arr)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(result.order) == 37
+    assert result.step_faces[0] == arr.regions()[result.order[0]]
+
+
+def bench_semigeneral_inputs():
+    """The generated inputs of the benchmark's `semigeneral` workload, seed
+    101: generic lines (r = 37, 56, 79) and generic planes (r = 26, 42)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return [
+        (inp.name, Arrangement.from_json(inp.text))
+        for inp in inputs.build_inputs("semigeneral", 101)
+        if not inp.small
+    ]
+
+
+def test_closed_form_transform_equals_the_replayed_elimination():
+    """Row k of P, written from the face step k completes, is the row the
+    step-by-step elimination produces, with every closed form checked."""
+    bench = bench_semigeneral_inputs()
+    assert sorted(len(arr.regions()) for _, arr in bench) == [26, 37, 42, 56, 79]
+    for name, arr in fixtures.semigeneral_suite() + bench:
+        cert = diagonalize(arr)
+        assert cert.P == replay_elimination(arr), name
+        nonzeros = sum(not e.is_zero() for row in cert.P for e in row)
+        assert nonzeros == len(arr.faces().members), name
+
+
+def test_a_wrong_step_face_is_caught(monkeypatch):
+    arr = fixtures.five_generic_lines()
+    true = ordering(arr)
+    regions = arr.regions()
+    # the step's own region keeps P unit lower-triangular, so only the
+    # product P V P^T can tell it from the face the step completes
+    for wrong in (regions[true.order[5]], true.step_faces[9]):
+        faces = list(true.step_faces)
+        faces[5] = wrong
+        tampered = RegionOrdering(true.order, true.step_flats, tuple(faces))
+        monkeypatch.setattr(diagonalize_module, "ordering", lambda a: tampered)
+        with pytest.raises(ClosedFormViolation, match="does not equal the diagonal"):
+            diagonalize(arr)
+
+
+def test_a_flipped_transform_sign_is_caught(monkeypatch):
+    closed_form = diagonalize_module._transform_entry
+    calls = []
+
+    def flip_the_tenth_monomial(sep):
+        entry = closed_form(sep)
+        if sep:
+            calls.append(sep)
+            if len(calls) == 10:
+                return -entry
+        return entry
+
+    monkeypatch.setattr(diagonalize_module, "_transform_entry", flip_the_tenth_monomial)
+    with pytest.raises(ClosedFormViolation, match="does not equal the diagonal"):
+        diagonalize(fixtures.five_generic_lines())
+    assert len(calls) >= 10
+
+
+def test_diagonalize_runs_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination on the runtime path")
+
+    monkeypatch.setattr(polyring, "exact_div", refuse)
+    monkeypatch.setattr(diagonalize_module, "exact_div", refuse)
+    monkeypatch.setattr(diagonalize_module, "pivot_step", refuse)
+    monkeypatch.setattr(Polynomial, "capped", refuse)
+    cert = diagonalize(fixtures.five_generic_lines())
+    assert cert.checks == {"pvq_equals_d": True, "det_p": "-1", "det_q": "-1"}
+    assert sorted(str(d) for d in cert.diagonal) == sorted(
+        str(d) for d in expected_diagonal(fixtures.five_generic_lines())
+    )

@@ -14,11 +14,6 @@ from varchenko.errors import InvalidArrangement
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.signedsets import SignVector
 
-# Deterministic examples, so that a failure reproduces on every run.
-property_test = settings(
-    deadline=None, derandomize=True, database=None, max_examples=120
-)
-
 small_ints = st.integers(-2, 2)
 
 
@@ -61,7 +56,7 @@ def arrangements(draw):
     return Arrangement(mode, dim, hyperplanes)
 
 
-@property_test
+@settings(max_examples=120)
 @given(arrangements())
 def test_faces_and_regions_equal_the_full_scan(arr):
     expected = faces_by_full_scan(arr)

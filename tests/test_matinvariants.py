@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from varchenko import fixtures
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
@@ -24,9 +24,6 @@ from varchenko.varmatrix import (
     build_varchenko,
     equal_up_to_relabeling,
 )
-
-# Deterministic examples, so that a failure reproduces on every run.
-property_test = settings(deadline=None, derandomize=True, database=None)
 
 
 def minor_gcd_reference(grid, k):
@@ -123,7 +120,6 @@ def integer_grids(draw):
     return [[0] * m if i in zeroed else row for i, row in enumerate(grid)]
 
 
-@property_test
 @given(integer_grids())
 def test_gcd_minors_equals_the_brute_force_reference(grid):
     check_minor_gcds(grid)

@@ -15,11 +15,6 @@ from varchenko.varmatrix import build_varchenko, det_bruteforce, det_formula
 
 MAX_REGIONS = 10
 
-# Deterministic examples, so that a failure reproduces on every run.
-property_test = settings(
-    deadline=None, derandomize=True, database=None, max_examples=60
-)
-
 small_ints = st.integers(-2, 2)
 
 
@@ -45,7 +40,7 @@ def arrangements(draw):
     return arr
 
 
-@property_test
+@settings(max_examples=60)
 @given(arrangements())
 def test_det_formula_equals_the_exact_determinant(arr):
     assert det_formula(arr).expand() == det_bruteforce(build_varchenko(arr))
