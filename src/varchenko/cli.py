@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .diagonalize import diagonalize, snf_q
 from .errors import (
@@ -34,14 +32,6 @@ from .signedsets import (
 )
 from .varmatrix import LabeledMatrix, build_varchenko, det_bruteforce, det_formula
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: Path
-    output_path: Optional[Path]
-    format: str
-    flags: dict = field(default_factory=dict)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -52,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("input", help="input file (arrangement JSON unless noted)")
+        p.add_argument(
+            "input", type=Path, help="input file (arrangement JSON unless noted)"
+        )
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="format"
         )
@@ -102,20 +94,20 @@ def _load_covector_family(path: Path) -> SignedFamily:
     return SignedFamily.from_strings(strings)
 
 
-def _run_regions(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_regions(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     strings = [r.to_string() for r in arr.regions()]
     return "\n".join(strings), strings
 
 
-def _run_faces(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_faces(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     strings = [f.to_string() for f in arr.faces()]
     return "\n".join(strings), strings
 
 
-def _run_poset(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_poset(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     poset = arr.poset()
     names = arr.names
     rows = []
@@ -136,31 +128,31 @@ def _run_poset(config: RunConfig) -> tuple[str, object]:
     return "\n".join(rows), {"flats": payload}
 
 
-def _run_charpoly(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_charpoly(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     coeffs = arr.charpoly()
     text = charpoly_string(coeffs)
     return text, {"coefficients": list(coeffs), "text": text}
 
 
-def _run_matrix(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_matrix(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     matrix = build_varchenko(arr)
     return matrix.to_text(), matrix.to_json_dict()
 
 
-def _run_det(config: RunConfig) -> tuple[str, object]:
-    method = config.flags["method"]
-    if config.flags["from_json"]:
+def _run_det(args: argparse.Namespace) -> tuple[str, object]:
+    method = args.method
+    if args.from_json:
         if method != "bruteforce":
             raise InvalidInput(
                 "--from-json provides only a matrix; use --method bruteforce"
             )
-        matrix = LabeledMatrix.from_json(config.input_path.read_text())
+        matrix = LabeledMatrix.from_json(args.input.read_text())
         det = det_bruteforce(matrix)
         text = det.to_string()
         return text, {"method": "bruteforce", "determinant": text}
-    arr = _load_arrangement(config.input_path)
+    arr = _load_arrangement(args.input)
     if method == "formula":
         factored = det_formula(arr)
         return str(factored), {"method": "formula", "determinant": str(factored)}
@@ -184,8 +176,8 @@ def _run_det(config: RunConfig) -> tuple[str, object]:
     return text, payload
 
 
-def _run_check(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_check(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     witness = arr.semigeneral_witness()
     if witness is None:
         return "semigeneral", {"semigeneral": True, "witness": None}
@@ -206,11 +198,11 @@ def _run_check(config: RunConfig) -> tuple[str, object]:
     return text, payload
 
 
-def _run_diagonalize(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_diagonalize(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     cert = diagonalize(arr)
     cert_json = cert.to_json_dict()
-    cert_path = config.flags.get("certificate")
+    cert_path = args.certificate
     if cert_path:
         Path(cert_path).write_text(json.dumps(cert_json, indent=2) + "\n")
     lines = ["ordering: " + " ".join(str(i) for i in cert.ordering)]
@@ -224,8 +216,8 @@ def _run_diagonalize(config: RunConfig) -> tuple[str, object]:
     return "\n".join(lines), cert_json
 
 
-def _run_snf_q(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_snf_q(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     entries = snf_q(arr)
     lines = []
     for exponent, multiplicity in entries:
@@ -239,8 +231,8 @@ def _run_snf_q(config: RunConfig) -> tuple[str, object]:
     return "\n".join(lines), payload
 
 
-def _run_obstruct(config: RunConfig) -> tuple[str, object]:
-    arr = _load_arrangement(config.input_path)
+def _run_obstruct(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
     report = obstruction_report(arr)
     lines = []
     for check in report.checks:
@@ -252,8 +244,8 @@ def _run_obstruct(config: RunConfig) -> tuple[str, object]:
     return "\n".join(lines), report.to_json_dict()
 
 
-def _run_axioms(config: RunConfig) -> tuple[str, object]:
-    family = _load_covector_family(config.input_path)
+def _run_axioms(args: argparse.Namespace) -> tuple[str, object]:
+    family = _load_covector_family(args.input)
     report = check_vector_axioms(family)
     closure_witness = check_composition_closure(family)
     lines = []
@@ -311,27 +303,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            subcommand=args.subcommand,
-            input_path=Path(args.input),
-            output_path=Path(args.output) if args.output else None,
-            format=args.format,
-            flags={
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("subcommand", "input", "output", "format")
-            },
-        )
-        if not config.input_path.is_file():
-            raise InvalidInput(f"input file not found: {config.input_path}")
-        text, payload = _HANDLERS[config.subcommand](config)
-        out = (
-            json.dumps(payload, indent=2)
-            if config.format == "json"
-            else text
-        )
-        if config.output_path:
-            config.output_path.write_text(out + "\n")
+        if not args.input.is_file():
+            raise InvalidInput(f"input file not found: {args.input}")
+        text, payload = _HANDLERS[args.subcommand](args)
+        out = json.dumps(payload, indent=2) if args.format == "json" else text
+        if args.output:
+            Path(args.output).write_text(out + "\n")
         else:
             sys.stdout.write(out + "\n")
         return 0

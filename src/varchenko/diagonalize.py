@@ -189,7 +189,7 @@ def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
         for m in range(n):
             if not matrix.rows[k][m].is_zero():
                 raise PivotDivisionFailure(k, m)
-        return matrix.copy()
+        return LabeledMatrix(matrix.labels, matrix.rows)
     quotients = []
     for m in range(n):
         try:
@@ -211,14 +211,17 @@ def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
 @dataclass
 class DiagonalizationCertificate:
     """Region ordering, per-step flats, factored diagonal and the unimodular
-    transforms P, Q with P V Q = diag(diagonal), where Q is P transposed."""
+    transform P with P V Q = diag(diagonal), where Q is P transposed."""
 
     ordering: tuple[int, ...]
     step_flats: tuple[int, ...]
     diagonal: list[FactoredPoly]
     P: list[list[Polynomial]]
-    Q: list[list[Polynomial]]
     checks: dict
+
+    @property
+    def Q(self) -> list[list[Polynomial]]:
+        return [list(col) for col in zip(*self.P)]
 
     def diagonal_matrix(self) -> LabeledMatrix:
         n = len(self.diagonal)
@@ -232,14 +235,15 @@ class DiagonalizationCertificate:
         return LabeledMatrix(list(self.ordering), rows)
 
     def to_json_dict(self) -> dict:
+        P = [[p.to_string(spaces=False) for p in row] for row in self.P]
         return {
             "ordering": list(self.ordering),
             "steps": [
                 {"k": k, "flat": flat, "entry": str(self.diagonal[k])}
                 for k, flat in enumerate(self.step_flats)
             ],
-            "P": [[p.to_string(spaces=False) for p in row] for row in self.P],
-            "Q": [[q.to_string(spaces=False) for q in row] for row in self.Q],
+            "P": P,
+            "Q": [list(col) for col in zip(*P)],
             "checks": self.checks,
         }
 
@@ -247,24 +251,31 @@ class DiagonalizationCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _ordering_det(P: list[list[Polynomial]], perm: Sequence[int]) -> str:
-    """Prove det P in {+1, -1} from the shape of P and return it as a string.
+# A row of P by its nonzero entries: region id -> entry.
+SparseRow = dict[int, Polynomial]
+
+
+def _ordering_det(rows: list[SparseRow], perm: Sequence[int]) -> str:
+    """Prove det P in {+1, -1} from the shape of P's rows and return it as a
+    string.
 
     P = L * Pi, where Pi[i][perm[i]] = 1 and L[i][j] = P[i][perm[j]].  Once
     L is checked to be unit lower-triangular, det P = det Pi = sign(perm)
     at every size.
     """
     n = len(perm)
-    for i, row in enumerate(P):
-        if row[perm[i]] != Polynomial.one():
+    step_of = {region: j for j, region in enumerate(perm)}
+    for i, row in enumerate(rows):
+        pivot = row.get(perm[i], Polynomial.zero())
+        if pivot != Polynomial.one():
             raise ClosedFormViolation(
-                f"transform entry ({i},{perm[i]}) is {row[perm[i]]}, not 1, "
+                f"transform entry ({i},{perm[i]}) is {pivot}, not 1, "
                 f"on the diagonal in elimination order"
             )
-        for j in range(i + 1, n):
-            if not row[perm[j]].is_zero():
+        for region, entry in row.items():
+            if step_of[region] > i and not entry.is_zero():
                 raise ClosedFormViolation(
-                    f"transform entry ({i},{perm[j]}) is nonzero above the "
+                    f"transform entry ({i},{region}) is nonzero above the "
                     f"diagonal in elimination order"
                 )
     inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
@@ -291,36 +302,34 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
     Row k of P is (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
     to the face that step k completes, and 0 elsewhere; diagonal entry k is
     the product of (1 - x_a^2) over the defining set of the flat first
-    encompassed at step k.  The certificate checks prove P V P^T = D and
+    encompassed at step k.  P is built once as its rows' nonzero entries;
+    the certificate checks read only those rows and prove P V P^T = D and
     det P = +-1, or raise ClosedFormViolation.  No intermediate matrix of
     the elimination is formed; `replay_elimination` checks those.
     """
     order = ordering(arrangement)
     poset = arrangement.poset()
     regions = arrangement.regions()
-    zero = Polynomial.zero()
-    P = []
+    rows = []
     for region, face in zip(order.order, order.step_faces):
         step = regions[region]
-        P.append(
-            [
-                _transform_entry(step.separation_mask(other))
+        rows.append(
+            {
+                j: _transform_entry(step.separation_mask(other))
+                for j, other in enumerate(regions)
                 if other.conforms_to(face)
-                else zero
-                for other in regions
-            ]
+            }
         )
     diagonal = [_diagonal_entry(poset.flats[flat]) for flat in order.step_flats]
-    Q = [list(col) for col in zip(*P)]
     checks = _certificate_checks(
-        build_varchenko(arrangement), P, Q, order.order, diagonal
+        build_varchenko(arrangement), rows, order.order, diagonal
     )
+    zero = Polynomial.zero()
     return DiagonalizationCertificate(
         ordering=order.order,
         step_flats=order.step_flats,
         diagonal=diagonal,
-        P=P,
-        Q=Q,
+        P=[[row.get(j, zero) for j in range(len(regions))] for row in rows],
         checks=checks,
     )
 
@@ -408,28 +417,25 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
 
 def _certificate_checks(
     v: LabeledMatrix,
-    P: list[list[Polynomial]],
-    Q: list[list[Polynomial]],
+    rows: list[SparseRow],
     perm: Sequence[int],
     diagonal: list[FactoredPoly],
 ) -> dict:
-    """Check P V Q = D entry by entry, using only the nonzero entries of P's
-    rows and Q's columns, and prove det P = det Q = +-1 (Q is P^T)."""
+    """Check P V Q = D entry by entry from the nonzero entries of P's rows
+    (column j of Q = P^T is row j of P), then prove det P = det Q = +-1."""
     r = v.size
-    rows = [[(a, p) for a, p in enumerate(row) if not p.is_zero()] for row in P]
-    cols = [[(b, q) for b, q in enumerate(col) if not q.is_zero()] for col in zip(*Q)]
     zero = Polynomial.zero()
-    for i, terms in enumerate(rows):
+    for i, row in enumerate(rows):
         pv = [zero] * r  # row i of P V
-        for a, p in terms:
+        for a, p in row.items():
             pv = [x + p * e for x, e in zip(pv, v.rows[a])]
-        for j, col in enumerate(cols):
+        for j, col in enumerate(rows):
             entry = zero
-            for b, q in col:
+            for b, q in col.items():
                 entry = entry + pv[b] * q
             if entry != (diagonal[i].expand() if i == j else zero):
                 raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
-    det = _ordering_det(P, perm)
+    det = _ordering_det(rows, perm)
     return {"pvq_equals_d": True, "det_p": det, "det_q": det}
 
 

@@ -63,10 +63,6 @@ class LinearSystem:
         self.rows.append((row, b))
         self.pivot_cols.append(col)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def _back_substituted(self) -> list[tuple[list[Fraction], Fraction]]:
         rows = [(list(r), b) for r, b in self.rows]
         for i in reversed(range(len(rows))):

@@ -1,8 +1,8 @@
 """Named example arrangements and deterministic random generators.
 
 The named fixtures are also shipped as JSON files under fixtures/ at the
-repository root; `registry()` builds them programmatically so tests do not
-depend on file paths.
+repository root; `named_fixtures()` builds them programmatically so tests
+do not depend on file paths.
 """
 
 from __future__ import annotations

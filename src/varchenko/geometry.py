@@ -45,10 +45,6 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-def rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
@@ -137,10 +133,6 @@ class IntersectionPoset:
 
     def __iter__(self):
         return iter(self.flats)
-
-    @property
-    def bottom(self) -> Flat:
-        return self.flats[0]
 
     def flat_index(self, defining_set: Iterable[int]) -> Optional[int]:
         return self._by_defset.get(frozenset(defining_set))
@@ -495,8 +487,8 @@ class Arrangement:
             out["hyperplanes"] = [
                 {
                     "name": h.name,
-                    "normal": [rational_str(c) for c in h.normal],
-                    "offset": rational_str(h.offset),
+                    "normal": [str(c) for c in h.normal],
+                    "offset": str(h.offset),
                 }
                 for h in self.hyperplanes
             ]

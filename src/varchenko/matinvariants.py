@@ -13,6 +13,7 @@ from math import comb, gcd, prod
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidInput, SemigeneralInput, TooLarge, Unsupported
+from .exactlp import _normalize_int
 from .geometry import Arrangement, Flat
 from .polyring import FactoredPoly, Monomial, Polynomial
 from .varmatrix import LabeledMatrix, det_bruteforce, det_formula
@@ -99,20 +100,6 @@ def _from_coeffs(coeffs: Sequence[int], var: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g
-
-
-def _primitive(coeffs: list[int]) -> list[int]:
-    g = _content(coeffs)
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-    return _sign_norm(coeffs)
-
-
 def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -129,24 +116,21 @@ def _sign_norm(coeffs: list[int]) -> list[int]:
 
 
 def _coeff_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of integer coefficient lists, via rational Euclid on the
-    primitive parts with the integer content restored."""
+    """Gcd of integer coefficient lists: rational Euclid, then the primitive
+    integer form of the result times the common integer content."""
     a, b = _trim(list(a)), _trim(list(b))
     if not a:
         return _sign_norm(b)
     if not b:
         return _sign_norm(a)
-    content = gcd(_content(a), _content(b))
-    fa = [Fraction(c) for c in _primitive(a)]
-    fb = [Fraction(c) for c in _primitive(b)]
+    content = gcd(*a, *b)
+    fa = [Fraction(c) for c in a]
+    fb = [Fraction(c) for c in b]
     while fb:
         fa, fb = fb, _frac_poly_mod(fa, fb)
     # fa is the gcd over Q; rescale to a primitive integer list
-    denom = 1
-    for c in fa:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = _primitive([int(c * denom) for c in fa])
-    return [content * c for c in ints] if content > 1 else ints
+    ints, _ = _normalize_int(fa, Fraction(0))
+    return [content * c for c in _sign_norm(list(ints))]
 
 
 def _frac_poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -172,16 +172,6 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial._of(_check_fields(self.key + other.key))
 
-    def divides(self, other: "Monomial") -> bool:
-        return not (other.key - self.key) & _GUARDS
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; raises NotDivisible if not exact."""
-        key = self.key - other.key
-        if key & _GUARDS:
-            raise NotDivisible(f"{other} does not divide {self}")
-        return Monomial._of(key)
-
     def capped(self) -> "Monomial":
         """Exponents clipped to at most 2."""
         if not (self.key + _ONES) & _HIGHS:
@@ -262,16 +252,6 @@ class Polynomial:
         if self.is_constant():
             return self._terms[0]
         raise InvalidInput(f"{self} is not a constant")
-
-    def as_monomial(self) -> Monomial:
-        if len(self._terms) == 1:
-            (k, c), = self._terms.items()
-            if c == 1:
-                return Monomial._of(k)
-        raise InvalidInput(f"{self} is not a monic monomial")
-
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

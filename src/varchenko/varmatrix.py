@@ -50,17 +50,11 @@ class LabeledMatrix:
     def size(self) -> int:
         return len(self.labels)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.rows[i][j]
-
     def is_symmetric(self) -> bool:
         n = self.size
         return all(
             self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i)
         )
-
-    def copy(self) -> "LabeledMatrix":
-        return LabeledMatrix(self.labels, self.rows)
 
     def permuted(self, perm: Sequence[int]) -> "LabeledMatrix":
         """Simultaneous row/column reorder; row i of the result is row perm[i]."""
@@ -200,37 +194,18 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
     return FactoredPoly.from_factors(factors)
 
 
-def _det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = Polynomial.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_cofactor(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
 def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
     """Exact expanded determinant via fraction-free elimination.
 
     Bareiss one-step elimination keeps every intermediate entry a minor of
-    the input, so all divisions are exact in the polynomial ring; tiny
-    matrices fall back to cofactor expansion.
+    the input, so all divisions are exact in the polynomial ring.
     """
     n = matrix.size
     if n > MAX_BRUTE_DET:
         raise TooLarge(f"determinant oracle capped at {MAX_BRUTE_DET}, got {n}")
+    if n == 0:
+        return Polynomial.one()
     rows = [list(r) for r in matrix.rows]
-    if n <= 3:
-        return _det_cofactor(rows)
     sign = 1
     prev = Polynomial.one()
     for k in range(n - 1):

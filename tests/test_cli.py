@@ -20,9 +20,12 @@ def run(capsys, *argv):
 
 
 def test_fixture_files_exist_and_parse():
-    names = set(fixtures.named_fixtures())
-    on_disk = {p.stem for p in FIXDIR.glob("*.json")}
-    assert names <= on_disk
+    named = fixtures.named_fixtures()
+    on_disk = {p.stem: p for p in FIXDIR.glob("*.json")}
+    assert set(named) == set(on_disk)
+    for name, path in on_disk.items():
+        parsed = Arrangement.from_json(path.read_text())
+        assert parsed.to_json_dict() == named[name].to_json_dict(), name
 
 
 def test_regions(capsys):

@@ -203,18 +203,20 @@ def test_tampered_transform_raises():
     cert = diagonalize(arr)
     perm = list(cert.ordering)
     v = build_varchenko(arr)
+    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
     # negating a row keeps P V P^T = D, so only the structure catches it
-    negated = [row[:] for row in cert.P]
-    negated[3] = [-e for e in negated[3]]
-    transposed = [list(col) for col in zip(*negated)]
-    assert matmul(matmul(negated, v.rows), transposed) == cert.diagonal_matrix().rows
+    negated = [dict(row) for row in rows]
+    negated[3] = {j: -e for j, e in negated[3].items()}
+    dense = [[row.get(j, Polynomial.zero()) for j in range(7)] for row in negated]
+    transposed = [list(col) for col in zip(*dense)]
+    assert matmul(matmul(dense, v.rows), transposed) == cert.diagonal_matrix().rows
     with pytest.raises(ClosedFormViolation, match="not 1"):
-        _certificate_checks(v, negated, transposed, perm, cert.diagonal)
-    above = [row[:] for row in cert.P]
+        _certificate_checks(v, negated, perm, cert.diagonal)
+    above = [dict(row) for row in rows]
     above[2][perm[5]] = Polynomial.one()
     with pytest.raises(ClosedFormViolation, match="above the diagonal"):
         _ordering_det(above, perm)
-    assert _ordering_det(cert.P, perm) == cert.checks["det_p"]
+    assert _ordering_det(rows, perm) == cert.checks["det_p"]
 
 
 def test_diagonal_matches_expected_multiset():
