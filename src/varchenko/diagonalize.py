@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,9 +27,16 @@ from .errors import (
     PivotDivisionFailure,
 )
 from .geometry import Arrangement
-from .polyring import FactoredPoly, Polynomial, exact_div, one_minus_square
+from .polyring import (
+    FactoredPoly,
+    Monomial,
+    Polynomial,
+    _check_fields,
+    exact_div,
+    one_minus_square,
+)
 from .signedsets import SignVector
-from .varmatrix import LabeledMatrix, build_varchenko, monomial_from_mask
+from .varmatrix import LabeledMatrix, build_varchenko
 
 
 def _face_data(arrangement: Arrangement):
@@ -109,12 +118,17 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
     faces = arrangement.faces().sorted_members()
     adj_masks, flat_ids = _face_data(arrangement)
     dims = [f.dim for f in poset.flats]
-    nfaces = len(adj_masks)
+    adjacent: list[list[int]] = [[] for _ in range(r)]  # region -> its faces
+    for f, m in enumerate(adj_masks):
+        while m:
+            low = m & -m
+            adjacent[low.bit_length() - 1].append(f)
+            m ^= low
 
     base = 0
     uncolored = [m & ~(1 << base) for m in adj_masks]
     colored = [base]
-    completed = [f for f in range(nfaces) if uncolored[f] == 0]
+    completed = [f for f, m in enumerate(uncolored) if m == 0]
     encompassed = {flat_ids[f] for f in completed}
     if len(encompassed) != 1:
         raise OrderingStuck(
@@ -122,17 +136,28 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         )
     step_flats = [flat_ids[completed[0]]]
     step_faces = [completed[0]]
+    # the faces with exactly one uncolored adjacent region
+    single = {f for f, m in enumerate(uncolored) if m and m & (m - 1) == 0}
+
+    def toggle(region: int) -> None:
+        """Color an uncolored region, or uncolor a colored one."""
+        bit = 1 << region
+        for f in adjacent[region]:
+            m = uncolored[f] ^ bit
+            uncolored[f] = m
+            if m and m & (m - 1) == 0:
+                single.add(f)
+            else:
+                single.discard(f)
 
     def next_candidates() -> list[tuple[int, int, int, int]]:
         """(new flat dim, region, new flat, completed face) for regions
         encompassing exactly one new flat."""
         ready: dict[int, dict[int, int]] = {}
-        for f in range(nfaces):
-            m = uncolored[f]
-            if m and m & (m - 1) == 0:  # exactly one uncolored adjacent region
-                flat = flat_ids[f]
-                if flat not in encompassed:
-                    ready.setdefault(m.bit_length() - 1, {})[flat] = f
+        for f in sorted(single):
+            flat = flat_ids[f]
+            if flat not in encompassed:
+                ready.setdefault(uncolored[f].bit_length() - 1, {})[flat] = f
         out = []
         for region, flats in ready.items():
             if len(flats) == 1:
@@ -141,10 +166,8 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         out.sort()
         return out
 
-    # frames[d] holds the untried candidates after d + 1 colored regions;
-    # trail[d] the faces the region colored from frames[d] touched.
+    # frames[d] holds the untried candidates after d + 1 colored regions.
     frames: list[Iterator[tuple[int, int, int, int]]] = []
-    trail: list[list[int]] = []
     while len(colored) < r:
         frames.append(iter(next_candidates()))
         while (move := next(frames[-1], None)) is None:
@@ -153,17 +176,11 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
                 raise OrderingStuck(
                     "exhaustive search found no valid region ordering (internal bug)"
                 )
-            bit = 1 << colored.pop()
-            for f in trail.pop():
-                uncolored[f] |= bit
+            toggle(colored.pop())
             encompassed.discard(step_flats.pop())
             step_faces.pop()
         _, region, flat, face = move
-        bit = 1 << region
-        touched = [f for f in range(nfaces) if uncolored[f] & bit]
-        for f in touched:
-            uncolored[f] &= ~bit
-        trail.append(touched)
+        toggle(region)
         colored.append(region)
         encompassed.add(flat)
         step_flats.append(flat)
@@ -292,7 +309,7 @@ def _diagonal_entry(flat) -> FactoredPoly:
 def _transform_entry(sep: int) -> Polynomial:
     """(-1)^|S| x^S for the separation mask S of two regions."""
     return Polynomial.from_monomial(
-        monomial_from_mask(sep), -1 if sep.bit_count() % 2 else 1
+        Monomial.from_mask(sep), -1 if sep.bit_count() % 2 else 1
     )
 
 
@@ -322,7 +339,10 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
         )
     diagonal = [_diagonal_entry(poset.flats[flat]) for flat in order.step_flats]
     checks = _certificate_checks(
-        build_varchenko(arrangement), rows, order.order, diagonal
+        build_varchenko(arrangement),
+        rows,
+        order.order,
+        [d.expand() for d in diagonal],
     )
     zero = Polynomial.zero()
     return DiagonalizationCertificate(
@@ -393,7 +413,7 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
                 mask = sep[k][m] & sep[k][n]
                 if mask not in factors:
                     factors[mask] = one_minus_square(
-                        monomial_from_mask(mask).variables()
+                        Monomial.from_mask(mask).variables()
                     )
                 capped[m][n] = (capped[m][n] * factors[mask]).capped()
                 expected = original[m][n] * capped[m][n]
@@ -415,27 +435,60 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
     return P
 
 
+def _signed_key(entry: Polynomial, matrix: str, i: int, j: int) -> tuple[int, int]:
+    """(packed key, sign) of entry (i, j), a monomial with coefficient +-1;
+    (0, 0) for zero."""
+    terms = entry.packed()
+    if not terms:
+        return 0, 0
+    if len(terms) == 1:
+        [(key, c)] = terms.items()
+        if c == 1 or c == -1:
+            return key, c
+    raise ClosedFormViolation(
+        f"{matrix} entry ({i},{j}) is {entry}, not a signed monomial"
+    )
+
+
 def _certificate_checks(
     v: LabeledMatrix,
     rows: list[SparseRow],
     perm: Sequence[int],
-    diagonal: list[FactoredPoly],
+    diagonal: list[Polynomial],
 ) -> dict:
-    """Check P V Q = D entry by entry from the nonzero entries of P's rows
-    (column j of Q = P^T is row j of P), then prove det P = det Q = +-1."""
-    r = v.size
-    zero = Polynomial.zero()
-    for i, row in enumerate(rows):
-        pv = [zero] * r  # row i of P V
-        for a, p in row.items():
-            pv = [x + p * e for x, e in zip(pv, v.rows[a])]
-        for j, col in enumerate(rows):
-            entry = zero
-            for b, q in col.items():
-                entry = entry + pv[b] * q
-            if entry != (diagonal[i].expand() if i == j else zero):
-                raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
+    """Prove P V Q = D, with Q = P^T, and det P = det Q = +-1.
+
+    `_ordering_det` first proves P = L * Pi, L[i][n] = P[i][perm[n]] unit
+    lower-triangular, so P V P^T = L W L^T with W = Pi V Pi^T and
+    (L W)[i][n] = (P V)[i][perm[n]].  With L W upper triangular with
+    diagonal D (`diagonal`, expanded), L W L^T is lower triangular with
+    diagonal D; with V symmetric it is symmetric too, so it equals D.
+    Entries of V and P must be monomials with coefficient +-1, or zero;
+    each is read once as its packed key and sign, so a product is an int
+    add, and every entry's keys are checked for an overflowed field.
+    """
     det = _ordering_det(rows, perm)
+    vs = [
+        [_signed_key(e, "V", a, b) for b, e in enumerate(row)]
+        for a, row in enumerate(v.rows)
+    ]
+    for a in range(v.size):
+        for b in range(a):
+            if vs[a][b] != vs[b][a]:
+                raise ClosedFormViolation(f"V is not symmetric at ({a},{b})")
+    for i, row in enumerate(rows):
+        terms = [(a, *_signed_key(p, "transform", i, a)) for a, p in row.items()]
+        for n in range(i + 1):
+            b = perm[n]
+            acc: dict[int, int] = {}
+            for a, ka, sa in terms:
+                kv, sv = vs[a][b]
+                k = ka + kv
+                acc[k] = acc.get(k, 0) + sa * sv
+            _check_fields(reduce(or_, acc, 0))
+            entry = {k: c for k, c in acc.items() if c}
+            if entry != (diagonal[i].packed() if n == i else {}):
+                raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
     return {"pvq_equals_d": True, "det_p": det, "det_q": det}
 
 

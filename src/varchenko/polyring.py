@@ -34,7 +34,7 @@ applied eagerly it keeps elimination intermediates bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 from threading import Lock
@@ -99,6 +99,16 @@ def _pack(exps: Iterable[tuple[int, int]]) -> int:
     return key
 
 
+@lru_cache(maxsize=1 << 16)
+def mask_key(mask: int) -> int:
+    """The packed key of the squarefree monomial over the variables whose
+    bits are set in `mask` (bit v is variable v).
+
+    Memoised by mask: a variable keeps its field once given one, so a key,
+    once packed, stays valid for the life of the process."""
+    return _pack((v, 1) for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def _fields(key: int) -> list[tuple[int, int]]:
     """The (table index, exponent) pairs of the nonzero variable fields."""
     pairs = []
@@ -157,8 +167,8 @@ class Monomial:
         return cls(((v, e),))
 
     @classmethod
-    def from_vars(cls, variables: Iterable[int]) -> "Monomial":
-        return cls((v, 1) for v in variables)
+    def from_mask(cls, mask: int) -> "Monomial":
+        return cls._of(mask_key(mask))
 
     def is_one(self) -> bool:
         return not self.key
@@ -236,6 +246,11 @@ class Polynomial:
     @classmethod
     def from_monomial(cls, m: Monomial, c: int = 1) -> "Polynomial":
         return _raw({m.key: c}) if c else cls()
+
+    def packed(self) -> dict[int, int]:
+        """The packed key -> nonzero coefficient map itself, not a copy;
+        callers must not change it."""
+        return self._terms
 
     def is_zero(self) -> bool:
         return not self._terms

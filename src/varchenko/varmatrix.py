@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 from .errors import InvalidInput, TooLarge, Unsupported
@@ -19,17 +20,6 @@ from .polyring import (
 )
 
 MAX_BRUTE_DET = 12
-
-
-def monomial_from_mask(mask: int) -> Monomial:
-    variables = []
-    e = 0
-    while mask:
-        if mask & 1:
-            variables.append(e)
-        mask >>= 1
-        e += 1
-    return Monomial.from_vars(variables)
 
 
 class LabeledMatrix:
@@ -135,16 +125,13 @@ class LabeledMatrix:
 
 
 def build_varchenko(arrangement: Arrangement) -> LabeledMatrix:
-    """Entry (m, n) is the squarefree monomial over sep(R_m, R_n)."""
+    """Entry (m, n) is the squarefree monomial over sep(R_m, R_n); entries
+    with the same separation set share one polynomial."""
     regions = arrangement.regions()
-    rows = []
-    for x in regions:
-        row = []
-        for y in regions:
-            row.append(
-                Polynomial.from_monomial(monomial_from_mask(x.separation_mask(y)))
-            )
-        rows.append(row)
+    masks = [[x.separation_mask(y) for y in regions] for x in regions]
+    distinct = set(chain.from_iterable(masks))
+    shared = {m: Polynomial.from_monomial(Monomial.from_mask(m)) for m in distinct}
+    rows = [[shared[m] for m in row] for row in masks]
     return LabeledMatrix(list(range(len(regions))), rows)
 
 
@@ -155,7 +142,7 @@ def distance(arrangement: Arrangement, k: int, m: int, n: int) -> Monomial:
         rk, rm, rn = regions[k], regions[m], regions[n]
     except IndexError:
         raise InvalidInput("region id out of range") from None
-    return monomial_from_mask(rk.separation_mask(rm) & rk.separation_mask(rn))
+    return Monomial.from_mask(rk.separation_mask(rm) & rk.separation_mask(rn))
 
 
 def det_formula(arrangement: Arrangement) -> FactoredPoly:

@@ -94,9 +94,10 @@ def test_criterion_2_diagonalization_suite():
 
 def test_criterion_3_closed_forms_per_step():
     with criterion(3, "per-step closed forms"):
-        # the library asserts the closed forms after every elimination step
-        # and raises ClosedFormViolation otherwise; re-derive them here
-        # independently for one fixture via the standalone pivot step
+        # `replay_elimination` asserts the closed forms after every
+        # elimination step and raises ClosedFormViolation otherwise
+        # (`diagonalize` proves only the final P V P^T = D); re-derive them
+        # here independently for one fixture via the standalone pivot step
         arr = fixtures.three_generic_lines()
         cert = diagonalize(arr)
         v = build_varchenko(arr).permuted(list(cert.ordering))

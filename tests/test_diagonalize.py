@@ -23,6 +23,7 @@ from varchenko.errors import (
     NotSemigeneral,
     OrderingStuck,
     PivotDivisionFailure,
+    TooLarge,
 )
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import gcd_minors, int_det
@@ -47,6 +48,87 @@ def matmul(a, b):
         ]
         for i in range(n)
     ]
+
+
+def dense_product_is_diagonal(v_rows, rows, diagonal) -> bool:
+    """Whether P V P^T equals diag(diagonal), formed as dense rows of
+    `Polynomial` products and sums from the nonzero entries of P's rows.
+    The reference for `_certificate_checks`, which reads packed keys."""
+    r = len(v_rows)
+    zero = Polynomial.zero()
+    for i, row in enumerate(rows):
+        pv = [zero] * r  # row i of P V
+        for a, p in row.items():
+            pv = [x + p * e for x, e in zip(pv, v_rows[a])]
+        for j, col in enumerate(rows):
+            entry = zero
+            for b, q in col.items():
+                entry = entry + pv[b] * q
+            if entry != (diagonal[i] if i == j else zero):
+                return False
+    return True
+
+
+def ordering_by_full_scan(arrangement: Arrangement) -> RegionOrdering:
+    """The region search of `ordering`, rescanning every face at every step
+    for those with one uncolored region, and again for the faces a colored
+    region touches.  The reference for `ordering`'s incremental
+    bookkeeping."""
+    poset = arrangement.poset()
+    r = len(arrangement.regions())
+    faces = arrangement.faces().sorted_members()
+    adj_masks, flat_ids = diagonalize_module._face_data(arrangement)
+    dims = [f.dim for f in poset.flats]
+    nfaces = len(adj_masks)
+    uncolored = [m & ~1 for m in adj_masks]
+    colored = [0]
+    completed = [f for f in range(nfaces) if uncolored[f] == 0]
+    encompassed = {flat_ids[f] for f in completed}
+    if len(encompassed) != 1:
+        raise OrderingStuck("the base region does not encompass one flat")
+    step_flats = [flat_ids[completed[0]]]
+    step_faces = [completed[0]]
+
+    def next_candidates():
+        ready = {}
+        for f in range(nfaces):
+            m = uncolored[f]
+            if m and m & (m - 1) == 0:
+                flat = flat_ids[f]
+                if flat not in encompassed:
+                    ready.setdefault(m.bit_length() - 1, {})[flat] = f
+        out = []
+        for region, flats in ready.items():
+            if len(flats) == 1:
+                [(flat, face)] = flats.items()
+                out.append((dims[flat], region, flat, face))
+        return sorted(out)
+
+    frames, trail = [], []
+    while len(colored) < r:
+        frames.append(iter(next_candidates()))
+        while (move := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                raise OrderingStuck("no ordering")
+            bit = 1 << colored.pop()
+            for f in trail.pop():
+                uncolored[f] |= bit
+            encompassed.discard(step_flats.pop())
+            step_faces.pop()
+        _, region, flat, face = move
+        bit = 1 << region
+        touched = [f for f in range(nfaces) if uncolored[f] & bit]
+        for f in touched:
+            uncolored[f] &= ~bit
+        trail.append(touched)
+        colored.append(region)
+        encompassed.add(flat)
+        step_flats.append(flat)
+        step_faces.append(face)
+    return RegionOrdering(
+        tuple(colored), tuple(step_flats), tuple(faces[f] for f in step_faces)
+    )
 
 
 def test_encompassed_empty_and_singleton():
@@ -211,7 +293,7 @@ def test_tampered_transform_raises():
     transposed = [list(col) for col in zip(*dense)]
     assert matmul(matmul(dense, v.rows), transposed) == cert.diagonal_matrix().rows
     with pytest.raises(ClosedFormViolation, match="not 1"):
-        _certificate_checks(v, negated, perm, cert.diagonal)
+        _certificate_checks(v, negated, perm, [d.expand() for d in cert.diagonal])
     above = [dict(row) for row in rows]
     above[2][perm[5]] = Polynomial.one()
     with pytest.raises(ClosedFormViolation, match="above the diagonal"):
@@ -364,13 +446,17 @@ def test_a_wrong_step_face_is_caught(monkeypatch):
     true = ordering(arr)
     regions = arr.regions()
     # the step's own region keeps P unit lower-triangular, so only the
-    # product P V P^T can tell it from the face the step completes
-    for wrong in (regions[true.order[5]], true.step_faces[9]):
+    # product P V P^T can tell it from the face the step completes; a later
+    # step's face misses the step's region, so the shape check sees it
+    for wrong, message in (
+        (regions[true.order[5]], "does not equal the diagonal"),
+        (true.step_faces[9], r"\(5,6\) is 0, not 1"),
+    ):
         faces = list(true.step_faces)
         faces[5] = wrong
         tampered = RegionOrdering(true.order, true.step_flats, tuple(faces))
         monkeypatch.setattr(diagonalize_module, "ordering", lambda a: tampered)
-        with pytest.raises(ClosedFormViolation, match="does not equal the diagonal"):
+        with pytest.raises(ClosedFormViolation, match=message):
             diagonalize(arr)
 
 
@@ -405,3 +491,71 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     assert sorted(str(d) for d in cert.diagonal) == sorted(
         str(d) for d in expected_diagonal(fixtures.five_generic_lines())
     )
+
+
+def test_ordering_equals_the_full_scan_reference():
+    bench = bench_semigeneral_inputs()
+    for name, arr in fixtures.semigeneral_suite() + bench:
+        assert ordering(arr) == ordering_by_full_scan(arr), name
+
+
+def sparse_rows(cert):
+    return [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
+
+
+def test_tampered_entries_are_caught_by_the_packed_proof():
+    arr = fixtures.five_generic_lines()
+    cert = diagonalize(arr)
+    perm = list(cert.ordering)
+    v = build_varchenko(arr)
+    rows = sparse_rows(cert)
+    diagonal = [d.expand() for d in cert.diagonal]
+    assert _certificate_checks(v, rows, perm, diagonal) == cert.checks
+    i, a = next((i, a) for i, row in enumerate(rows) for a in row if a != perm[i])
+    two_terms = rf"transform entry \({i},{a}\) is 1 \+ x1, not a signed monomial"
+    for entry, message in (
+        (rows[i][a] * Polynomial.variable(2), "does not equal the diagonal"),
+        (parse_polynomial("1 + x1"), two_terms),
+        (rows[i][a].scaled(2), "not a signed monomial"),
+    ):
+        tampered = [dict(row) for row in rows]
+        tampered[i][a] = entry
+        assert not dense_product_is_diagonal(v.rows, tampered, diagonal)
+        with pytest.raises(ClosedFormViolation, match=message):
+            _certificate_checks(v, tampered, perm, diagonal)
+    # an asymmetric V: the proof reads only the entries (i, perm[n]) of P V
+    # with n <= i, which is enough only because V is checked symmetric
+    skew = LabeledMatrix(v.labels, v.rows)
+    skew.rows[perm[0]][perm[-1]] = v.rows[perm[0]][perm[-1]] * Polynomial.variable(0)
+    assert not dense_product_is_diagonal(skew.rows, rows, diagonal)
+    with pytest.raises(ClosedFormViolation, match="V is not symmetric"):
+        _certificate_checks(skew, rows, perm, diagonal)
+
+
+def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
+    checks = diagonalize_module._certificate_checks
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic in the certificate proof")
+
+    def guarded(*args):
+        calls.append(args)
+        with monkeypatch.context() as m:
+            for op in ("__mul__", "__add__", "__sub__", "__neg__"):
+                m.setattr(Polynomial, op, refuse)
+            return checks(*args)
+
+    monkeypatch.setattr(diagonalize_module, "_certificate_checks", guarded)
+    cert = diagonalize(fixtures.random_generic_lines(8, 108))
+    assert len(calls) == 1
+    assert cert.checks["pvq_equals_d"] is True
+
+
+def test_an_overflowing_product_raises_too_large():
+    big = Polynomial.variable(0, 20000)
+    one, zero = Polynomial.one(), Polynomial.zero()
+    v = LabeledMatrix([0, 1], [[big, zero], [zero, one]])
+    rows = [{0: one}, {0: big, 1: one}]  # (P V)[1][0] = x1^40000
+    with pytest.raises(TooLarge):
+        _certificate_checks(v, rows, [0, 1], [big, one])

@@ -1,17 +1,32 @@
-"""Property test of the closed-form transform against the replayed
-elimination over small random semigeneral arrangements."""
+"""Property tests of the closed-form transform against the replayed
+elimination, of the region ordering against a full rescan, and of the
+packed-key certificate proof against dense `Polynomial` products."""
 
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from varchenko.diagonalize import diagonalize, replay_elimination
-from varchenko.errors import InvalidArrangement
+from test_diagonalize import (
+    dense_product_is_diagonal,
+    diagonalize_module,
+    ordering_by_full_scan,
+)
+from varchenko.diagonalize import (
+    _certificate_checks,
+    diagonalize,
+    ordering,
+    replay_elimination,
+)
+from varchenko.errors import ClosedFormViolation, InvalidArrangement, OrderingStuck
 from varchenko.geometry import Arrangement, Hyperplane
+from varchenko.polyring import Monomial, Polynomial
+from varchenko.varmatrix import LabeledMatrix, build_varchenko
 
 
 @st.composite
@@ -47,3 +62,142 @@ def semigeneral_arrangements(draw):
 @given(semigeneral_arrangements())
 def test_closed_form_transform_equals_the_replayed_elimination(arr):
     assert diagonalize(arr).P == replay_elimination(arr)
+
+
+@given(semigeneral_arrangements())
+def test_ordering_equals_the_full_scan_reference(arr):
+    assert ordering(arr) == ordering_by_full_scan(arr)
+
+
+class FlatList(list):
+    """A poset stand-in: its flats, by index."""
+
+    @property
+    def flats(self):
+        return self
+
+
+@st.composite
+def synthetic_face_data(draw):
+    """Face adjacency masks over r <= 6 regions, each face's flat among r
+    flats, and the flats' dimensions: random instances of what `ordering`
+    searches, on which it often backtracks (no arrangement in the suite,
+    the bench inputs or 120 random ones made it backtrack).  As in an
+    arrangement, every region is a face of flat 0; the other faces touch
+    two regions or more."""
+    r = draw(st.integers(2, 6))
+    several = st.integers(3, (1 << r) - 1).filter(lambda m: m & (m - 1))
+    extra = draw(st.lists(st.tuples(several, st.integers(1, r - 1)), max_size=10))
+    masks = [1 << i for i in range(r)] + [m for m, _ in extra]
+    flat_ids = [0] * r + [flat for _, flat in extra]
+    dims = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r))
+    return r, masks, flat_ids, dims
+
+
+@settings(max_examples=300)
+@given(synthetic_face_data())
+def test_ordering_search_equals_the_full_scan_reference_on_synthetic_faces(data):
+    r, masks, flat_ids, dims = data
+    arr = SimpleNamespace(
+        semigeneral_witness=lambda: None,
+        regions=lambda: list(range(r)),
+        poset=lambda: FlatList(SimpleNamespace(dim=d) for d in dims),
+        faces=lambda: SimpleNamespace(sorted_members=lambda: list(range(len(masks)))),
+    )
+    outcomes = []
+    with patch.object(diagonalize_module, "_face_data", lambda a: (masks, flat_ids)):
+        for search in (ordering, ordering_by_full_scan):
+            try:
+                outcomes.append(search(arr))
+            except OrderingStuck:
+                outcomes.append(OrderingStuck)
+    assert outcomes[0] == outcomes[1]
+
+
+NVARS = 3
+signed_monomials = st.builds(
+    lambda exps, sign: Polynomial.from_monomial(Monomial(enumerate(exps)), sign),
+    st.tuples(*[st.integers(0, 1)] * NVARS),
+    st.sampled_from((1, -1)),
+)
+entries = st.one_of(st.just(Polynomial.zero()), signed_monomials)
+
+
+@st.composite
+def random_certificates(draw):
+    """A symmetric V of signed monomials and zeros, and a P = L * Pi with
+    L unit lower-triangular in the order `perm`, its other entries signed
+    monomials or absent; D is the diagonal of P V P^T."""
+    r = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(r)))
+    v = [[None] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(a, r):
+            v[a][b] = v[b][a] = draw(entries)
+    rows = []
+    for i in range(r):
+        row = {perm[i]: Polynomial.one()}
+        for n in range(i):
+            entry = draw(entries)
+            if not entry.is_zero():
+                row[perm[n]] = entry
+        rows.append(row)
+    diagonal = []
+    for i, row in enumerate(rows):
+        entry = Polynomial.zero()
+        for a, p in row.items():
+            for b, q in row.items():
+                entry = entry + p * v[a][b] * q
+        diagonal.append(entry)
+    return LabeledMatrix(list(range(r)), v), rows, perm, diagonal
+
+
+@st.composite
+def arrangement_certificates(draw):
+    """The certificate `diagonalize` proves for a small semigeneral
+    arrangement."""
+    arr = draw(semigeneral_arrangements())
+    assume(len(arr.regions()) <= 16)
+    cert = diagonalize(arr)
+    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
+    diagonal = [d.expand() for d in cert.diagonal]
+    return build_varchenko(arr), rows, list(cert.ordering), diagonal
+
+
+@st.composite
+def corrupted(draw, certificates):
+    """A certificate, maybe with one entry of V (both copies) or one
+    off-pivot entry of P negated or multiplied by a variable."""
+    v, rows, perm, diagonal = draw(certificates)
+    kind = draw(st.sampled_from(("none", "sign", "exponent")))
+    if kind == "none":
+        return v, rows, perm, diagonal
+    factor = (
+        Polynomial.constant(-1)
+        if kind == "sign"
+        else Polynomial.variable(draw(st.integers(0, NVARS - 1)))
+    )
+    r = v.size
+    spots = [("V", a, b) for a in range(r) for b in range(a, r)] + [
+        ("P", i, a) for i, row in enumerate(rows) for a in row if a != perm[i]
+    ]
+    where, x, y = draw(st.sampled_from(spots))
+    if where == "V":
+        v = LabeledMatrix(v.labels, v.rows)
+        v.rows[x][y] = v.rows[y][x] = v.rows[x][y] * factor
+    else:
+        rows = [dict(row) for row in rows]
+        rows[x][y] = rows[x][y] * factor
+    return v, rows, perm, diagonal
+
+
+@given(corrupted(st.one_of(random_certificates(), arrangement_certificates())))
+def test_packed_proof_raises_exactly_when_the_dense_product_differs(case):
+    v, rows, perm, diagonal = case
+    try:
+        _certificate_checks(v, rows, perm, diagonal)
+    except ClosedFormViolation:
+        raised = True
+    else:
+        raised = False
+    assert raised == (not dense_product_is_diagonal(v.rows, rows, diagonal))

@@ -84,7 +84,7 @@ def test_distance_examples():
     two = fixtures.two_generic_lines()
     regions = [r.to_string() for r in two.regions()]
     a, b = regions.index("++"), regions.index("--")
-    assert distance(two, a, b, b) == Monomial.from_vars([0, 1])
+    assert distance(two, a, b, b) == Monomial([(0, 1), (1, 1)])
     assert distance(two, regions.index("+-"), a, b) == Monomial.one()
 
 
