@@ -35,25 +35,8 @@ from .polyring import (
     exact_div,
     one_minus_square,
 )
-from .signedsets import SignVector
+from .signedsets import SignVector, bits
 from .varmatrix import LabeledMatrix, build_varchenko
-
-
-def _face_data(arrangement: Arrangement):
-    """Per-face adjacency bitmask over region ids and the face's flat index."""
-    regions = arrangement.regions()
-    poset = arrangement.poset()
-    faces = arrangement.faces().sorted_members()
-    adj_masks = []
-    flat_ids = []
-    for f in faces:
-        mask = 0
-        for i, r in enumerate(regions):
-            if r.conforms_to(f):
-                mask |= 1 << i
-        adj_masks.append(mask)
-        flat_ids.append(poset.flat_index(f.zero_set()))
-    return adj_masks, flat_ids
 
 
 def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[int]:
@@ -68,12 +51,12 @@ def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[i
         if not 0 <= i < nregions:
             raise InvalidInput(f"region id {i} out of range")
         colored_mask |= 1 << i
-    adj_masks, flat_ids = _face_data(arrangement)
-    out = set()
-    for mask, flat in zip(adj_masks, flat_ids):
-        if mask & ~colored_mask == 0:
-            out.add(flat)
-    return out
+    table = arrangement.face_table()
+    return {
+        flat
+        for mask, flat in zip(table.adjacent, table.flats)
+        if mask & ~colored_mask == 0
+    }
 
 
 @dataclass(frozen=True)
@@ -115,18 +98,16 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
             f"flat count {len(poset)} differs from region count {r}; the "
             f"one-new-flat-per-region coloring cannot complete"
         )
-    faces = arrangement.faces().sorted_members()
-    adj_masks, flat_ids = _face_data(arrangement)
+    table = arrangement.face_table()
+    flat_ids = table.flats
     dims = [f.dim for f in poset.flats]
     adjacent: list[list[int]] = [[] for _ in range(r)]  # region -> its faces
-    for f, m in enumerate(adj_masks):
-        while m:
-            low = m & -m
-            adjacent[low.bit_length() - 1].append(f)
-            m ^= low
+    for f, m in enumerate(table.adjacent):
+        for region in bits(m):
+            adjacent[region].append(f)
 
     base = 0
-    uncolored = [m & ~(1 << base) for m in adj_masks]
+    uncolored = [m & ~(1 << base) for m in table.adjacent]
     colored = [base]
     completed = [f for f, m in enumerate(uncolored) if m == 0]
     encompassed = {flat_ids[f] for f in completed}
@@ -186,7 +167,7 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         step_flats.append(flat)
         step_faces.append(face)
     return RegionOrdering(
-        tuple(colored), tuple(step_flats), tuple(faces[f] for f in step_faces)
+        tuple(colored), tuple(step_flats), tuple(table.faces[f] for f in step_faces)
     )
 
 
@@ -327,14 +308,15 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
     order = ordering(arrangement)
     poset = arrangement.poset()
     regions = arrangement.regions()
+    table = arrangement.face_table()
+    adjacent = dict(zip(table.faces, table.adjacent))
     rows = []
     for region, face in zip(order.order, order.step_faces):
         step = regions[region]
         rows.append(
             {
-                j: _transform_entry(step.separation_mask(other))
-                for j, other in enumerate(regions)
-                if other.conforms_to(face)
+                j: _transform_entry(step.separation_mask(regions[j]))
+                for j in bits(adjacent[face])
             }
         )
     diagonal = [_diagonal_entry(poset.flats[flat]) for flat in order.step_flats]

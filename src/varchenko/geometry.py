@@ -31,10 +31,11 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
-from .exactlp import _dot, _normalize_int, solve_equalities, strict_point
+from .exactlp import _dot, _normalize_int, strict_point
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
 MAX_GROUND_SIZE = 16
+MAX_DIM = 64
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -162,6 +163,17 @@ class IntersectionPoset:
         return out
 
 
+@dataclass(frozen=True)
+class FaceTable:
+    """The faces in canonical order; for face i, ``flats[i]`` is the index
+    of the flat it lies on and bit j of ``adjacent[i]`` is set when region
+    j (canonical order) is adjacent to it, i.e. conforms to it."""
+
+    faces: tuple[SignVector, ...]
+    flats: tuple[int, ...]
+    adjacent: tuple[int, ...]
+
+
 def charpoly_string(coeffs: Sequence[int]) -> str:
     parts: list[str] = []
     for deg in range(len(coeffs) - 1, -1, -1):
@@ -195,6 +207,8 @@ class Arrangement:
             raise InvalidInput(f"unknown mode {mode!r}")
         if dim < 0:
             raise InvalidInput(f"dimension must be nonnegative, got {dim}")
+        if dim > MAX_DIM:
+            raise TooLarge(f"dimension capped at {MAX_DIM}, got {dim}")
         self.mode = mode
         self.dim = dim
         self.hyperplanes = tuple(hyperplanes)
@@ -274,8 +288,9 @@ class Arrangement:
     # ------------------------------------------------------------------
     # face / region enumeration
 
-    def _enumerate_faces(self) -> list[SignVector]:
-        """Every face, from one depth-first pass over the hyperplanes.
+    def _enumerate_faces(self) -> dict[SignVector, int]:
+        """Every face with the dimension of its affine hull, from one
+        depth-first pass over the hyperplanes.
 
         A node is a face of the first i hyperplanes, held as a rational
         point p in its relative interior, the strict constraints that bound
@@ -294,7 +309,9 @@ class Arrangement:
         constraint is a punctured linear subspace, symmetric under
         x -> -x: both of its sides exist (p and -p) even where the
         hyperplane meets it only at the origin.  Each leaf's point is
-        checked to realise the sign vector it is reported under.
+        checked to realise the sign vector it is reported under.  A leaf's
+        hull is its flat, of dimension len(basis), one less in central
+        mode (spherical dimension).
         """
         if self.n > MAX_GROUND_SIZE:
             raise TooLarge(
@@ -313,13 +330,13 @@ class Arrangement:
             [Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)
         ]
         root = [Fraction(int(central and j == 0)) for j in range(nvars)]
-        faces: list[SignVector] = []
+        faces: dict[SignVector, int] = {}
         signs: list[int] = []
 
         def visit(point, stricts, basis) -> None:
             i = len(signs)
             if i == len(planes):
-                faces.append(self._witnessed(planes, signs, point))
+                faces[self._witnessed(planes, signs, point)] = len(basis) - central
                 return
             a, b = planes[i]
             value = _dot(a, point) - b
@@ -383,10 +400,14 @@ class Arrangement:
         return tuple(sorted(vecs, key=SignVector.sort_key))
 
     @cached_property
+    def _face_dims(self) -> dict[SignVector, int]:
+        return self._enumerate_faces()
+
+    @cached_property
     def _faces(self) -> SignedFamily:
         if self.mode == "covector":
             return self.covectors
-        return SignedFamily.from_vectors(self.n, self._enumerate_faces())
+        return SignedFamily.from_vectors(self.n, self._face_dims)
 
     def regions(self) -> list[SignVector]:
         """Zero-free sign vectors in canonical (lex, '+' < '-') order."""
@@ -413,22 +434,6 @@ class Arrangement:
     # ------------------------------------------------------------------
     # flats and the intersection poset
 
-    def _flat_dim(self, defset: frozenset[int]) -> int:
-        eqs = [
-            (self.hyperplanes[i].normal, self.hyperplanes[i].offset)
-            for i in sorted(defset)
-        ]
-        solved = solve_equalities(eqs, self._nvars)
-        if solved is None:
-            raise InvalidArrangement("flat from an infeasible defining set")
-        _, basis = solved
-        if self.mode == "central":
-            if not basis:
-                # meets R^{dim+1} only at the origin: empty on the sphere
-                raise InvalidArrangement("flat does not meet the sphere")
-            return len(basis) - 1
-        return len(basis)
-
     @cached_property
     def _poset(self) -> IntersectionPoset:
         zsets = sorted(
@@ -438,27 +443,46 @@ class Arrangement:
         if self.mode == "covector":
             if frozenset() not in zsets:
                 raise InvalidArrangement("covector family has no zero-free member")
-            flats = []
             heights: dict[frozenset[int], int] = {}
-            for idx, z in enumerate(zsets):
-                h = 0
-                for other, oh in heights.items():
-                    if other < z:
-                        h = max(h, oh + 1)
-                heights[z] = h
-                dim = self.dim - h
-                if dim < 0:
-                    raise InvalidArrangement(
-                        f"covector poset is deeper than the stated dimension "
-                        f"{self.dim}"
-                    )
-                flats.append(Flat(idx, z, dim))
+            for z in zsets:  # by size, so after every flat below it
+                heights[z] = max((h + 1 for o, h in heights.items() if o < z), default=0)
+            if max(heights.values()) > self.dim:
+                raise InvalidArrangement(
+                    f"covector poset is deeper than the stated dimension {self.dim}"
+                )
+            dims = {z: self.dim - h for z, h in heights.items()}
         else:
-            flats = [Flat(idx, z, self._flat_dim(z)) for idx, z in enumerate(zsets)]
+            dims = {f.zero_set(): d for f, d in self._face_dims.items()}
+        flats = [Flat(idx, z, dims[z]) for idx, z in enumerate(zsets)]
         return IntersectionPoset(flats, self.dim)
 
     def poset(self) -> IntersectionPoset:
         return self._poset
+
+    @cached_property
+    def _face_table(self) -> FaceTable:
+        # a region is adjacent to a face exactly when it has the face's
+        # signs on the face's support (every face has one: the face composed
+        # with any region), so the regions are grouped by those signs once
+        # per support, that is once per flat
+        faces = tuple(self._faces.sorted_members())
+        groups: dict[int, tuple[int, dict[int, int]]] = {}
+        for f in faces:
+            if f.support_mask not in groups:
+                by_signs: dict[int, int] = {}
+                for i, region in enumerate(self._regions):
+                    key = region.plus & f.support_mask
+                    by_signs[key] = by_signs.get(key, 0) | 1 << i
+                flat = self._poset.flat_index(f.zero_set())
+                groups[f.support_mask] = flat, by_signs
+        return FaceTable(
+            faces,
+            tuple(groups[f.support_mask][0] for f in faces),
+            tuple(groups[f.support_mask][1][f.plus] for f in faces),
+        )
+
+    def face_table(self) -> FaceTable:
+        return self._face_table
 
     def charpoly(self) -> tuple[int, ...]:
         return self._poset.characteristic_polynomial()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import InvalidInput, SemigeneralInput, TooLarge, Unsupported
 from .exactlp import _normalize_int
@@ -160,9 +160,6 @@ def _poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 # ----------------------------------------------------------------------
-
-
-Entry = Union[int, Polynomial]
 
 
 def _entry_grid(matrix) -> list[list[Polynomial]]:

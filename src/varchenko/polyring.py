@@ -182,12 +182,6 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial._of(_check_fields(self.key + other.key))
 
-    def capped(self) -> "Monomial":
-        """Exponents clipped to at most 2."""
-        if not (self.key + _ONES) & _HIGHS:
-            return self
-        return Monomial._of(_cap_key(self.key))
-
     def sort_key(self) -> tuple:
         # print order: total degree first, then the sparse exponent tuple
         return (self.degree(), _unpack(self.key))

@@ -92,10 +92,10 @@ class SignVector:
         return ((1 << self.n) - 1) & ~self.support_mask
 
     def zero_set(self) -> frozenset[int]:
-        return _bits_to_set(self.zero_mask)
+        return frozenset(bits(self.zero_mask))
 
     def support(self) -> frozenset[int]:
-        return _bits_to_set(self.support_mask)
+        return frozenset(bits(self.support_mask))
 
     def is_zero_free(self) -> bool:
         return self.zero_mask == 0
@@ -121,7 +121,7 @@ class SignVector:
         return (self.plus & other.minus) | (self.minus & other.plus)
 
     def separation_set(self, other: "SignVector") -> frozenset[int]:
-        return _bits_to_set(self.separation_mask(other))
+        return frozenset(bits(self.separation_mask(other)))
 
     def conforms_to(self, face: "SignVector") -> bool:
         """True if self agrees with `face` on every nonzero entry of `face`."""
@@ -140,15 +140,12 @@ class SignVector:
         return tuple(_CHAR_RANK[c] for c in self.to_string())
 
 
-def _bits_to_set(mask: int) -> frozenset[int]:
-    out = []
-    e = 0
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, in increasing order."""
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def compose(x: SignVector, y: SignVector) -> SignVector:

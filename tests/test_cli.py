@@ -337,6 +337,12 @@ def test_size_cap_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "affine", "dim": 2, "hyperplanes": hyps}))
     code, _, _ = run(capsys, "regions", str(path))
     assert code == 4
+    # the dimension is capped when the arrangement is built
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"mode": "affine", "dim": 100000, "hyperplanes": []}))
+    code, out, err = run(capsys, "regions", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and "dimension" in err
 
 
 def test_det_exponent_overflow_exit_code(tmp_path, capsys):

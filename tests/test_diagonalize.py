@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from varchenko import fixtures, polyring
+from varchenko import exactlp, fixtures, polyring
 from varchenko.diagonalize import (
     RegionOrdering,
     _certificate_checks,
@@ -28,6 +28,7 @@ from varchenko.errors import (
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import gcd_minors, int_det
 from varchenko.polyring import Polynomial, parse_polynomial
+from varchenko.signedsets import SignVector
 from varchenko.varmatrix import (
     LabeledMatrix,
     build_varchenko,
@@ -76,8 +77,8 @@ def ordering_by_full_scan(arrangement: Arrangement) -> RegionOrdering:
     bookkeeping."""
     poset = arrangement.poset()
     r = len(arrangement.regions())
-    faces = arrangement.faces().sorted_members()
-    adj_masks, flat_ids = diagonalize_module._face_data(arrangement)
+    table = arrangement.face_table()
+    faces, flat_ids, adj_masks = table.faces, table.flats, table.adjacent
     dims = [f.dim for f in poset.flats]
     nfaces = len(adj_masks)
     uncolored = [m & ~1 for m in adj_masks]
@@ -414,9 +415,10 @@ def test_ordering_does_not_recurse_per_region():
     assert result.step_faces[0] == arr.regions()[result.order[0]]
 
 
-def bench_semigeneral_inputs():
-    """The generated inputs of the benchmark's `semigeneral` workload, seed
-    101: generic lines (r = 37, 56, 79) and generic planes (r = 26, 42)."""
+def bench_inputs(workload):
+    """The generated inputs of a benchmark workload, seed 101; for
+    `semigeneral`: generic lines (r = 37, 56, 79) and generic planes
+    (r = 26, 42)."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
@@ -424,7 +426,7 @@ def bench_semigeneral_inputs():
     spec.loader.exec_module(inputs)
     return [
         (inp.name, Arrangement.from_json(inp.text))
-        for inp in inputs.build_inputs("semigeneral", 101)
+        for inp in inputs.build_inputs(workload, 101)
         if not inp.small
     ]
 
@@ -432,7 +434,7 @@ def bench_semigeneral_inputs():
 def test_closed_form_transform_equals_the_replayed_elimination():
     """Row k of P, written from the face step k completes, is the row the
     step-by-step elimination produces, with every closed form checked."""
-    bench = bench_semigeneral_inputs()
+    bench = bench_inputs("semigeneral")
     assert sorted(len(arr.regions()) for _, arr in bench) == [26, 37, 42, 56, 79]
     for name, arr in fixtures.semigeneral_suite() + bench:
         cert = diagonalize(arr)
@@ -486,6 +488,10 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(diagonalize_module, "exact_div", refuse)
     monkeypatch.setattr(diagonalize_module, "pivot_step", refuse)
     monkeypatch.setattr(Polynomial, "capped", refuse)
+    # nor a region-by-face scan or a linear solve: the arrangement is built
+    # under these patches, so enumeration and the poset are covered too
+    monkeypatch.setattr(SignVector, "conforms_to", refuse)
+    monkeypatch.setattr(exactlp.LinearSystem, "add", refuse)
     cert = diagonalize(fixtures.five_generic_lines())
     assert cert.checks == {"pvq_equals_d": True, "det_p": "-1", "det_q": "-1"}
     assert sorted(str(d) for d in cert.diagonal) == sorted(
@@ -494,7 +500,7 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
 
 
 def test_ordering_equals_the_full_scan_reference():
-    bench = bench_semigeneral_inputs()
+    bench = bench_inputs("semigeneral")
     for name, arr in fixtures.semigeneral_suite() + bench:
         assert ordering(arr) == ordering_by_full_scan(arr), name
 

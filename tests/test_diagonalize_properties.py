@@ -4,7 +4,6 @@ packed-key certificate proof against dense `Polynomial` products."""
 
 from fractions import Fraction
 from types import SimpleNamespace
-from unittest.mock import patch
 
 import pytest
 
@@ -12,11 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from test_diagonalize import (
-    dense_product_is_diagonal,
-    diagonalize_module,
-    ordering_by_full_scan,
-)
+from test_diagonalize import dense_product_is_diagonal, ordering_by_full_scan
 from varchenko.diagonalize import (
     _certificate_checks,
     diagonalize,
@@ -24,7 +19,7 @@ from varchenko.diagonalize import (
     replay_elimination,
 )
 from varchenko.errors import ClosedFormViolation, InvalidArrangement, OrderingStuck
-from varchenko.geometry import Arrangement, Hyperplane
+from varchenko.geometry import Arrangement, FaceTable, Hyperplane
 from varchenko.polyring import Monomial, Polynomial
 from varchenko.varmatrix import LabeledMatrix, build_varchenko
 
@@ -98,19 +93,19 @@ def synthetic_face_data(draw):
 @given(synthetic_face_data())
 def test_ordering_search_equals_the_full_scan_reference_on_synthetic_faces(data):
     r, masks, flat_ids, dims = data
+    table = FaceTable(tuple(range(len(masks))), tuple(flat_ids), tuple(masks))
     arr = SimpleNamespace(
         semigeneral_witness=lambda: None,
         regions=lambda: list(range(r)),
         poset=lambda: FlatList(SimpleNamespace(dim=d) for d in dims),
-        faces=lambda: SimpleNamespace(sorted_members=lambda: list(range(len(masks)))),
+        face_table=lambda: table,
     )
     outcomes = []
-    with patch.object(diagonalize_module, "_face_data", lambda a: (masks, flat_ids)):
-        for search in (ordering, ordering_by_full_scan):
-            try:
-                outcomes.append(search(arr))
-            except OrderingStuck:
-                outcomes.append(OrderingStuck)
+    for search in (ordering, ordering_by_full_scan):
+        try:
+            outcomes.append(search(arr))
+        except OrderingStuck:
+            outcomes.append(OrderingStuck)
     assert outcomes[0] == outcomes[1]
 
 

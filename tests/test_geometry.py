@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from test_diagonalize import bench_inputs
 from varchenko import fixtures
 from varchenko.errors import InvalidArrangement, InvalidInput, TooLarge
 from varchenko.exactlp import feasible_strict, solve_equalities
-from varchenko.geometry import Arrangement, Hyperplane, charpoly_string, parse_rational
+from varchenko.geometry import (
+    Arrangement,
+    FaceTable,
+    Hyperplane,
+    charpoly_string,
+    parse_rational,
+)
 from varchenko.signedsets import SignedFamily, SignVector
 
 
@@ -90,6 +97,8 @@ def test_flats_match_subset_enumeration_oracle():
         expected = flats_by_subset_enumeration(arr)
         got = {f.defining_set for f in arr.poset()}
         assert got == expected
+        for flat in arr.poset():
+            assert flat.dim == flat_dim_by_elimination(arr, flat.defining_set)
 
 
 def test_mobius_and_charpoly():
@@ -183,6 +192,47 @@ def faces_by_full_scan(arr):
         if feasible_strict(eqs, stricts, nvars, require_nonzero=arr.mode == "central"):
             found.add(SignVector.from_signs(signs))
     return found
+
+
+def flat_dim_by_elimination(arr, defining_set):
+    """Independent oracle: the nullspace size of the defining set's
+    equations, one less in central mode (spherical dimension)."""
+    nvars = arr.dim + 1 if arr.mode == "central" else arr.dim
+    eqs = [
+        (arr.hyperplanes[i].normal, arr.hyperplanes[i].offset)
+        for i in sorted(defining_set)
+    ]
+    _, basis = solve_equalities(eqs, nvars)
+    return len(basis) - (arr.mode == "central")
+
+
+def face_table_by_full_scan(arr):
+    """Independent oracle: each face's flat looked up by its zero set, and
+    each region tested against each face with `conforms_to`."""
+    regions = arr.regions()
+    poset = arr.poset()
+    faces = tuple(arr.faces().sorted_members())
+    return FaceTable(
+        faces,
+        tuple(poset.flat_index(f.zero_set()) for f in faces),
+        tuple(
+            sum(1 << i for i, r in enumerate(regions) if r.conforms_to(f))
+            for f in faces
+        ),
+    )
+
+
+def test_face_table_equals_the_full_scan():
+    bench = [
+        case
+        for workload in ("semigeneral", "oracle", "degenerate")
+        for case in bench_inputs(workload)
+    ]
+    cases = (
+        list(fixtures.named_fixtures().items()) + fixtures.semigeneral_suite() + bench
+    )
+    for name, arr in cases:
+        assert arr.face_table() == face_table_by_full_scan(arr), name
 
 
 def test_feasibility_oracle_consistency():

@@ -1,5 +1,6 @@
-"""Property test of the witness-guided face enumeration against a full
-feasibility scan over small affine and central arrangements."""
+"""Property test of the witness-guided face enumeration, the flat
+dimensions it reports and the face table against full scans over small
+affine and central arrangements."""
 
 from fractions import Fraction
 
@@ -9,7 +10,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from test_geometry import faces_by_full_scan
+from test_geometry import (
+    face_table_by_full_scan,
+    faces_by_full_scan,
+    flat_dim_by_elimination,
+)
 from varchenko.errors import InvalidArrangement
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.signedsets import SignVector
@@ -64,3 +69,6 @@ def test_faces_and_regions_equal_the_full_scan(arr):
     assert arr.regions() == sorted(
         (f for f in expected if f.is_zero_free()), key=SignVector.sort_key
     )
+    for flat in arr.poset():
+        assert flat.dim == flat_dim_by_elimination(arr, flat.defining_set)
+    assert arr.face_table() == face_table_by_full_scan(arr)
