@@ -4,18 +4,16 @@ arrangement, with a verifiable transformation certificate.
 The pipeline is: order the regions so that each new region extends the
 encompassed part of the flat poset by exactly one flat, completing one face
 of it; then write the row transform P in closed form from those faces.  P
-is the whole certificate, checked rather than trusted: P * V * P^T is
-diagonal, and P is a unit lower-triangular matrix times the ordering's
-permutation, so det P is the sign of the ordering.  `replay_elimination` is
-the step-by-step elimination that P summarises, kept as a test reference.
+is the whole certificate, checked rather than trusted, and V is not built:
+P is a unit lower-triangular matrix times the ordering's permutation, and
+P * V * P^T is diagonal by the paper's face identity, checked on masks.
+`replay_elimination` is the elimination P summarises, a test reference.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -31,8 +29,8 @@ from .polyring import (
     FactoredPoly,
     Monomial,
     Polynomial,
-    _check_fields,
     exact_div,
+    mask_key,
     one_minus_square,
 )
 from .signedsets import SignVector, bits
@@ -294,45 +292,87 @@ def _transform_entry(sep: int) -> Polynomial:
     )
 
 
+def _transform_rows(arrangement: Arrangement, order: RegionOrdering) -> list[SparseRow]:
+    """Row k of P: (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
+    to the face that step k completes."""
+    regions = arrangement.regions()
+    table = arrangement.face_table()
+    adjacent = dict(zip(table.faces, table.adjacent))
+    return [
+        {j: _transform_entry(regions[k].separation_mask(regions[j])) for j in bits(adjacent[face])}
+        for k, face in zip(order.order, order.step_faces)
+    ]
+
+
+def _face_cube_checks(
+    arrangement: Arrangement, order: RegionOrdering, rows: list[SparseRow]
+) -> None:
+    """Prove P V P^T = D from the faces the steps complete, once
+    `_ordering_det` has proven P = L * Pi with L unit lower-triangular.
+
+    Let step i color R_i and complete face f_i with zero set Z.  If f_i's
+    adjacent regions are R_i (+) T, R_i with its signs on T flipped, for
+    every subset T of Z, and row i of P is (-1)^|T| x^T there, (P V)[i][b] is
+    x^sep(R_i, b) * prod_{e in Z} (1 - x_e^2) if sep(R_i, b) misses Z, else
+    0: the sum over T factorises by e in Z into 1 - x_e^2 where R_i and b
+    agree on e and x_e - x_e = 0 where they differ.  If no region colored
+    before step i agrees with R_i on Z either, P V in elimination order is
+    upper triangular with diagonal D, so the symmetric P V P^T is D.  These
+    conditions are checked per step on masks, entries read as packed keys.
+    """
+    regions, flats = arrangement.regions(), arrangement.poset().flats
+    table = arrangement.face_table()
+    faces = dict(zip(table.faces, zip(table.flats, table.adjacent)))
+    colored: list[int] = []  # the plus masks of the regions colored so far
+    steps = zip(order.order, order.step_flats, order.step_faces)
+    for i, (region, flat, face) in enumerate(steps):
+        (face_flat, adjacent), zero, step = faces[face], face.zero_mask, regions[region]
+        seps = {a: step.separation_mask(regions[a]) for a in rows[i]}
+        wrong = [
+            a for a, s in seps.items()
+            if s & ~zero or rows[i][a].packed() != {mask_key(s): (-1) ** s.bit_count()}
+        ]
+        earlier = [n for n, plus in enumerate(colored) if (plus ^ step.plus) & zero == 0]
+        if face_flat != flat or flats[flat].defining_set != face.zero_set():
+            failed = f"its face lies on flat {face_flat}, not on the step flat {flat}"
+        elif adjacent.bit_count() != 1 << zero.bit_count():
+            failed = f"its face has {adjacent.bit_count()} adjacent regions, not a full cube"
+        elif sum(1 << a for a in seps) != adjacent:
+            failed = "the row's nonzero entries are not its face's adjacent regions"
+        elif wrong:
+            failed = f"transform entry ({i},{wrong[0]}) is not (-1)^|T| x^T on the cube"
+        elif earlier:
+            failed = f"region {order.order[earlier[0]]} agrees with it on the face's zero set"
+        else:
+            colored.append(step.plus)
+            continue
+        raise ClosedFormViolation(f"P V Q does not equal the diagonal matrix: step {i}: {failed}")
+
+
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
     """Reduce V to its diagonal form and prove the result.
 
-    Row k of P is (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
-    to the face that step k completes, and 0 elsewhere; diagonal entry k is
-    the product of (1 - x_a^2) over the defining set of the flat first
-    encompassed at step k.  P is built once as its rows' nonzero entries;
-    the certificate checks read only those rows and prove P V P^T = D and
-    det P = +-1, or raise ClosedFormViolation.  No intermediate matrix of
-    the elimination is formed; `replay_elimination` checks those.
+    Diagonal entry k is the product of (1 - x_a^2) over the defining set of
+    the flat first encompassed at step k, and row k of P is written from the
+    face step k completes (`_transform_rows`).  `_ordering_det` proves
+    det P = +-1 and `_face_cube_checks` proves P V P^T = D, or either raises
+    ClosedFormViolation.  Neither V nor any intermediate matrix of the
+    elimination is formed; `replay_elimination` checks those.
     """
     order = ordering(arrangement)
     poset = arrangement.poset()
     regions = arrangement.regions()
-    table = arrangement.face_table()
-    adjacent = dict(zip(table.faces, table.adjacent))
-    rows = []
-    for region, face in zip(order.order, order.step_faces):
-        step = regions[region]
-        rows.append(
-            {
-                j: _transform_entry(step.separation_mask(regions[j]))
-                for j in bits(adjacent[face])
-            }
-        )
+    rows = _transform_rows(arrangement, order)
+    det = _ordering_det(rows, order.order)
+    _face_cube_checks(arrangement, order, rows)
     diagonal = [_diagonal_entry(poset.flats[flat]) for flat in order.step_flats]
-    checks = _certificate_checks(
-        build_varchenko(arrangement),
-        rows,
-        order.order,
-        [d.expand() for d in diagonal],
-    )
     zero = Polynomial.zero()
     return DiagonalizationCertificate(
         ordering=order.order,
         step_flats=order.step_flats,
         diagonal=diagonal,
         P=[[row.get(j, zero) for j in range(len(regions))] for row in rows],
-        checks=checks,
+        checks={"pvq_equals_d": True, "det_p": det, "det_q": det},
     )
 
 
@@ -415,63 +455,6 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
                 raise ClosedFormViolation(f"step {k}: earlier pivot ({m},{m}) changed")
         pivots.append(pivot)
     return P
-
-
-def _signed_key(entry: Polynomial, matrix: str, i: int, j: int) -> tuple[int, int]:
-    """(packed key, sign) of entry (i, j), a monomial with coefficient +-1;
-    (0, 0) for zero."""
-    terms = entry.packed()
-    if not terms:
-        return 0, 0
-    if len(terms) == 1:
-        [(key, c)] = terms.items()
-        if c == 1 or c == -1:
-            return key, c
-    raise ClosedFormViolation(
-        f"{matrix} entry ({i},{j}) is {entry}, not a signed monomial"
-    )
-
-
-def _certificate_checks(
-    v: LabeledMatrix,
-    rows: list[SparseRow],
-    perm: Sequence[int],
-    diagonal: list[Polynomial],
-) -> dict:
-    """Prove P V Q = D, with Q = P^T, and det P = det Q = +-1.
-
-    `_ordering_det` first proves P = L * Pi, L[i][n] = P[i][perm[n]] unit
-    lower-triangular, so P V P^T = L W L^T with W = Pi V Pi^T and
-    (L W)[i][n] = (P V)[i][perm[n]].  With L W upper triangular with
-    diagonal D (`diagonal`, expanded), L W L^T is lower triangular with
-    diagonal D; with V symmetric it is symmetric too, so it equals D.
-    Entries of V and P must be monomials with coefficient +-1, or zero;
-    each is read once as its packed key and sign, so a product is an int
-    add, and every entry's keys are checked for an overflowed field.
-    """
-    det = _ordering_det(rows, perm)
-    vs = [
-        [_signed_key(e, "V", a, b) for b, e in enumerate(row)]
-        for a, row in enumerate(v.rows)
-    ]
-    for a in range(v.size):
-        for b in range(a):
-            if vs[a][b] != vs[b][a]:
-                raise ClosedFormViolation(f"V is not symmetric at ({a},{b})")
-    for i, row in enumerate(rows):
-        terms = [(a, *_signed_key(p, "transform", i, a)) for a, p in row.items()]
-        for n in range(i + 1):
-            b = perm[n]
-            acc: dict[int, int] = {}
-            for a, ka, sa in terms:
-                kv, sv = vs[a][b]
-                k = ka + kv
-                acc[k] = acc.get(k, 0) + sa * sv
-            _check_fields(reduce(or_, acc, 0))
-            entry = {k: c for k, c in acc.items() if c}
-            if entry != (diagonal[i].packed() if n == i else {}):
-                raise ClosedFormViolation("P V Q does not equal the diagonal matrix")
-    return {"pvq_equals_d": True, "det_p": det, "det_q": det}
 
 
 def expected_diagonal(arrangement: Arrangement) -> list[FactoredPoly]:

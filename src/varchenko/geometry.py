@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
 from .exactlp import _dot, _normalize_int, strict_point
+from .polyring import parse_int
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
 MAX_GROUND_SIZE = 16
@@ -43,7 +44,11 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 def parse_rational(s: str) -> Fraction:
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise InvalidInput(f"bad rational string {s!r}")
-    return Fraction(s)
+    numerator, _, denominator = s.partition("/")
+    den = parse_int(denominator or "1")
+    if den == 0:
+        raise InvalidInput(f"zero denominator in {s!r}")
+    return Fraction(parse_int(numerator), den)
 
 
 def _sign(x: Fraction) -> int:

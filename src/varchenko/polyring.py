@@ -33,6 +33,7 @@ applied eagerly it keeps elimination intermediates bounded.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -514,6 +515,16 @@ class FactoredPoly:
         return "".join(parts)
 
 
+def parse_int(literal: str) -> int:
+    """A literal already checked to be decimal, as an int; TooLarge if it is
+    longer than the interpreter converts."""
+    try:
+        return int(literal)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TooLarge(f"integer literal exceeds the {limit}-digit limit") from None
+
+
 def parse_polynomial(s: str) -> Polynomial:
     """Parse the canonical textual form, e.g. "1 - x1^2*x2^2 + 2*x3"."""
     text = s.replace(" ", "")
@@ -553,12 +564,12 @@ def _parse_term(term: str, sign: int, original: str) -> Polynomial:
                 var_s, _, exp_s = body.partition("^")
             else:
                 var_s, exp_s = body, "1"
-            if not var_s.isdigit() or not exp_s.isdigit() or var_s == "0":
+            if not var_s.isdecimal() or not exp_s.isdecimal() or var_s == "0":
                 raise InvalidInput(f"bad variable factor {factor!r} in {original!r}")
-            v = int(var_s) - 1
-            exps[v] = exps.get(v, 0) + int(exp_s)
-        elif factor.isdigit():
-            coeff *= int(factor)
+            v = parse_int(var_s) - 1
+            exps[v] = exps.get(v, 0) + parse_int(exp_s)
+        elif factor.isdecimal():
+            coeff *= parse_int(factor)
         else:
             raise InvalidInput(f"bad factor {factor!r} in {original!r}")
     return Polynomial.from_monomial(Monomial(exps.items()), coeff)

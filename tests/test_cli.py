@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,6 +296,10 @@ def _line(name="S1", normal=None):
 
 REGIONS = ("regions",)
 DET_GRID = ("det", "--from-json", "--method", "bruteforce")
+# every subcommand that reads an arrangement's numbers
+SUBCOMMANDS = [
+    REGIONS, ("poset",), ("det",), ("diagonalize",), ("obstruct",), ("check",), ("snf-q",),
+]
 MALFORMED = [
     # (case, command, JSON document): each was misparsed or crashed before
     ("normal_as_string", REGIONS,
@@ -317,6 +322,13 @@ MALFORMED = [
      {"mode": "affine", "dim": 2, "hyperplanes": [_line()], "covectors": ["+", "-"]}),
     ("hyperplanes_in_covector_mode", REGIONS,
      {"mode": "covector", "dim": 1, "covectors": ["+", "-"], "hyperplanes": []}),
+    ("matrix_entry_superscript_exponent", DET_GRID, {"entries": [["x1^\u00b2"]]}),
+    ("offset_zero_over_zero", REGIONS,
+     {"mode": "affine", "dim": 2, "hyperplanes": [_line() | {"offset": "0/0"}]}),
+] + [
+    (f"zero_denominator_{command[0]}", command,
+     {"mode": "affine", "dim": 2, "hyperplanes": [_line(normal=["1", "1/0"])]})
+    for command in SUBCOMMANDS
 ]
 
 
@@ -337,6 +349,23 @@ def test_size_cap_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "affine", "dim": 2, "hyperplanes": hyps}))
     code, _, _ = run(capsys, "regions", str(path))
     assert code == 4
+    # a number longer than the interpreter's integer-string limit
+    long, limit = "7" * 5000, sys.get_int_max_str_digits()
+    oversized = [
+        (command, {"mode": "affine", "dim": 2, "hyperplanes": [_line(normal=[long, "1"])]})
+        for command in SUBCOMMANDS
+    ] + [
+        (REGIONS, {"mode": "affine", "dim": 2,
+                   "hyperplanes": [_line() | {"offset": f"1/{long}"}]}),
+        (DET_GRID, {"entries": [[f"{long}*x1"]]}),
+        (DET_GRID, {"entries": [[f"x1^{long}"]]}),
+        (DET_GRID, {"entries": [[f"x{long}"]]}),
+    ]
+    for command, document in oversized:
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (4, ""), command
+        assert f"exceeds the {limit}-digit limit" in err, command
     # the dimension is capped when the arrangement is built
     path = tmp_path / "high.json"
     path.write_text(json.dumps({"mode": "affine", "dim": 100000, "hyperplanes": []}))

@@ -1,15 +1,18 @@
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from reference import _certificate_checks
 from varchenko import exactlp, fixtures, polyring
 from varchenko.diagonalize import (
     RegionOrdering,
-    _certificate_checks,
+    _face_cube_checks,
     _ordering_det,
+    _transform_rows,
     pivot_step,
     diagonalize,
     encompassed_flats,
@@ -25,10 +28,10 @@ from varchenko.errors import (
     PivotDivisionFailure,
     TooLarge,
 )
-from varchenko.geometry import Arrangement
+from varchenko.geometry import Arrangement, FaceTable
 from varchenko.matinvariants import gcd_minors, int_det
 from varchenko.polyring import Polynomial, parse_polynomial
-from varchenko.signedsets import SignVector
+from varchenko.signedsets import SignVector, bits
 from varchenko.varmatrix import (
     LabeledMatrix,
     build_varchenko,
@@ -54,7 +57,8 @@ def matmul(a, b):
 def dense_product_is_diagonal(v_rows, rows, diagonal) -> bool:
     """Whether P V P^T equals diag(diagonal), formed as dense rows of
     `Polynomial` products and sums from the nonzero entries of P's rows.
-    The reference for `_certificate_checks`, which reads packed keys."""
+    The reference for the packed-key `_certificate_checks` and for
+    `_face_cube_checks`."""
     r = len(v_rows)
     zero = Polynomial.zero()
     for i, row in enumerate(rows):
@@ -480,6 +484,75 @@ def test_a_flipped_transform_sign_is_caught(monkeypatch):
     assert len(calls) >= 10
 
 
+def face_cube_checks_on(arr, order):
+    """Write P's rows from `order`'s faces and run `_face_cube_checks` on
+    them, after checking that the rows pass `_ordering_det` and that
+    P V P^T differs from the diagonal the step flats give."""
+    rows = _transform_rows(arr, order)
+    _ordering_det(rows, order.order)
+    diagonal = [
+        diagonalize_module._diagonal_entry(arr.poset().flats[flat]).expand()
+        for flat in order.step_flats
+    ]
+    assert not dense_product_is_diagonal(build_varchenko(arr).rows, rows, diagonal)
+    _face_cube_checks(arr, order, rows)
+
+
+def test_a_step_face_that_is_not_a_full_cube_is_caught(monkeypatch):
+    arr = fixtures.five_generic_lines()
+    true = ordering(arr)
+    table = arr.face_table()
+    i = next(i for i, face in enumerate(true.step_faces) if face.zero_mask.bit_count() == 2)
+    f = table.faces.index(true.step_faces[i])
+    # a vertex face missing a region colored before the step, or with it
+    # swapped for an earlier region off the vertex: both keep P's shape
+    dropped = next(a for a in bits(table.adjacent[f]) if a != true.order[i])
+    earlier = set(true.order[:i]) - set(bits(table.adjacent[f]))
+    kept = table.adjacent[f] & ~(1 << dropped)
+    for mask, message in (
+        (kept, "its face has 3 adjacent regions, not a full cube"),
+        (kept | 1 << min(earlier), re.escape("not (-1)^|T| x^T on the cube")),
+    ):
+        adjacent = list(table.adjacent)
+        adjacent[f] = mask
+        tampered = FaceTable(table.faces, table.flats, tuple(adjacent))
+        monkeypatch.setattr(arr, "face_table", lambda: tampered)
+        with pytest.raises(ClosedFormViolation, match=rf"step {i}: .*{message}"):
+            face_cube_checks_on(arr, true)
+
+
+def test_an_earlier_region_in_the_step_regions_orthant_is_caught():
+    arr = fixtures.five_generic_lines()
+    true = ordering(arr)
+    # step 5 completing its own region, a face on the ambient flat 0, passes
+    # the shape, flat and cube checks, but the zero set is empty, so every
+    # earlier region agrees with it there
+    faces = list(true.step_faces)
+    faces[5] = arr.regions()[true.order[5]]
+    flats = list(true.step_flats)
+    flats[5] = 0
+    tampered = RegionOrdering(true.order, tuple(flats), tuple(faces))
+    with pytest.raises(
+        ClosedFormViolation,
+        match=rf"step 5: region {true.order[0]} agrees with it on the face's zero set",
+    ):
+        face_cube_checks_on(arr, tampered)
+
+
+def test_a_wrong_step_flat_is_caught():
+    arr = fixtures.five_generic_lines()
+    true = ordering(arr)
+    flats = list(true.step_flats)
+    flats[5], flats[6] = flats[6], flats[5]
+    tampered = RegionOrdering(true.order, tuple(flats), true.step_faces)
+    with pytest.raises(
+        ClosedFormViolation,
+        match=rf"does not equal the diagonal matrix: step 5: its face lies on flat "
+        rf"{true.step_flats[5]}, not on the step flat {true.step_flats[6]}",
+    ):
+        face_cube_checks_on(arr, tampered)
+
+
 def test_diagonalize_runs_no_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("elimination on the runtime path")
@@ -487,6 +560,8 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(polyring, "exact_div", refuse)
     monkeypatch.setattr(diagonalize_module, "exact_div", refuse)
     monkeypatch.setattr(diagonalize_module, "pivot_step", refuse)
+    # nor V: the proof reads the faces the steps complete
+    monkeypatch.setattr(diagonalize_module, "build_varchenko", refuse)
     monkeypatch.setattr(Polynomial, "capped", refuse)
     # nor a region-by-face scan or a linear solve: the arrangement is built
     # under these patches, so enumeration and the poset are covered too
@@ -539,7 +614,7 @@ def test_tampered_entries_are_caught_by_the_packed_proof():
 
 
 def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
-    checks = diagonalize_module._certificate_checks
+    checks = diagonalize_module._face_cube_checks
     calls = []
 
     def refuse(*args):
@@ -552,7 +627,7 @@ def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
                 m.setattr(Polynomial, op, refuse)
             return checks(*args)
 
-    monkeypatch.setattr(diagonalize_module, "_certificate_checks", guarded)
+    monkeypatch.setattr(diagonalize_module, "_face_cube_checks", guarded)
     cert = diagonalize(fixtures.random_generic_lines(8, 108))
     assert len(calls) == 1
     assert cert.checks["pvq_equals_d"] is True

@@ -1,6 +1,7 @@
 """Property tests of the closed-form transform against the replayed
 elimination, of the region ordering against a full rescan, and of the
-packed-key certificate proof against dense `Polynomial` products."""
+face-cube certificate proof and the packed-key reference proof against
+dense `Polynomial` products."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,9 +12,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import _certificate_checks
 from test_diagonalize import dense_product_is_diagonal, ordering_by_full_scan
 from varchenko.diagonalize import (
-    _certificate_checks,
+    RegionOrdering,
+    _diagonal_entry,
+    _face_cube_checks,
+    _ordering_det,
+    _transform_rows,
     diagonalize,
     ordering,
     replay_elimination,
@@ -196,3 +202,59 @@ def test_packed_proof_raises_exactly_when_the_dense_product_differs(case):
     else:
         raised = False
     assert raised == (not dense_product_is_diagonal(v.rows, rows, diagonal))
+
+
+@st.composite
+def corrupted_orderings(draw):
+    """A small semigeneral arrangement, its ordering and P's rows, maybe
+    with one off-pivot entry of P negated, multiplied by a variable or
+    dropped, or with one step's face or flat replaced by another (P's rows
+    are then written from the replaced faces)."""
+    arr = draw(semigeneral_arrangements())
+    assume(len(arr.regions()) <= 16)
+    order = ordering(arr)
+    kind = draw(st.sampled_from(("none", "entry", "face", "flat")))
+    step = draw(st.integers(0, len(order.order) - 1))
+    faces, flats = list(order.step_faces), list(order.step_flats)
+    if kind == "face":
+        faces[step] = draw(st.sampled_from(arr.face_table().faces))
+    elif kind == "flat":
+        flats[step] = draw(st.integers(0, len(arr.poset()) - 1))
+    order = RegionOrdering(order.order, tuple(flats), tuple(faces))
+    rows = _transform_rows(arr, order)
+    if kind == "entry":
+        spots = [(i, a) for i, row in enumerate(rows) for a in row if a != order.order[i]]
+        assume(spots)
+        i, a = draw(st.sampled_from(spots))
+        factor = draw(
+            st.one_of(
+                st.just(Polynomial.constant(-1)),
+                st.builds(Polynomial.variable, st.integers(0, NVARS - 1)),
+                st.none(),
+            )
+        )
+        if factor is None:
+            del rows[i][a]
+        else:
+            rows[i][a] = rows[i][a] * factor
+    return arr, order, rows
+
+
+@given(corrupted_orderings())
+def test_face_cube_proof_raises_exactly_when_the_packed_reference_does(case):
+    arr, order, rows = case
+    perm = list(order.order)
+    diagonal = [_diagonal_entry(arr.poset().flats[f]).expand() for f in order.step_flats]
+    v = build_varchenko(arr)
+    raised = []
+    for proof in (
+        lambda: (_ordering_det(rows, perm), _face_cube_checks(arr, order, rows)),
+        lambda: _certificate_checks(v, rows, perm, diagonal),
+    ):
+        try:
+            proof()
+        except ClosedFormViolation:
+            raised.append(True)
+        else:
+            raised.append(False)
+    assert raised[0] == raised[1] == (not dense_product_is_diagonal(v.rows, rows, diagonal))

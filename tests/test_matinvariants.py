@@ -4,7 +4,6 @@ from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, strategies as st
 
 from varchenko import fixtures
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
@@ -101,28 +100,6 @@ def test_integer_snf_divisibility_and_minor_products():
         for a, b in zip(diag, diag[1:]):
             assert b == 0 or (a != 0 and b % a == 0) or (a == 0 and b == 0)
         check_minor_gcds(grid)
-
-
-@st.composite
-def integer_grids(draw):
-    """Grids up to 5 x 5: plain, products A.B of rank at most the inner
-    size, and either with some rows zeroed."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    entries = st.integers(-4, 4)
-    if draw(st.booleans()):
-        inner = draw(st.integers(1, min(n, m)))
-        a = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner), min_size=n, max_size=n))
-        b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=inner, max_size=inner))
-        grid = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-    else:
-        grid = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
-    zeroed = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    return [[0] * m if i in zeroed else row for i, row in enumerate(grid)]
-
-
-@given(integer_grids())
-def test_gcd_minors_equals_the_brute_force_reference(grid):
-    check_minor_gcds(grid)
 
 
 def test_integer_snf_invariance_under_unimodular_moves():
