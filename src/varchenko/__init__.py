@@ -30,6 +30,7 @@ from .matinvariants import (
     ObstructionReport,
     gcd_minors,
     integer_snf,
+    nonzero_block,
     obstruction_report,
     deletion_reduction,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "expected_diagonal",
     "gcd_minors",
     "integer_snf",
+    "nonzero_block",
     "obstruction_report",
     "opposite",
     "ordering",

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .geometry import Arrangement, charpoly_string
 from .matinvariants import obstruction_report
+from .polyring import parse_json
 from .signedsets import (
     SignedFamily,
     check_composition_closure,
@@ -82,10 +83,7 @@ def _load_covector_family(path: Path) -> SignedFamily:
     text = path.read_text()
     stripped = text.strip()
     if stripped.startswith("["):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"bad JSON covector list: {exc}") from None
+        data = parse_json(stripped, "JSON covector list")
         if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
             raise InvalidInput("JSON covector list must be an array of sign strings")
         strings = data

@@ -7,7 +7,8 @@ of it; then write the row transform P in closed form from those faces.  P
 is the whole certificate, checked rather than trusted, and V is not built:
 P is a unit lower-triangular matrix times the ordering's permutation, and
 P * V * P^T is diagonal by the paper's face identity, checked on masks.
-`replay_elimination` is the elimination P summarises, a test reference.
+`replay_elimination`, the elimination P summarises, is a test reference in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .polyring import (
     one_minus_square,
 )
 from .signedsets import SignVector, bits
-from .varmatrix import LabeledMatrix, build_varchenko
+from .varmatrix import LabeledMatrix
 
 
 def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[int]:
@@ -357,7 +358,8 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
     face step k completes (`_transform_rows`).  `_ordering_det` proves
     det P = +-1 and `_face_cube_checks` proves P V P^T = D, or either raises
     ClosedFormViolation.  Neither V nor any intermediate matrix of the
-    elimination is formed; `replay_elimination` checks those.
+    elimination is formed; the test reference `replay_elimination` checks
+    those.
     """
     order = ordering(arrangement)
     poset = arrangement.poset()
@@ -374,87 +376,6 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
         P=[[row.get(j, zero) for j in range(len(regions))] for row in rows],
         checks={"pvq_equals_d": True, "det_p": det, "det_q": det},
     )
-
-
-def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
-    """Fold `pivot_step` over the ordering and return the row transform P.
-
-    The reference for `diagonalize`'s closed-form P.  Step k subtracts
-    (entry (m, k) / pivot) times row k of P from every other row m, and
-    checks the paper's closed forms:
-
-    * the pivot equals the product of (1 - x_a^2) over the defining set of
-      the flat first encompassed at step k;
-    * before the step, every entry of the pivot column is zero or the
-      original monomial times the pivot (so the quotient is that monomial);
-    * each remaining entry equals the original entry times the capped
-      product of (1 - distance^2) over all completed steps;
-    * all earlier rows and columns stay zero off the diagonal, and earlier
-      pivots are unchanged.
-
-    Any violation raises ClosedFormViolation.
-    """
-    order = ordering(arrangement)
-    poset = arrangement.poset()
-    perm = list(order.order)
-    r = len(perm)
-    regions = arrangement.regions()
-    stepped = [regions[p] for p in perm]
-    sep = [[a.separation_mask(b) for b in stepped] for a in stepped]
-    work = build_varchenko(arrangement).permuted(perm)
-    original = [row[:] for row in work.rows]
-    P = [
-        [Polynomial.one() if j == perm[i] else Polynomial.zero() for j in range(r)]
-        for i in range(r)
-    ]
-    capped = [[Polynomial.one()] * r for _ in range(r)]
-    factors: dict[int, Polynomial] = {}  # 1 - m^2 per separation mask
-    pivots: list[Polynomial] = []
-    for k, flat in enumerate(order.step_flats):
-        factored = _diagonal_entry(poset.flats[flat])
-        pivot = factored.expand()
-        if work.rows[k][k] != pivot:
-            raise ClosedFormViolation(
-                f"step {k}: pivot {work.rows[k][k]} does not match the "
-                f"predicted {factored}"
-            )
-        for m in range(r):
-            entry = work.rows[m][k]
-            if m == k or entry.is_zero():
-                continue
-            if entry != original[m][k] * pivot:
-                raise ClosedFormViolation(
-                    f"step {k}: pivot-column entry ({m},{k}) is neither zero "
-                    f"nor the original monomial times the pivot"
-                )
-            P[m] = [pm - original[m][k] * pk for pm, pk in zip(P[m], P[k])]
-        work = pivot_step(work, k)
-        rows = work.rows
-        for m in range(r):
-            for n in range(max(m, k + 1), r):
-                mask = sep[k][m] & sep[k][n]
-                if mask not in factors:
-                    factors[mask] = one_minus_square(
-                        Monomial.from_mask(mask).variables()
-                    )
-                capped[m][n] = (capped[m][n] * factors[mask]).capped()
-                expected = original[m][n] * capped[m][n]
-                if rows[m][n] != expected or rows[n][m] != expected:
-                    raise ClosedFormViolation(
-                        f"step {k}: entry ({m},{n}) does not match the "
-                        f"capped closed form"
-                    )
-        for m in range(k + 1):
-            for n in range(m + 1, k + 1):
-                if not rows[m][n].is_zero() or not rows[n][m].is_zero():
-                    raise ClosedFormViolation(
-                        f"step {k}: entry ({m},{n}) was not cleared"
-                    )
-        for m, prior in enumerate(pivots):
-            if rows[m][m] != prior:
-                raise ClosedFormViolation(f"step {k}: earlier pivot ({m},{m}) changed")
-        pivots.append(pivot)
-    return P
 
 
 def expected_diagonal(arrangement: Arrangement) -> list[FactoredPoly]:

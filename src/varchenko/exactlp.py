@@ -1,11 +1,13 @@
-"""Exact rational linear algebra and strict-inequality feasibility.
+"""Fourier-Motzkin feasibility with back-substitution.
 
-Everything runs over `fractions.Fraction`; no floating point.  Feasibility
-of a sign pattern reduces to a system of equalities (entries on a
-hyperplane) plus strict inequalities (entries off it), decided by Gaussian
-elimination followed by Fourier-Motzkin elimination with strictness
-tracking.  Elimination keeps its stages, so a feasible system also yields
-an explicit rational point by back-substitution (`strict_point`).
+Everything runs over `fractions.Fraction`; no floating point.  A point
+strictly inside a set of strict inequalities on a flat (given by an origin
+and a basis) is found by Fourier-Motzkin elimination with strictness
+tracking; elimination keeps its stages, so a feasible system also yields
+an explicit rational point by back-substitution (`strict_point`).  The
+Gaussian equality solver (`LinearSystem`, `solve_equalities`) and the
+sign-pattern test built on it (`feasible_strict`) are test references in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import floor, gcd
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
-# a strict constraint (a, b) means a . x > b; an equality (a, b) means a . x = b
+# a strict constraint (a, b) means a . x > b
 Constraint = tuple[Vector, Fraction]
 
 
@@ -33,81 +35,6 @@ def _normalize_int(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int
         ints = [v // g for v in ints]
         r //= g
     return tuple(ints), r
-
-
-class LinearSystem:
-    """Row-echelon view of a rational equality system a . x = b."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.rows: list[tuple[list[Fraction], Fraction]] = []
-        self.pivot_cols: list[int] = []
-        self.consistent = True
-
-    def add(self, coeffs: Sequence[Fraction], rhs: Fraction) -> None:
-        row = [Fraction(c) for c in coeffs]
-        b = Fraction(rhs)
-        for (prow, pb), col in zip(self.rows, self.pivot_cols):
-            if row[col]:
-                f = row[col]
-                row = [r - f * p for r, p in zip(row, prow)]
-                b -= f * pb
-        col = next((j for j, c in enumerate(row) if c), None)
-        if col is None:
-            if b:
-                self.consistent = False
-            return
-        f = row[col]
-        row = [c / f for c in row]
-        b /= f
-        self.rows.append((row, b))
-        self.pivot_cols.append(col)
-
-    def _back_substituted(self) -> list[tuple[list[Fraction], Fraction]]:
-        rows = [(list(r), b) for r, b in self.rows]
-        for i in reversed(range(len(rows))):
-            col = self.pivot_cols[i]
-            for j in range(i):
-                f = rows[j][0][col]
-                if f:
-                    rows[j] = (
-                        [a - f * b for a, b in zip(rows[j][0], rows[i][0])],
-                        rows[j][1] - f * rows[i][1],
-                    )
-        return rows
-
-    def particular_solution(self) -> Optional[list[Fraction]]:
-        if not self.consistent:
-            return None
-        x = [Fraction(0)] * self.nvars
-        for (row, b), col in zip(self._back_substituted(), self.pivot_cols):
-            x[col] = b
-        return x
-
-    def nullspace_basis(self) -> list[list[Fraction]]:
-        rows = self._back_substituted()
-        pivots = set(self.pivot_cols)
-        free = [j for j in range(self.nvars) if j not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.nvars
-            vec[f] = Fraction(1)
-            for (row, _), col in zip(rows, self.pivot_cols):
-                vec[col] = -row[f]
-            basis.append(vec)
-        return basis
-
-
-def solve_equalities(
-    eqs: Sequence[Constraint], nvars: int
-) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
-    """Particular solution and nullspace basis, or None if inconsistent."""
-    sys = LinearSystem(nvars)
-    for a, b in eqs:
-        sys.add(a, b)
-    if not sys.consistent:
-        return None
-    return sys.particular_solution(), sys.nullspace_basis()
 
 
 def _dot(a: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
@@ -138,27 +65,6 @@ def strict_point(
         if yj:
             point = [p + yj * c for p, c in zip(point, d)]
     return point
-
-
-def feasible_strict(
-    eqs: Sequence[Constraint],
-    stricts: Sequence[Constraint],
-    nvars: int,
-    require_nonzero: bool = False,
-) -> bool:
-    """Decide whether some x satisfies all equalities and strict inequalities.
-
-    With `require_nonzero` and no strict constraints, additionally demand a
-    nonzero solution (used for sign patterns that lie on every sphere of a
-    central arrangement).
-    """
-    solved = solve_equalities(eqs, nvars)
-    if solved is None:
-        return False
-    particular, basis = solved
-    if require_nonzero and not stricts:
-        return any(particular) or bool(basis)
-    return strict_point(particular, basis, stricts) is not None
 
 
 def _fourier_motzkin(

@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
 from .exactlp import _dot, _normalize_int, strict_point
-from .polyring import parse_int
+from .polyring import parse_int, parse_json
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
 MAX_GROUND_SIZE = 16
@@ -574,11 +574,7 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, text: str) -> "Arrangement":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"bad JSON: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(parse_json(text))
 
     def __repr__(self) -> str:
         return f"Arrangement({self.mode}, dim={self.dim}, n={self.n})"

@@ -31,50 +31,12 @@ def _check_int_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
     return rows
 
 
-def int_det(grid: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    rows = _check_int_grid(grid)
-    n = len(rows)
-    if n and len(rows[0]) != n:
-        raise InvalidInput("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot_row = next(
-                (i for i in range(k + 1, n) if rows[i][k] != 0), None
-            )
-            if pivot_row is None:
-                return 0
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * (rows[n - 1][n - 1] if n else 1)
-
-
 def int_rank(grid: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    rows = [[Fraction(v) for v in r] for r in _check_int_grid(grid)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    """Rank over the rationals: the number of nonzero Smith invariant
+    factors, read off a copy of the grid."""
+    rows = _check_int_grid(grid)
+    m = len(rows[0]) if rows else 0
+    return sum(1 for d in _snf_prefix(rows, min(len(rows), m)) if d)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ applied eagerly it keeps elimination intermediates bounded.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -376,18 +377,21 @@ class Polynomial:
             return "0"
         sep_plus, sep_minus = (" + ", " - ") if spaces else ("+", "-")
         parts: list[str] = []
-        for m, c in self.sorted_terms():
-            mag = abs(c)
-            if m.is_one():
-                body = str(mag)
-            elif mag == 1:
-                body = str(m)
-            else:
-                body = f"{mag}*{m}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append((sep_plus if c > 0 else sep_minus) + body)
+        try:
+            for m, c in self.sorted_terms():
+                mag = abs(c)
+                if m.is_one():
+                    body = str(mag)
+                elif mag == 1:
+                    body = str(m)
+                else:
+                    body = f"{mag}*{m}"
+                if not parts:
+                    parts.append(body if c > 0 else f"-{body}")
+                else:
+                    parts.append((sep_plus if c > 0 else sep_minus) + body)
+        except ValueError:  # the integer-string limit
+            raise _digit_limit("coefficient") from None
         return "".join(parts)
 
     def __str__(self) -> str:
@@ -515,14 +519,31 @@ class FactoredPoly:
         return "".join(parts)
 
 
+def _digit_limit(what: str) -> TooLarge:
+    """The error for an int longer than the interpreter converts to or from
+    a string."""
+    return TooLarge(f"{what} exceeds the {sys.get_int_max_str_digits()}-digit limit")
+
+
 def parse_int(literal: str) -> int:
     """A literal already checked to be decimal, as an int; TooLarge if it is
     longer than the interpreter converts."""
     try:
         return int(literal)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise TooLarge(f"integer literal exceeds the {limit}-digit limit") from None
+        raise _digit_limit("integer literal") from None
+
+
+def parse_json(text: str, what: str = "JSON"):
+    """`text` decoded as JSON; InvalidInput ("bad <what>: ...") if it is
+    malformed, TooLarge if an integer literal in it is longer than the
+    interpreter converts."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"bad {what}: {exc}") from None
+    except ValueError:  # the integer-string limit
+        raise _digit_limit("integer literal") from None
 
 
 def parse_polynomial(s: str) -> Polynomial:

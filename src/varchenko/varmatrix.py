@@ -3,7 +3,6 @@ and an independent brute-force determinant oracle."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import chain
 from typing import Mapping, Sequence, Union
@@ -16,6 +15,7 @@ from .polyring import (
     Polynomial,
     exact_div,
     one_minus_square,
+    parse_json,
     parse_polynomial,
 )
 
@@ -117,11 +117,7 @@ class LabeledMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"bad JSON: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(parse_json(text))
 
 
 def build_varchenko(arrangement: Arrangement) -> LabeledMatrix:

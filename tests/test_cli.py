@@ -360,11 +360,18 @@ def test_size_cap_exit_code(tmp_path, capsys):
         (DET_GRID, {"entries": [[f"{long}*x1"]]}),
         (DET_GRID, {"entries": [[f"x1^{long}"]]}),
         (DET_GRID, {"entries": [[f"x{long}"]]}),
+        # a determinant whose coefficient is too long to print
+        (DET_GRID, {"entries": [[long[:3000], "1"], ["1", long[:3000]]]}),
+        # JSON numbers, written as text: json.dumps cannot print them either
+        (REGIONS, f'{{"mode": "affine", "dim": {long}, "hyperplanes": []}}'),
+        (("axioms",), f"[{long}]"),
+        (DET_GRID, f'{{"entries": [["1"]], "labels": [{long}]}}'),
     ]
     for command, document in oversized:
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert (code, out) == (4, ""), command
+        assert err.startswith("error: ") and "Traceback" not in err, command
         assert f"exceeds the {limit}-digit limit" in err, command
     # the dimension is capped when the arrangement is built
     path = tmp_path / "high.json"

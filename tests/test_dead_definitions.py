@@ -1,8 +1,12 @@
 """Every function, class and module-level name defined in the package is
 referenced somewhere in src/, tests/ or perfbench/: loaded as a name, read
-as an attribute, imported, or listed in an ``__all__``.  References are
-read from the syntax tree, so a name that occurs only in a docstring or a
-comment counts as unreferenced."""
+as an attribute, imported, or listed in an ``__all__``.  Every module-level
+function and class is also reachable, matching by name, from the command
+line (``cli.main``), the public API (``varchenko.__all__``) or the
+``fixtures`` module, so nothing is left in src/ for the tests alone; and no
+module in src/ imports from tests/.  References are read from the syntax
+tree, so a name that occurs only in a docstring or a comment counts as
+unreferenced."""
 
 import ast
 from collections import Counter
@@ -10,24 +14,41 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "varchenko"
-SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+TESTS = ROOT / "tests"
+SEARCHED = [ROOT / "src", TESTS, ROOT / "perfbench"]
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def _package_modules() -> list[tuple[str, ast.Module]]:
+    return [(path.stem, _parse(path)) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """The plain names a module-level assignment binds."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def defined_names() -> set[str]:
     names = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for _, tree in _package_modules():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, DEFINITIONS):
                 names.add(node.name)
         for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names.update(t.id for t in targets if isinstance(t, ast.Name))
+            names.update(_assigned_names(node))
     return {name for name in names if not _is_dunder(name)}
 
 
@@ -44,23 +65,90 @@ def _all_strings(node: ast.AST) -> list[str]:
     return []
 
 
+def references(tree: ast.AST) -> Counter:
+    """The names `tree` refers to, with their counts."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name.rsplit(".", 1)[-1]] += 1
+        else:
+            counts.update(_all_strings(node))
+    return counts
+
+
 def referenced_names() -> Counter:
     counts = Counter()
     for top in SEARCHED:
         for path in sorted(top.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    counts[node.id] += 1
-                elif isinstance(node, ast.Attribute):
-                    counts[node.attr] += 1
-                elif isinstance(node, ast.alias):
-                    counts[node.name.rsplit(".", 1)[-1]] += 1
-                else:
-                    counts.update(_all_strings(node))
+            counts.update(references(_parse(path)))
     return counts
 
 
 def test_no_definition_is_unreferenced():
-    references = referenced_names()
-    unreferenced = sorted(name for name in defined_names() if not references[name])
+    counts = referenced_names()
+    unreferenced = sorted(name for name in defined_names() if not counts[name])
     assert unreferenced == []
+
+
+def unreachable_definitions() -> list[str]:
+    """``module.name`` of each module-level function and class that no
+    chain of references leads to from the roots.
+
+    A module-level function, class or assignment refers to every name in
+    its statement; a name reaches every module-level definition of that
+    name, in any module.
+    """
+    statements: dict[tuple[str, str], ast.stmt] = {}
+    checked = set()
+    roots = set()
+    for module, tree in _package_modules():
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                checked.add((module, node.name))
+                names = [node.name]
+            else:
+                names = _assigned_names(node)
+            for name in names:
+                statements[module, name] = node
+            if module == "__init__":
+                roots.update(_all_strings(node))
+    by_name: dict[str, list[tuple[str, str]]] = {}
+    for key in statements:
+        by_name.setdefault(key[1], []).append(key)
+    reached = {key for key in statements if key[1] in roots or key[0] == "fixtures"}
+    reached.add(("cli", "main"))
+    frontier = list(reached)
+    while frontier:
+        for name in references(statements[frontier.pop()]):
+            for key in by_name.get(name, []):
+                if key not in reached:
+                    reached.add(key)
+                    frontier.append(key)
+    return sorted(f"{module}.{name}" for module, name in checked - reached)
+
+
+def test_every_definition_is_reachable_from_the_cli_or_the_public_api():
+    assert unreachable_definitions() == []
+
+
+def test_no_package_module_imports_from_the_tests():
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    offending = []
+    for module, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported = [node.module]
+            else:
+                continue
+            offending += [
+                f"{module} imports {name}"
+                for name in imported
+                if name.split(".")[0] in test_modules
+            ]
+    assert offending == []

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import _certificate_checks
+from reference import _certificate_checks, replay_elimination
 from test_diagonalize import dense_product_is_diagonal, ordering_by_full_scan
 from varchenko.diagonalize import (
     RegionOrdering,
@@ -22,7 +22,6 @@ from varchenko.diagonalize import (
     _transform_rows,
     diagonalize,
     ordering,
-    replay_elimination,
 )
 from varchenko.errors import ClosedFormViolation, InvalidArrangement, OrderingStuck
 from varchenko.geometry import Arrangement, FaceTable, Hyperplane

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from reference import feasible_strict, solve_equalities
 from test_diagonalize import bench_inputs
 from varchenko import fixtures
 from varchenko.errors import InvalidArrangement, InvalidInput, TooLarge
-from varchenko.exactlp import feasible_strict, solve_equalities
 from varchenko.geometry import (
     Arrangement,
     FaceTable,

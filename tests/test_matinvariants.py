@@ -5,12 +5,12 @@ from math import gcd, prod
 
 import pytest
 
+from reference import int_det
 from varchenko import fixtures
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.matinvariants import (
     gcd_minors,
-    int_det,
     int_rank,
     integer_snf,
     nonzero_block,

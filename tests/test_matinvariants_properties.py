@@ -1,20 +1,23 @@
-"""Property test of `gcd_minors` and `integer_snf` against the brute-force
-gcd of every k x k minor."""
+"""Property tests of `gcd_minors` and `integer_snf` against the brute-force
+gcd of every k x k minor, and of `int_rank` against `Fraction` Gaussian
+elimination."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from reference import fraction_rank
 from test_matinvariants import check_minor_gcds
+from varchenko.matinvariants import int_rank
 
 
 @st.composite
-def integer_grids(draw):
-    """Grids up to 5 x 5: plain, products A.B of rank at most the inner
-    size, and either with some rows zeroed."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+def integer_grids(draw, size=5):
+    """Grids up to size x size: plain, products A.B of rank at most the
+    inner size, and either with some rows zeroed."""
+    n, m = draw(st.integers(1, size)), draw(st.integers(1, size))
     entries = st.integers(-4, 4)
     if draw(st.booleans()):
         inner = draw(st.integers(1, min(n, m)))
@@ -30,3 +33,9 @@ def integer_grids(draw):
 @given(integer_grids())
 def test_gcd_minors_equals_the_brute_force_reference(grid):
     check_minor_gcds(grid)
+
+
+@given(integer_grids(size=6))
+@example([])
+def test_int_rank_equals_the_fraction_elimination_reference(grid):
+    assert int_rank(grid) == fraction_rank(grid)
