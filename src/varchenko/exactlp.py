@@ -1,24 +1,38 @@
-"""Fourier-Motzkin feasibility with back-substitution.
+"""Fourier-Motzkin feasibility with back-substitution, over the integers.
 
-Everything runs over `fractions.Fraction`; no floating point.  A point
-strictly inside a set of strict inequalities on a flat (given by an origin
-and a basis) is found by Fourier-Motzkin elimination with strictness
-tracking; elimination keeps its stages, so a feasible system also yields
-an explicit rational point by back-substitution (`strict_point`).  The
-Gaussian equality solver (`LinearSystem`, `solve_equalities`) and the
-sign-pattern test built on it (`feasible_strict`) are test references in
-tests/reference.py.
+A point strictly inside a set of strict inequalities on a flat (given by
+an origin and a basis) is found by Fourier-Motzkin elimination with
+strictness tracking; elimination keeps its stages, so a feasible system
+also yields an explicit rational point by back-substitution
+(`integer_strict_point`).  Constraints, bases and points are integers: a
+point x is held as (P, D), an integer vector and a positive denominator
+with x = P / D in lowest terms.  Only the back-substitution works in
+`fractions.Fraction`; no floating point is involved.  The rational
+interface (`strict_point`), the Gaussian equality solver (`LinearSystem`,
+`solve_equalities`) and the sign-pattern test built on them
+(`feasible_strict`) are test references in tests/reference.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 # a strict constraint (a, b) means a . x > b
 Constraint = tuple[Vector, Fraction]
+# x = P / D with D > 0 and gcd(P..., D) = 1
+Point = tuple[tuple[int, ...], int]
+
+
+def _primitive(coeffs: Sequence[int], rhs: int) -> tuple[tuple[int, ...], int]:
+    """An integer constraint divided by the gcd of its entries."""
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        return tuple(v // g for v in coeffs), rhs // g
+    return tuple(coeffs), rhs
 
 
 def _normalize_int(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
@@ -26,50 +40,58 @@ def _normalize_int(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int
     denom = 1
     for c in list(coeffs) + [rhs]:
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    r = int(rhs * denom)
-    g = 0
-    for v in ints + [r]:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        r //= g
-    return tuple(ints), r
+    return _primitive([int(c * denom) for c in coeffs], int(rhs * denom))
 
 
-def _dot(a: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    return sum(ai * xi for ai, xi in zip(a, x) if ai)
+def _dot(a: Sequence, x: Sequence):
+    return sum(map(mul, a, x))
 
 
-def strict_point(
-    origin: Sequence[Fraction],
-    basis: Sequence[Sequence[Fraction]],
-    stricts: Sequence[Constraint],
-) -> Optional[list[Fraction]]:
+def _lowest(p: Sequence[int], den: int) -> Point:
+    """The point p / den (den != 0) as (P, D) in lowest terms, D > 0."""
+    if den < 0:
+        p, den = [-v for v in p], -den
+    return _primitive(p, den)
+
+
+def integer_strict_point(
+    origin: Point,
+    basis: Sequence[Sequence[int]],
+    stricts: Sequence[tuple[tuple[int, ...], int]],
+) -> Optional[Point]:
     """A point x = origin + sum_j y_j basis_j with a . x > b for every strict
-    constraint (a, b), or None if the flat spanned that way has none."""
+    constraint (a, b), or None if the flat spanned that way has none.  The
+    origin itself when it satisfies them all, with no elimination."""
+    p, den = origin
     reduced: set[tuple[tuple[int, ...], int]] = set()
+    inside = True
     for a, b in stricts:
-        coeffs = [_dot(a, d) for d in basis]
-        rhs = b - _dot(a, origin)
+        # a . (p + den * sum_j y_j d_j) > b * den
+        coeffs = [den * _dot(a, d) for d in basis]
+        rhs = b * den - _dot(a, p)
+        inside = inside and rhs < 0
         if not any(coeffs):
             if rhs >= 0:
                 return None
             continue
-        reduced.add(_normalize_int(coeffs, rhs))
+        reduced.add(_primitive(coeffs, rhs))
+    if inside:
+        return origin
     y = _fourier_motzkin(reduced, len(basis))
     if y is None:
         return None
-    point = list(origin)
+    scale = lcm(*(yj.denominator for yj in y))
+    point = [scale * v for v in p]
     for yj, d in zip(y, basis):
         if yj:
-            point = [p + yj * c for p, c in zip(point, d)]
-    return point
+            step = yj.numerator * (scale // yj.denominator) * den
+            point = [v + step * c for v, c in zip(point, d)]
+    return _lowest(point, scale * den)
 
 
 def _fourier_motzkin(
     constraints: set[tuple[tuple[int, ...], int]], nvars: int
-) -> Optional[list[Fraction]]:
+) -> Optional[list[Fraction | int]]:
     """A point y with a . y > b for every constraint (a, b), or None.
 
     Eliminates one variable at a time, keeping each stage's constraints,
@@ -104,11 +126,11 @@ def _fourier_motzkin(
                     if rhs >= 0:
                         return None
                     continue
-                keep.add(_normalize_int(coeffs, rhs))
+                keep.add(_primitive(coeffs, rhs))
         live = keep
     if any(b >= 0 for _, b in live):
         return None
-    y = [Fraction(0)] * nvars
+    y: list[Fraction | int] = [0] * nvars
     for v, stage in reversed(stages):
         lo = hi = None
         for a, b in stage:
@@ -125,12 +147,12 @@ def _fourier_motzkin(
     return y
 
 
-def _inside(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    """A number strictly between lo and hi (None: unbounded), an integer
-    when one fits, to keep witness points small."""
+def _inside(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction | int:
+    """A number strictly between lo and hi (None: unbounded), an int when
+    one fits, to keep witness points small."""
     if lo is None:
-        return Fraction(0 if hi is None or hi > 0 else floor(hi) - 1)
-    k = Fraction(floor(lo) + 1)
+        return 0 if hi is None or hi > 0 else floor(hi) - 1
+    k = floor(lo) + 1
     if hi is None or k < hi:
         return k
     return (lo + hi) / 2

@@ -16,9 +16,13 @@ Faces come from one witness-guided depth-first pass over the hyperplanes
 that carries a rational point in the relative interior of every face it
 visits: a hyperplane either has one sign on the face's affine hull, passes
 through the face's point, or is tested by one exact Fourier-Motzkin call
-that returns a point of the face on it.  Regions are the zero-free faces.  Every reported sign vector
-is backed by an explicit rational point, checked to realise it, and no
-floating point is involved.
+that returns a point of the face on it.  The pass runs in integers: a
+point x is held as (P, D), an integer vector and a positive denominator
+with x = P / D in lowest terms, each hyperplane is scaled once to an
+integer (A, B), and each hull direction is a primitive integer vector.
+Regions are the zero-free faces.  Every reported sign vector is backed by
+an explicit point, checked to realise it, and no floating point is
+involved.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
-from .exactlp import _dot, _normalize_int, strict_point
+from .exactlp import Point, _dot, _lowest, _normalize_int, _primitive, integer_strict_point
 from .polyring import parse_int, parse_json
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
@@ -51,23 +55,26 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(parse_int(numerator), den)
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _step(point: list[Fraction], d: list[Fraction], stricts) -> list[Fraction]:
+def _step(point: Point, d: Sequence[int], stricts) -> Point:
     """point + t * d for half the largest t > 0 that keeps every strict
     constraint (a, b), a . x > b, strict at the new point (t = 1 if none
     limits it)."""
+    p, den = point
     limit = None
     for a, b in stricts:
         rate = _dot(a, d)
         if rate < 0:
-            t = (_dot(a, point) - b) / -rate
-            if limit is None or t < limit:
-                limit = t
-    t = Fraction(1) if limit is None else limit / 2
-    return [x + t * c for x, c in zip(point, d)]
+            # a . x - b falls to 0 at t * den = slack / -rate
+            slack = _dot(a, p) - b * den
+            if limit is None or slack * limit[1] < limit[0] * -rate:
+                limit = slack, -rate
+    # t * den, as the fraction num / rat
+    num, rat = (den, 1) if limit is None else (limit[0], 2 * limit[1])
+    return _lowest([rat * x + num * c for x, c in zip(p, d)], rat * den)
 
 
 def _reject_unknown_keys(data: dict, allowed: Sequence[str], what: str) -> None:
@@ -297,16 +304,19 @@ class Arrangement:
         """Every face with the dimension of its affine hull, from one
         depth-first pass over the hyperplanes.
 
-        A node is a face of the first i hyperplanes, held as a rational
-        point p in its relative interior, the strict constraints that bound
-        it and a basis of the directions of its affine hull.  Hyperplane
-        i = (a, b) splits it by v = a . p - b:
+        A node is a face of the first i hyperplanes, held as a point
+        p = P / D in its relative interior, the integer strict constraints
+        that bound it and a basis of primitive integer directions of its
+        affine hull.  Hyperplane i, scaled to integers (a, b), splits it by
+        the sign of v = a . P - b * D:
 
         * a constant on the hull: one child, sign(v), which keeps p;
         * v = 0: all three children; 0 keeps p and the signed ones step
           exactly from p along the hull;
         * v != 0: one Fourier-Motzkin call for a point q of the face on the
-          hyperplane.  If there is one, all three children: 0 gets q,
+          hyperplane, skipped when the point where the hull line along the
+          pivot direction meets the hyperplane is already one.  If there
+          is one, all three children: 0 gets q,
           sign(v) keeps p and the other side steps past q away from p;
           else only sign(v).
 
@@ -324,17 +334,12 @@ class Arrangement:
             )
         nvars = self._nvars
         central = self.mode == "central"
-        planes = [
-            (tuple(Fraction(c) for c in h.normal), Fraction(h.offset))
-            for h in self.hyperplanes
-        ]
+        planes = [_normalize_int(h.normal, h.offset) for h in self.hyperplanes]
         sides = [
             {1: (a, b), -1: (tuple(-c for c in a), -b)} for a, b in planes
         ]
-        identity = [
-            [Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)
-        ]
-        root = [Fraction(int(central and j == 0)) for j in range(nvars)]
+        identity = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+        root = tuple(int(central and j == 0) for j in range(nvars)), 1
         faces: dict[SignVector, int] = {}
         signs: list[int] = []
 
@@ -344,7 +349,8 @@ class Arrangement:
                 faces[self._witnessed(planes, signs, point)] = len(basis) - central
                 return
             a, b = planes[i]
-            value = _dot(a, point) - b
+            p, den = point
+            value = _dot(a, p) - b * den
             rates = [_dot(a, d) for d in basis]
             pivot = next((j for j, rate in enumerate(rates) if rate), None)
             if pivot is None:
@@ -353,26 +359,30 @@ class Arrangement:
                 return
             d, rate = basis[pivot], rates[pivot]
             on_plane = [
-                [x - r / rate * y for x, y in zip(e, d)]
+                # e - r / rate * d, scaled to a primitive integer vector
+                _primitive([rate * x - r * y for x, y in zip(e, d)], 0)[0]
                 for j, (e, r) in enumerate(zip(basis, rates))
                 if j != pivot
             ]
             if not value:
-                up = d if rate > 0 else [-c for c in d]
+                up = d if rate > 0 else tuple(-c for c in d)
                 child(1, _step(point, up, stricts), stricts + [sides[i][1]], basis)
                 child(0, point, stricts, on_plane)
-                down = [-c for c in up]
+                down = tuple(-c for c in up)
                 child(-1, _step(point, down, stricts), stricts + [sides[i][-1]], basis)
                 return
             s = _sign(value)
-            origin = [x - value / rate * c for x, c in zip(point, d)]
+            # the hull line through the point along d meets the hyperplane at
+            # x - (value / den) / rate * d
+            origin = _lowest([rate * x - value * c for x, c in zip(p, d)], rate * den)
             if central and not stricts:
-                q = origin if any(origin) else on_plane[0] if on_plane else None
-                far = [-x for x in point]
+                q = origin if any(origin[0]) else (on_plane[0], 1) if on_plane else None
+                far = tuple(-x for x in p), den
             else:
-                q = strict_point(origin, on_plane, stricts)
+                q = integer_strict_point(origin, on_plane, stricts)
+                # q - p, scaled by the positive den * q's denominator
                 far = None if q is None else _step(
-                    q, [y - x for x, y in zip(point, q)], stricts
+                    q, [y * den - x * q[1] for x, y in zip(p, q[0])], stricts
                 )
             child(s, point, stricts + [sides[i][s]], basis)
             if q is not None:
@@ -388,14 +398,15 @@ class Arrangement:
         visit(root, [], identity)
         return faces
 
-    def _witnessed(self, planes, signs, point) -> SignVector:
+    def _witnessed(self, planes, signs, point: Point) -> SignVector:
         """The face's sign vector, once its point is checked to realise it."""
+        p, den = point
         if any(
-            _sign(_dot(a, point) - b) != s for (a, b), s in zip(planes, signs)
-        ) or (self.mode == "central" and not any(point)):
+            _sign(_dot(a, p) - b * den) != s for (a, b), s in zip(planes, signs)
+        ) or (self.mode == "central" and not any(p)):
             raise InconsistentWitness(
-                f"witness point {[str(x) for x in point]} does not realise "
-                f"the face {SignVector.from_signs(signs).to_string()}"
+                f"witness point ({', '.join(map(str, p))})/{den} does not "
+                f"realise the face {SignVector.from_signs(signs).to_string()}"
             )
         return SignVector.from_signs(signs)
 

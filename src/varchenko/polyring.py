@@ -536,12 +536,14 @@ def parse_int(literal: str) -> int:
 
 def parse_json(text: str, what: str = "JSON"):
     """`text` decoded as JSON; InvalidInput ("bad <what>: ...") if it is
-    malformed, TooLarge if an integer literal in it is longer than the
-    interpreter converts."""
+    malformed or nested deeper than the decoder recurses, TooLarge if an
+    integer literal in it is longer than the interpreter converts."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad {what}: {exc}") from None
+    except RecursionError:
+        raise InvalidInput(f"bad {what}: nested too deeply") from None
     except ValueError:  # the integer-string limit
         raise _digit_limit("integer literal") from None
 

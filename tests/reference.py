@@ -8,7 +8,10 @@
   the resulting P in closed form.
 * `LinearSystem`, `solve_equalities` and `feasible_strict` solve rational
   equality systems by Gaussian elimination and decide sign patterns with
-  them; the enumeration in `geometry` reads flats off hull bases instead.
+  them, through `strict_point`, the Fourier-Motzkin point search over
+  `Fraction` origins and bases; the enumeration in `geometry` reads flats
+  off hull bases instead and searches in integer coordinates
+  (`exactlp.integer_strict_point`).
 * `int_det` is the Bareiss determinant of an integer grid, and
   `fraction_rank` the rank by `Fraction` Gaussian elimination, which
   `int_rank` reads off the Smith form instead.
@@ -27,7 +30,7 @@ from varchenko.diagonalize import (
     pivot_step,
 )
 from varchenko.errors import ClosedFormViolation, InvalidInput
-from varchenko.exactlp import Constraint, strict_point
+from varchenko.exactlp import Constraint, _dot, _fourier_motzkin, _normalize_int
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import _check_int_grid
 from varchenko.polyring import Monomial, Polynomial, _check_fields, one_minus_square
@@ -245,6 +248,32 @@ def solve_equalities(
     if not sys.consistent:
         return None
     return sys.particular_solution(), sys.nullspace_basis()
+
+
+def strict_point(
+    origin: Sequence[Fraction],
+    basis: Sequence[Sequence[Fraction]],
+    stricts: Sequence[Constraint],
+) -> Optional[list[Fraction]]:
+    """A point x = origin + sum_j y_j basis_j with a . x > b for every strict
+    constraint (a, b), or None if the flat spanned that way has none."""
+    reduced: set[tuple[tuple[int, ...], int]] = set()
+    for a, b in stricts:
+        coeffs = [_dot(a, d) for d in basis]
+        rhs = b - _dot(a, origin)
+        if not any(coeffs):
+            if rhs >= 0:
+                return None
+            continue
+        reduced.add(_normalize_int(coeffs, rhs))
+    y = _fourier_motzkin(reduced, len(basis))
+    if y is None:
+        return None
+    point = list(origin)
+    for yj, d in zip(y, basis):
+        if yj:
+            point = [p + yj * c for p, c in zip(point, d)]
+    return point
 
 
 def feasible_strict(

@@ -329,13 +329,17 @@ MALFORMED = [
     (f"zero_denominator_{command[0]}", command,
      {"mode": "affine", "dim": 2, "hyperplanes": [_line(normal=["1", "1/0"])]})
     for command in SUBCOMMANDS
+] + [
+    # JSON text nested deeper than the decoder recurses
+    (f"nested_too_deeply_{command[0]}", command, "[" * 100000 + "]" * 100000)
+    for command in (REGIONS, DET_GRID)
 ]
 
 
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys):
     for case, (subcommand, *flags), document in MALFORMED:
         path = tmp_path / f"{case}.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         code, out, err = run(capsys, subcommand, str(path), *flags)
         assert (code, out) == (2, ""), case
         assert err.startswith("error: ") and "Traceback" not in err, case

@@ -418,19 +418,25 @@ def test_ordering_does_not_recurse_per_region():
     assert result.step_faces[0] == arr.regions()[result.order[0]]
 
 
-def bench_inputs(workload):
-    """The generated inputs of a benchmark workload, seed 101; for
-    `semigeneral`: generic lines (r = 37, 56, 79) and generic planes
-    (r = 26, 42)."""
+def generated_bench_inputs(workload):
+    """The benchmark generator's `Input`s of a workload, seed 101, without
+    the shipped fixtures; each carries its Zaslavsky region count,
+    computed by the generator without the library."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs
     spec.loader.exec_module(inputs)
+    return [inp for inp in inputs.build_inputs(workload, 101) if not inp.small]
+
+
+def bench_inputs(workload):
+    """The generated inputs of a benchmark workload, seed 101; for
+    `semigeneral`: generic lines (r = 37, 56, 79) and generic planes
+    (r = 26, 42)."""
     return [
         (inp.name, Arrangement.from_json(inp.text))
-        for inp in inputs.build_inputs(workload, 101)
-        if not inp.small
+        for inp in generated_bench_inputs(workload)
     ]
 
 

@@ -1,13 +1,19 @@
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from reference import feasible_strict, solve_equalities
-from test_diagonalize import bench_inputs
+from test_diagonalize import bench_inputs, generated_bench_inputs
 from varchenko import fixtures
-from varchenko.errors import InvalidArrangement, InvalidInput, TooLarge
+from varchenko.errors import (
+    InconsistentWitness,
+    InvalidArrangement,
+    InvalidInput,
+    TooLarge,
+)
 from varchenko.geometry import (
     Arrangement,
     FaceTable,
@@ -235,6 +241,80 @@ def test_face_table_equals_the_full_scan():
         assert arr.face_table() == face_table_by_full_scan(arr), name
 
 
+def leaf_points(arr, monkeypatch):
+    """(face, (P, D)) for every leaf of the enumeration, in visiting order."""
+    leaves = []
+    original = Arrangement._witnessed
+
+    def record(self, planes, signs, point):
+        face = original(self, planes, signs, point)
+        leaves.append((face, point))
+        return face
+
+    monkeypatch.setattr(Arrangement, "_witnessed", record)
+    arr._enumerate_faces()
+    monkeypatch.undo()
+    return leaves
+
+
+def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
+    bench = [
+        case
+        for workload in ("semigeneral", "oracle", "degenerate")
+        for case in bench_inputs(workload)
+    ]
+    cases = (
+        list(fixtures.named_fixtures().items()) + fixtures.semigeneral_suite() + bench
+    )
+    for name, arr in cases:
+        if arr.mode == "covector":
+            continue
+        leaves = leaf_points(arr, monkeypatch)
+        assert len({face for face, _ in leaves}) == len(leaves) == len(arr.faces()), name
+        for face, (p, den) in leaves:
+            assert all(type(v) is int for v in p) and type(den) is int, name
+            assert den > 0 and gcd(*p, den) == 1, (name, face)
+            # signs from the hyperplanes as given, in rational arithmetic
+            x = [Fraction(v, den) for v in p]
+            realised = [
+                sum(c * xk for c, xk in zip(h.normal, x)) - h.offset
+                for h in arr.hyperplanes
+            ]
+            assert face == SignVector.from_signs(
+                [(v > 0) - (v < 0) for v in realised]
+            ), (name, face)
+            if arr.mode == "central":
+                assert any(p), (name, face)
+
+
+def test_a_leaf_point_that_misses_its_face_is_caught(monkeypatch):
+    original = Arrangement._witnessed
+    first = []
+
+    def corrupt(self, planes, signs, point):
+        if self.mode != "central":
+            # every leaf after the first gets the first leaf's point, which
+            # realises another face
+            first.append(point)
+            point = first[0]
+        elif not any(signs):
+            # the origin has every sign 0 but is no point of the sphere
+            point = (0,) * len(point[0]), 1
+        return original(self, planes, signs, point)
+
+    monkeypatch.setattr(Arrangement, "_witnessed", corrupt)
+    for arr in (fixtures.three_generic_lines(), fixtures.two_central_circles()):
+        with pytest.raises(InconsistentWitness, match="does not realise the face"):
+            arr.faces()
+
+
+def test_region_counts_equal_the_generators_zaslavsky_count():
+    for workload in ("semigeneral", "oracle", "degenerate"):
+        for inp in generated_bench_inputs(workload):
+            arr = Arrangement.from_json(inp.text)
+            assert len(arr.regions()) == inp.regions, (workload, inp.name)
+
+
 def test_feasibility_oracle_consistency():
     """Full 3^n scan with direct feasibility calls matches the DFS output."""
     for arr in (fixtures.three_generic_lines(), fixtures.three_concurrent_lines()):
@@ -351,6 +431,8 @@ def test_bad_json_inputs():
         Arrangement.from_json(json.dumps({"mode": "affine"}))
     with pytest.raises(InvalidInput):
         Arrangement.from_json(json.dumps({"mode": "covector", "dim": 2}))
+    with pytest.raises(InvalidInput, match="nested too deeply"):
+        Arrangement.from_json("[" * 100000 + "]" * 100000)
 
 
 def test_central_fixtures():
