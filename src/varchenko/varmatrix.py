@@ -4,7 +4,9 @@ and an independent brute-force determinant oracle."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from functools import reduce
+from itertools import chain, combinations
+from operator import or_
 from typing import Mapping, Sequence, Union
 
 from .errors import InvalidInput, TooLarge, Unsupported
@@ -13,7 +15,8 @@ from .polyring import (
     FactoredPoly,
     Monomial,
     Polynomial,
-    exact_div,
+    _check_fields,
+    _raw,
     one_minus_square,
     parse_json,
     parse_polynomial,
@@ -178,36 +181,55 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
 
 
 def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
-    """Exact expanded determinant via fraction-free elimination.
+    """Exact expanded determinant by Laplace expansion along the rows,
+    memoised over column subsets; no division is made.
 
-    Bareiss one-step elimination keeps every intermediate entry a minor of
-    the input, so all divisions are exact in the polynomial ring.
+    minor[T] is the determinant of rows 0..|T|-1 on the columns in the
+    bitmask T, and expanding along its last row gives
+
+        minor[T] = sum over j in T of (-1)^(|T|-1+pos_T(j)) a[|T|-1][j] minor[T - {j}],
+
+    pos_T(j) being the number of columns of T below j.  The minors are
+    built one layer |T| = k at a time on packed key -> coeff maps, so a
+    product of terms is an int add.  Each T is filled from its subsets in
+    lexicographic order, and minor[S] is freed once its last superset,
+    S plus its highest missing column, has read it; cancelled terms and
+    zero minors are not kept.  The guard bits of every minor are checked
+    as it is built, so no field carries unseen through a later sum.
     """
     n = matrix.size
     if n > MAX_BRUTE_DET:
         raise TooLarge(f"determinant oracle capped at {MAX_BRUTE_DET}, got {n}")
-    if n == 0:
-        return Polynomial.one()
-    rows = [list(r) for r in matrix.rows]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return Polynomial.zero()
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = exact_div(num, prev)
-            rows[i][k] = Polynomial.zero()
-        prev = rows[k][k]
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    rows = [[e.packed() for e in row] for row in matrix.rows]
+    prev: dict[int, dict[int, int]] = {0: {0: 1}}
+    for k in range(1, n + 1):
+        row = rows[k - 1]
+        layer: dict[int, dict[int, int]] = {}
+        for cols in combinations(range(n), k):
+            t = sum(1 << j for j in cols)
+            acc: dict[int, int] = {}
+            get = acc.get
+            for pos, j in enumerate(cols):
+                s = t ^ (1 << j)
+                # S's last superset in this order is T exactly when T holds
+                # every column from j up
+                sub = prev.pop(s, None) if n - j == k - pos else prev.get(s)
+                if sub is None or not row[j]:
+                    continue
+                sign = -1 if (k - 1 + pos) & 1 else 1
+                for ka, ca in row[j].items():
+                    ca *= sign
+                    for km, cm in sub.items():
+                        key = ka + km
+                        acc[key] = get(key, 0) + ca * cm
+            minor = {key: c for key, c in acc.items() if c}
+            if minor:
+                _check_fields(reduce(or_, minor))
+                layer[t] = minor
+        if not layer:
+            return Polynomial.zero()
+        prev = layer
+    return _raw(prev[(1 << n) - 1])
 
 
 def equal_up_to_relabeling(a: LabeledMatrix, b: LabeledMatrix):

@@ -15,6 +15,9 @@
 * `int_det` is the Bareiss determinant of an integer grid, and
   `fraction_rank` the rank by `Fraction` Gaussian elimination, which
   `int_rank` reads off the Smith form instead.
+* `bareiss_det` is the Bareiss determinant of a polynomial matrix, with
+  exact division by the previous pivot; `det_bruteforce` expands by minors
+  memoised over column subsets instead and divides nothing.
 """
 
 from fractions import Fraction
@@ -29,12 +32,18 @@ from varchenko.diagonalize import (
     ordering,
     pivot_step,
 )
-from varchenko.errors import ClosedFormViolation, InvalidInput
+from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge
 from varchenko.exactlp import Constraint, _dot, _fourier_motzkin, _normalize_int
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import _check_int_grid
-from varchenko.polyring import Monomial, Polynomial, _check_fields, one_minus_square
-from varchenko.varmatrix import LabeledMatrix, build_varchenko
+from varchenko.polyring import (
+    Monomial,
+    Polynomial,
+    _check_fields,
+    exact_div,
+    one_minus_square,
+)
+from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko
 
 
 def _signed_key(entry: Polynomial, matrix: str, i: int, j: int) -> tuple[int, int]:
@@ -341,3 +350,36 @@ def fraction_rank(grid: Sequence[Sequence[int]]) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def bareiss_det(matrix: LabeledMatrix) -> Polynomial:
+    """Exact expanded determinant via fraction-free elimination.
+
+    Bareiss one-step elimination keeps every intermediate entry a minor of
+    the input, so all divisions are exact in the polynomial ring.
+    """
+    n = matrix.size
+    if n > MAX_BRUTE_DET:
+        raise TooLarge(f"determinant oracle capped at {MAX_BRUTE_DET}, got {n}")
+    if n == 0:
+        return Polynomial.one()
+    rows = [list(r) for r in matrix.rows]
+    sign = 1
+    prev = Polynomial.one()
+    for k in range(n - 1):
+        if rows[k][k].is_zero():
+            pivot_row = next(
+                (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
+            )
+            if pivot_row is None:
+                return Polynomial.zero()
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                rows[i][j] = exact_div(num, prev)
+            rows[i][k] = Polynomial.zero()
+        prev = rows[k][k]
+    det = rows[n - 1][n - 1]
+    return det if sign == 1 else -det

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from test_varmatrix import three_planes_on_a_line_plus_one
 from varchenko import fixtures
 from varchenko.cli import main
 from varchenko.geometry import Arrangement, Hyperplane
@@ -129,6 +130,12 @@ DET_BOTH = [
     (
         "concurrent_central_plus_equator",
         _central(2, "100", "010", "110", "001"),
+        "(1-x1^2)^4(1-x2^2)^4(1-x3^2)^4(1-x4^2)^6(1-x1^2*x2^2*x3^2)^2",
+    ),
+    # the same 12 regions in affine 3-space: the oracle at its cap
+    (
+        "three_planes_on_a_line_plus_one",
+        three_planes_on_a_line_plus_one().to_json_dict(),
         "(1-x1^2)^4(1-x2^2)^4(1-x3^2)^4(1-x4^2)^6(1-x1^2*x2^2*x3^2)^2",
     ),
 ]
@@ -386,13 +393,18 @@ def test_size_cap_exit_code(tmp_path, capsys):
 
 
 def test_det_exponent_overflow_exit_code(tmp_path, capsys):
-    path = tmp_path / "matrix.json"
-    path.write_text(json.dumps({"entries": [["x1^20000", "1"], ["1", "x1^20000"]]}))
-    code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: ") and "exceeds" in err
-    assert "Traceback" not in err
+    # at n = 4 the full product of the diagonal would carry past a guard bit
+    grids = [[["x1^20000", "1"], ["1", "x1^20000"]]]
+    for n in (3, 4):
+        grids.append([["x1^20000" if i == j else "0" for j in range(n)] for i in range(n)])
+    for grid in grids:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"entries": grid}))
+        code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
+        assert code == 4, grid
+        assert out == ""
+        assert err.startswith("error: ") and "exceeds" in err
+        assert "Traceback" not in err
 
 
 def test_det_from_json_with_a_huge_variable_id(tmp_path, capsys):

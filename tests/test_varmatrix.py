@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from varchenko import fixtures
+from reference import bareiss_det
+from varchenko import fixtures, polyring, varmatrix
 from varchenko.errors import TooLarge, Unsupported
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.polyring import Monomial, Polynomial, parse_polynomial
 from varchenko.varmatrix import (
+    MAX_BRUTE_DET,
     LabeledMatrix,
     build_varchenko,
     det_bruteforce,
@@ -188,6 +190,112 @@ def test_det_bruteforce_singular_and_permuted():
     perm = list(range(v.size))
     rng.shuffle(perm)
     assert det_bruteforce(v.permuted(perm)) == det_bruteforce(v)
+
+
+def three_planes_on_a_line_plus_one() -> Arrangement:
+    """Three planes through the z-axis and the plane z = 1 in R^3: 12
+    regions, the oracle's cap."""
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)]
+    return Arrangement(
+        "affine",
+        3,
+        [
+            Hyperplane(f"P{i + 1}", tuple(map(Fraction, r[:3])), Fraction(r[3]))
+            for i, r in enumerate(rows)
+        ],
+    )
+
+
+def test_det_bruteforce_at_its_cap():
+    arr = three_planes_on_a_line_plus_one()
+    v = build_varchenko(arr)
+    assert v.size == MAX_BRUTE_DET
+    det = det_bruteforce(v)
+    assert det == det_formula(arr).expand()
+    assert len(det.packed()) == 1729
+
+
+def test_det_bruteforce_divides_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("division in the determinant oracle")
+
+    monkeypatch.setattr(polyring, "exact_div", refuse)
+    assert not hasattr(varmatrix, "exact_div")
+    test_det_bruteforce_matches_formula_on_small_fixtures()
+    test_det_bruteforce_at_its_cap()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_bruteforce_exponent_overflow(n):
+    """A diagonal of x1^20000: the 2x2 minors already set a guard bit, and
+    the full product would carry past it at n = 4."""
+    big = parse_polynomial("x1^20000")
+    zero = Polynomial.zero()
+    rows = [[big if i == j else zero for j in range(n)] for i in range(n)]
+    with pytest.raises(TooLarge):
+        det_bruteforce(LabeledMatrix(list(range(n)), rows))
+
+
+def _matrix(cells) -> LabeledMatrix:
+    return LabeledMatrix(
+        list(range(len(cells))), [[parse_polynomial(c) for c in row] for row in cells]
+    )
+
+
+MIXED = [
+    ["1 - x1", "2*x2 + x1^2", "-3", "x3"],
+    ["x1*x2 - 1", "x2", "1 + x3", "-x1^2*x3"],
+    ["x3^2", "2 - x1", "x1 - x2*x3", "0"],
+    ["-5*x2", "x1 + x2 + x3", "4", "1 - x1*x2*x3"],
+]
+RANK_DEFICIENT = [  # row 2 = row 0 + x1 * row 1
+    ["1", "x2", "-x3"],
+    ["x1 - 1", "2", "x2*x3"],
+    ["1 + x1^2 - x1", "x2 + 2*x1", "x1*x2*x3 - x3"],
+]
+SMALL_MATRICES = {
+    "empty": [],
+    "one_by_one": [["3*x1^2 - x2"]],
+    "one_by_one_zero": [["0"]],
+    "two_by_two": [["x1 - 2", "x2^2"], ["-1", "3*x1*x3 + 1"]],
+    "three_by_three": [row[:3] for row in MIXED[:3]],
+    "mixed_signs": MIXED,
+    "zero_row": MIXED[:2] + [["0"] * 4] + MIXED[3:],
+    "zero_column": [["0"] + row[1:] for row in MIXED],
+    "rank_deficient": RANK_DEFICIENT,
+    "equal_rows": [MIXED[1], MIXED[0], MIXED[1], MIXED[2]],
+    "five_by_five": [
+        ["x1 - x2", "1", "x3^2", "0", "-2*x1"],
+        ["x2", "x1*x3 + 1", "-1", "x2^2", "3"],
+        ["0", "x3", "x1 + x2", "-x1*x2", "1"],
+        ["2", "0", "x2*x3", "1 - x3", "x1^2"],
+        ["-x3", "x1", "0", "1", "x2 - 1"],
+    ],
+}
+
+
+def _inversions(perm) -> int:
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+
+
+def test_det_bruteforce_equals_bareiss_on_small_matrices():
+    for name, cells in SMALL_MATRICES.items():
+        m = _matrix(cells)
+        assert det_bruteforce(m) == bareiss_det(m), name
+    assert det_bruteforce(_matrix([])) == Polynomial.one()
+    for name in ("zero_row", "zero_column", "rank_deficient", "equal_rows"):
+        assert det_bruteforce(_matrix(SMALL_MATRICES[name])).is_zero(), name
+    # permuting the rows multiplies the determinant by the permutation's sign
+    m = _matrix(SMALL_MATRICES["five_by_five"])
+    det = det_bruteforce(m)
+    assert not det.is_zero()
+    rng = random.Random(7)
+    for _ in range(6):
+        perm = list(range(m.size))
+        rng.shuffle(perm)
+        permuted = LabeledMatrix(m.labels, [m.rows[p] for p in perm])
+        expected = det if _inversions(perm) % 2 == 0 else -det
+        assert det_bruteforce(permuted) == bareiss_det(permuted) == expected, perm
 
 
 def test_det_formula_on_random_degenerate_arrangement():

@@ -1,5 +1,6 @@
-"""Property test of the determinant formula against the exact oracle over
-small random affine and central arrangements."""
+"""Property tests of the determinant formula against the exact oracle over
+small random affine and central arrangements, and of the oracle against
+the Bareiss reference over small random polynomial matrices."""
 
 from fractions import Fraction
 
@@ -9,9 +10,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import bareiss_det
 from varchenko.errors import InvalidArrangement
 from varchenko.geometry import Arrangement, Hyperplane
-from varchenko.varmatrix import build_varchenko, det_bruteforce, det_formula
+from varchenko.polyring import Monomial, Polynomial
+from varchenko.varmatrix import (
+    LabeledMatrix,
+    build_varchenko,
+    det_bruteforce,
+    det_formula,
+)
 
 MAX_REGIONS = 10
 
@@ -44,3 +52,30 @@ def arrangements(draw):
 @given(arrangements())
 def test_det_formula_equals_the_exact_determinant(arr):
     assert det_formula(arr).expand() == det_bruteforce(build_varchenko(arr))
+
+
+# Entries of up to three terms in three variables, with signed coefficients
+# and zeros; Bareiss already takes about a second at n = 6.
+entries = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool), max_size=3
+).map(lambda terms: Polynomial({Monomial(enumerate(e)): c for e, c in terms.items()}))
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    return LabeledMatrix(list(range(n)), rows)
+
+
+@settings(max_examples=80)
+@given(matrices(), st.data())
+def test_det_bruteforce_equals_bareiss(matrix, data):
+    det = det_bruteforce(matrix)
+    assert det == bareiss_det(matrix)
+    if matrix.size >= 2:
+        indices = st.integers(0, matrix.size - 1)
+        i, j = data.draw(st.lists(indices, min_size=2, max_size=2, unique=True))
+        rows = list(matrix.rows)
+        rows[i], rows[j] = rows[j], rows[i]
+        assert det_bruteforce(LabeledMatrix(matrix.labels, rows)) == -det
