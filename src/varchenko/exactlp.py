@@ -8,7 +8,8 @@ also yields an explicit rational point by back-substitution
 point x is held as (P, D), an integer vector and a positive denominator
 with x = P / D in lowest terms.  Only the back-substitution works in
 `fractions.Fraction`; no floating point is involved.  The rational
-interface (`strict_point`), the Gaussian equality solver (`LinearSystem`,
+interface (`strict_point`) with its constraint types (`Vector`,
+`Constraint`), the Gaussian equality solver (`LinearSystem`,
 `solve_equalities`) and the sign-pattern test built on them
 (`feasible_strict`) are test references in tests/reference.py.
 """
@@ -20,9 +21,6 @@ from math import floor, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-Vector = tuple[Fraction, ...]
-# a strict constraint (a, b) means a . x > b
-Constraint = tuple[Vector, Fraction]
 # x = P / D with D > 0 and gcd(P..., D) = 1
 Point = tuple[tuple[int, ...], int]
 

@@ -491,9 +491,7 @@ def _deficient_factors(arrangement: Arrangement, formula: FactoredPoly):
     by_defset = {}
     for base, exp in formula.factors:
         variables = tuple(sorted(base.variables()))
-        by_defset[variables] = f"({base.to_string(spaces=False)})" + (
-            f"^{exp}" if exp > 1 else ""
-        )
+        by_defset[variables] = str(FactoredPoly(((base, exp),)))
     out = []
     for flat in arrangement.poset():
         defset = tuple(sorted(flat.defining_set))

@@ -27,8 +27,10 @@ then by the sparse tuple of (variable id, exponent) pairs.  That tuple is
 unpacked only when printing, so the printed form does not depend on the
 packing.
 
-The exponent-capping map (`capped`) replaces every exponent >= 3 by 2;
-applied eagerly it keeps elimination intermediates bounded.
+The exponent-capping map (`capped`) replaces every exponent >= 3 by 2.
+`exact_div` and `capped` serve `pivot_step`, the elimination reference in
+the tests and acceptance criteria 3 and 8; the runtime pipeline reaches
+neither.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from heapq import heapify, heappop, heappush
 from operator import or_
 from threading import Lock
 from typing import Iterable, Mapping, Union
@@ -48,34 +49,25 @@ _W = 16  # bits per field
 _FIELD = (1 << _W) - 1
 _GUARD_BIT = 1 << (_W - 1)
 _MAX_EXP = _GUARD_BIT - 1
-_CAP_HIGH = _FIELD & ~3  # field bits that are set once an exponent + 1 exceeds 3
 
 # The variable table: field s + 1 holds the exponent of variable _VARS[s].
 # A variable gets the next free field the first time a monomial names it,
-# and the masks grow with it, so they cover every field a key can use.
-# An exponent is >= 3 exactly when (key + _ONES) & _HIGHS is set in its field.
+# and the guard mask grows with it, so it covers every field a key can use.
 _SLOT: dict[int, int] = {}
 _VARS: list[int] = []
 _LOCK = Lock()
 _GUARDS = _GUARD_BIT  # guard bit of every field in use
-_ONES = 0  # 1 in every variable field
-_HIGHS = 0  # _CAP_HIGH in every variable field
-_LOWS = 0  # _CAP_HIGH without the guard bit in every variable field
 
 
 def _slot(v: int) -> int:
     s = _SLOT.get(v)
     if s is None:
-        global _GUARDS, _ONES, _HIGHS, _LOWS
+        global _GUARDS
         with _LOCK:
             s = _SLOT.get(v)
             if s is None:
                 s = len(_VARS)
-                shift = _W * (s + 1)
-                _GUARDS |= _GUARD_BIT << shift
-                _ONES |= 1 << shift
-                _HIGHS |= _CAP_HIGH << shift
-                _LOWS |= (_CAP_HIGH & ~_GUARD_BIT) << shift
+                _GUARDS |= _GUARD_BIT << (_W * (s + 1))
                 _VARS.append(v)
                 _SLOT[v] = s
     return s
@@ -129,20 +121,6 @@ def _fields(key: int) -> list[tuple[int, int]]:
 def _unpack(key: int) -> tuple[tuple[int, int], ...]:
     """The sorted (variable id, exponent) pairs of a packed key."""
     return tuple(sorted((_VARS[s], e) for s, e in _fields(key)))
-
-
-def _cap_key(key: int) -> int:
-    """`key` with every exponent >= 3 clipped to 2, by mask arithmetic.
-
-    A field's flag bits (those of _HIGHS in key + _ONES) are pushed up into
-    its guard bit, which marks the whole field.  The degree field then
-    drops by the sum of the excess fields; that sum is below 2**16 - 1, so
-    it equals their packed value mod 2**16 - 1 (each field weighs 1 there).
-    """
-    flags = (key + _ONES) & _HIGHS
-    marks = ((flags & _LOWS) + _LOWS | flags) & _GUARDS
-    excess = (key & (marks >> (_W - 1)) * _FIELD) - (marks >> (_W - 2))
-    return key - excess - excess % _FIELD
 
 
 class Monomial:
@@ -326,17 +304,14 @@ class Polynomial:
         return _raw({k: c * v for k, v in self._terms.items()})
 
     def capped(self) -> "Polynomial":
-        """Cap every exponent at 2, recombining like terms."""
-        t = self._terms
-        if not t:
-            return self
-        ones, highs = _ONES, _HIGHS
-        if not any((k + ones) & highs for k in t):
-            return self
+        """Cap every exponent at 2, recombining like terms: a field s + 1
+        holding e > 2 drops by e - 2, and the degree field with it."""
         out: dict[int, int] = {}
-        for k, c in t.items():
-            if (k + ones) & highs:
-                k = _cap_key(k)
+        for k, c in self._terms.items():
+            if k & _FIELD > 2:  # else no exponent exceeds 2
+                for s, e in _fields(k):
+                    if e > 2:
+                        k -= (e - 2) * ((1 << (_W * (s + 1))) + 1)
             out[k] = out.get(k, 0) + c
         return _raw({k: c for k, c in out.items() if c})
 
@@ -414,59 +389,43 @@ def _power(p: Polynomial, e: int) -> Polynomial:
     return out
 
 
+def _graded(key: int) -> tuple[int, int]:
+    """A packed key's place in the division order."""
+    return key & _FIELD, key
+
+
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return r with r*q == p, or raise NotDivisible.
 
-    Reduction by the leading term of q in the division order.  Each term
-    is kept under its position in that order, the degree shifted above
-    the packed key, so products stay int adds.  The remainder is a dict
-    over these positions, each entry pushed once on a heap that pops the
-    leading term; a step costs one pop and one dict update per term of q.
-    Every term popped must be divisible by q's leading term, in its
-    coefficient and its monomial.
+    Reduction by the leading term of q in the division order: while the
+    remainder is nonzero, its leading term must be divisible by q's, in the
+    coefficient and in the monomial (the difference of the keys sets no
+    guard bit); the quotient term times q is then subtracted from it.
     """
     if q.is_zero():
         raise InvalidInput("division by the zero polynomial")
-    if p.is_zero():
-        return Polynomial.zero()
     if q.is_one():
         return p
-    pt, qt = p._terms, q._terms
-    guards = _GUARDS
-    shift = guards.bit_length()
-    low = (1 << shift) - 1
-
-    def position(k: int) -> int:
-        return ((k & _FIELD) << shift) + k
-
-    lead = max(qt, key=position)
+    qt = q._terms
+    lead = max(qt, key=_graded)
     lead_c = qt[lead]
-    # Positions are stored negated, so the heap's smallest is the leader.
-    neg_lead = -position(lead)
-    tail = [(-position(k), c) for k, c in qt.items() if k != lead]
-    rest = {-position(k): c for k, c in pt.items()}
-    heap = list(rest)
-    heapify(heap)
-    get = rest.get
+    rest = dict(p._terms)
     quotient: dict[int, int] = {}
-    while heap:
-        neg = heappop(heap)
-        c = rest.pop(neg)
-        if not c:
-            continue  # cancelled
-        qpos = neg_lead - neg
-        if qpos & guards or c % lead_c:
+    while rest:
+        k = max(rest, key=_graded)
+        c = rest[k]
+        m = k - lead
+        if m & _GUARDS or c % lead_c:
             raise NotDivisible(f"({q}) does not divide ({p})")
         qc = c // lead_c
-        quotient[qpos & low] = qc
-        for neg_d, dc in tail:
-            k = neg_d - qpos
-            old = get(k)
-            if old is None:
-                rest[k] = -qc * dc
-                heappush(heap, k)
+        quotient[m] = qc
+        for d, dc in qt.items():
+            key = m + d
+            r = rest.get(key, 0) - qc * dc
+            if r:
+                rest[key] = r
             else:
-                rest[k] = old - qc * dc
+                del rest[key]
     return _raw(quotient)
 
 
@@ -587,9 +546,10 @@ def _parse_term(term: str, sign: int, original: str) -> Polynomial:
                 var_s, _, exp_s = body.partition("^")
             else:
                 var_s, exp_s = body, "1"
-            if not var_s.isdecimal() or not exp_s.isdecimal() or var_s == "0":
+            bad = not var_s.isdecimal() or not exp_s.isdecimal()
+            v = -1 if bad else parse_int(var_s) - 1
+            if v < 0:  # x0, x00, ... as well as bad syntax
                 raise InvalidInput(f"bad variable factor {factor!r} in {original!r}")
-            v = parse_int(var_s) - 1
             exps[v] = exps.get(v, 0) + parse_int(exp_s)
         elif factor.isdecimal():
             coeff *= parse_int(factor)

@@ -33,7 +33,7 @@ from varchenko.diagonalize import (
     pivot_step,
 )
 from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge
-from varchenko.exactlp import Constraint, _dot, _fourier_motzkin, _normalize_int
+from varchenko.exactlp import _dot, _fourier_motzkin, _normalize_int
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import _check_int_grid
 from varchenko.polyring import (
@@ -44,6 +44,10 @@ from varchenko.polyring import (
     one_minus_square,
 )
 from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko
+
+Vector = tuple[Fraction, ...]
+# a strict constraint (a, b) means a . x > b
+Constraint = tuple[Vector, Fraction]
 
 
 def _signed_key(entry: Polynomial, matrix: str, i: int, j: int) -> tuple[int, int]:

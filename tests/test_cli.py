@@ -417,6 +417,14 @@ def test_det_from_json_with_a_huge_variable_id(tmp_path, capsys):
     assert out == "1 - x2^2 - x1000000000^2 + x2^2*x1000000000^2\n"
 
 
+def test_det_from_json_names_a_zero_padded_variable_zero(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"entries": [["x00"]]}))
+    code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "'x00'" in err and "Traceback" not in err
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "out.txt"
     code, stdout, _ = run(capsys, "matrix", fx("single_line"))

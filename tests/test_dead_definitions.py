@@ -1,12 +1,12 @@
 """Every function, class and module-level name defined in the package is
 referenced somewhere in src/, tests/ or perfbench/: loaded as a name, read
 as an attribute, imported, or listed in an ``__all__``.  Every module-level
-function and class is also reachable, matching by name, from the command
-line (``cli.main``), the public API (``varchenko.__all__``) or the
-``fixtures`` module, so nothing is left in src/ for the tests alone; and no
-module in src/ imports from tests/.  References are read from the syntax
-tree, so a name that occurs only in a docstring or a comment counts as
-unreferenced."""
+function, class and non-dunder assignment is also reachable, matching by
+name, from the command line (``cli.main``), the public API
+(``varchenko.__all__``) or the ``fixtures`` module, so nothing is left in
+src/ for the tests alone; and no module in src/ imports from tests/.
+References are read from the syntax tree, so a name that occurs only in a
+docstring or a comment counts as unreferenced."""
 
 import ast
 from collections import Counter
@@ -95,8 +95,8 @@ def test_no_definition_is_unreferenced():
 
 
 def unreachable_definitions() -> list[str]:
-    """``module.name`` of each module-level function and class that no
-    chain of references leads to from the roots.
+    """``module.name`` of each module-level function, class and non-dunder
+    assignment that no chain of references leads to from the roots.
 
     A module-level function, class or assignment refers to every name in
     its statement; a name reaches every module-level definition of that
@@ -108,12 +108,12 @@ def unreachable_definitions() -> list[str]:
     for module, tree in _package_modules():
         for node in tree.body:
             if isinstance(node, DEFINITIONS):
-                checked.add((module, node.name))
                 names = [node.name]
             else:
                 names = _assigned_names(node)
             for name in names:
                 statements[module, name] = node
+            checked.update((module, name) for name in names if not _is_dunder(name))
             if module == "__init__":
                 roots.update(_all_strings(node))
     by_name: dict[str, list[tuple[str, str]]] = {}

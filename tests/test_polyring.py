@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -48,6 +49,14 @@ def test_cap_caps_exponents():
         assert mixed.capped().degree() == 5
     assert X1.capped() == X1
     assert ONE.capped() == ONE
+    # degree 3 with no exponent above 2: the degree alone does not cap
+    x1sq_x2 = parse_polynomial("x1^2*x2")
+    assert x1sq_x2.capped() == x1sq_x2 and x1sq_x2.capped().degree() == 3
+    # both terms cap to x1^2 and cancel
+    assert parse_polynomial("x1^3 - x1^4").capped() == Polynomial.zero()
+    # two fields clipped by thousands, the degree field by their sum
+    wide = parse_polynomial("x1^16000*x2^16000").capped()
+    assert wide == parse_polynomial("x1^2*x2^2") and wide.degree() == 4
 
 
 def test_cap_pull_out_square():
@@ -106,6 +115,16 @@ def test_exact_div_examples():
         exact_div(ONE, X1)
     with pytest.raises(InvalidInput):
         exact_div(X1, Polynomial.zero())
+    p = parse_polynomial("3*x1^2*x2 - x3 + 7")
+    assert exact_div(p, ONE) == p
+    assert exact_div(Polynomial.zero(), X1 + X2) == Polynomial.zero()
+    # the leading term -3*x1^2 has a negative, non-unit coefficient
+    q = parse_polynomial("x2 - 3*x1^2")
+    cofactor = parse_polynomial("x1 - 2*x2 + 5")
+    assert exact_div(q * cofactor, q) == cofactor
+    # the monomials divide; the coefficient 1 is not a multiple of 2
+    with pytest.raises(NotDivisible):
+        exact_div(X1 + ONE, X1.scaled(2) + Polynomial.constant(2))
 
 
 def test_exact_div_round_trip_randomized():
@@ -152,8 +171,11 @@ def test_string_and_parse_round_trip():
         - Polynomial.from_monomial(Monomial([(0, 2), (1, 2)]))
         + X3.scaled(2)
     )
-    with pytest.raises(InvalidInput):
-        parse_polynomial("x0")
+    for text, factor in [
+        ("x0", "x0"), ("x00", "x00"), ("x000^2", "x000^2"), ("1 - 3*x00*x1", "x00")
+    ]:
+        with pytest.raises(InvalidInput, match=re.escape(f"bad variable factor '{factor}'")):
+            parse_polynomial(text)
     with pytest.raises(InvalidInput):
         parse_polynomial("2x")
 

@@ -65,6 +65,24 @@ def test_cap_absorbs_squares_of_a_fresh_variable(i, p):
     assert ((ONE - xi2) * (ONE - xi2 * p)).capped() == ONE - xi2
 
 
+# exponents up to 6000 keep five-variable total degrees below 2**15
+wide_terms = st.dictionaries(
+    st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 6000))] * NVARS),
+    coefficients,
+    max_size=6,
+)
+
+
+@given(wide_terms)
+def test_cap_clips_each_exponent_to_two(terms):
+    # the definition, on exponent vectors: clip, then sum the coefficients
+    clipped = {}
+    for exps, c in terms.items():
+        key = tuple(min(e, 2) for e in exps)
+        clipped[key] = clipped.get(key, 0) + c
+    assert from_terms(terms).capped() == from_terms(clipped)
+
+
 @given(polys, polys)
 def test_cap_is_idempotent_and_additive(p, q):
     cap = p.capped()
