@@ -12,17 +12,20 @@ Supported modes:
   list of sign vectors, with flats read off as zero sets and dimensions
   taken from poset height.
 
-Faces come from one witness-guided depth-first pass over the hyperplanes
-that carries a rational point in the relative interior of every face it
-visits: a hyperplane either has one sign on the face's affine hull, passes
-through the face's point, or is tested by one exact Fourier-Motzkin call
-that returns a point of the face on it.  The pass runs in integers: a
-point x is held as (P, D), an integer vector and a positive denominator
-with x = P / D in lowest terms, each hyperplane is scaled once to an
-integer (A, B), and each hull direction is a primitive integer vector.
-Regions are the zero-free faces.  Every reported sign vector is backed by
-an explicit point, checked to realise it, and no floating point is
-involved.
+The faces of an arrangement are the regions of its restrictions to its
+flats (Zaslavsky 1975), and they come from one recursion over the flats,
+memoised by closed defining mask.  The regions of a flat X come from a
+depth-first pass over the hyperplanes that cut X, carrying a rational
+point in every region it visits: a hyperplane either passes through the
+region's point, or it cuts the region exactly when some region of the
+flat X ∩ H, enumerated first, has the region's signs on the hyperplanes
+before it, which is one lookup by sign prefix and supplies a point on H.
+No LP is solved.  The pass runs in integers: a point x is held as (P, D),
+an integer vector and a positive denominator with x = P / D in lowest
+terms, each hyperplane is scaled once to an integer (A, B), and each flat
+direction is a primitive integer vector.  Regions are the zero-free faces.
+Every reported sign vector is backed by an explicit point, checked to
+realise it, and no floating point is involved.
 """
 
 from __future__ import annotations
@@ -35,28 +38,24 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
-from .exactlp import Point, _dot, _lowest, _normalize_int, _primitive, integer_strict_point
+from .exactlp import Point, _dot, _lowest, _normalize_int, _primitive
 from .polyring import parse_int, parse_json
 from .signedsets import SignedFamily, SignVector, check_composition_closure
 
 MAX_GROUND_SIZE = 16
 MAX_DIM = 64
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(s: str) -> Fraction:
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise InvalidInput(f"bad rational string {s!r}")
     numerator, _, denominator = s.partition("/")
     den = parse_int(denominator or "1")
     if den == 0:
         raise InvalidInput(f"zero denominator in {s!r}")
     return Fraction(parse_int(numerator), den)
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _step(point: Point, d: Sequence[int], stricts) -> Point:
@@ -301,114 +300,178 @@ class Arrangement:
     # face / region enumeration
 
     def _enumerate_faces(self) -> dict[SignVector, int]:
-        """Every face with the dimension of its affine hull, from one
-        depth-first pass over the hyperplanes.
+        """Every face with the dimension of its affine hull: the faces are
+        the regions of the restrictions A|X of the arrangement to its flats
+        X (Zaslavsky), found flat by flat, each flat once.
 
-        A node is a face of the first i hyperplanes, held as a point
-        p = P / D in its relative interior, the integer strict constraints
-        that bound it and a basis of primitive integer directions of its
-        affine hull.  Hyperplane i, scaled to integers (a, b), splits it by
-        the sign of v = a . P - b * D:
+        A flat X is held as a point p = P / D on it, a basis of primitive
+        integer directions of its affine hull and its closed defining mask,
+        by which it is found once.  Each hyperplane outside the mask, scaled
+        to integers (a, b), is constant on X (parallel: one sign on all of
+        it) or cuts X; then X ∩ H_i is a flat too, with the point where the
+        line through p along the pivot direction d (the first basis vector
+        a does not annihilate) meets H_i, and the other basis vectors
+        projected along d onto H_i.  Its closed mask adds to X's every
+        hyperplane whose equation in X's coordinates is H_i's up to scale.
 
-        * a constant on the hull: one child, sign(v), which keeps p;
-        * v = 0: all three children; 0 keeps p and the signed ones step
-          exactly from p along the hull;
-        * v != 0: one Fourier-Motzkin call for a point q of the face on the
-          hyperplane, skipped when the point where the hull line along the
-          pivot direction meets the hyperplane is already one.  If there
-          is one, all three children: 0 gets q,
-          sign(v) keeps p and the other side steps past q away from p;
-          else only sign(v).
+        The flats are then done in order of dimension, lowest first.  The
+        regions of A|X come from a depth-first pass over the cutting
+        hyperplanes.  A node is a region of the first i hyperplanes, held
+        as a point p in it and the strict constraints that bound it; H_i
+        splits it by the sign of v = a . P - b * D:
 
-        In central mode the root is e_0, and a face with no strict
+        * v = 0: both sides, stepping exactly from p along +-d;
+        * v != 0: sign(v) keeps p, and the other side exists exactly when
+          the node meets X ∩ H_i, that is when some region of
+          A|(X ∩ H_i) has the node's signs on hyperplanes 0..i-1: one
+          lookup by that sign prefix.  The region found supplies a point q
+          of the node on H_i, and the other side steps past q away from p.
+
+        In central mode the ambient point is e_0, and a node with no strict
         constraint is a punctured linear subspace, symmetric under
-        x -> -x: both of its sides exist (p and -p) even where the
-        hyperplane meets it only at the origin.  Each leaf's point is
-        checked to realise the sign vector it is reported under.  A leaf's
-        hull is its flat, of dimension len(basis), one less in central
-        mode (spherical dimension).
+        x -> -x: both of its sides exist (p and -p), even where the
+        hyperplane meets X only at the origin, whose lookup table is
+        empty.  Each region's point is checked to realise the sign vector
+        it is reported under.  A region of A|X has X's dimension,
+        len(basis), one less in central mode (spherical dimension).  The
+        flats and their tables hold no reference cycle, so they are freed
+        when the enumeration returns.
         """
         if self.n > MAX_GROUND_SIZE:
             raise TooLarge(
                 f"enumeration capped at {MAX_GROUND_SIZE} hyperplanes, got {self.n}"
             )
-        nvars = self._nvars
+        n, nvars = self.n, self._nvars
         central = self.mode == "central"
         planes = [_normalize_int(h.normal, h.offset) for h in self.hyperplanes]
         sides = [
             {1: (a, b), -1: (tuple(-c for c in a), -b)} for a, b in planes
         ]
+
+        # every flat X by closed defining mask: its point, the size of its
+        # basis, the signs of the hyperplanes parallel to it, and its cuts:
+        # (i, the pivot direction oriented to H_i's positive side, its
+        # opposite, the mask of X ∩ H_i, None where that is only the origin)
         identity = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
         root = tuple(int(central and j == 0) for j in range(nvars)), 1
-        faces: dict[SignVector, int] = {}
-        signs: list[int] = []
-
-        def visit(point, stricts, basis) -> None:
-            i = len(signs)
-            if i == len(planes):
-                faces[self._witnessed(planes, signs, point)] = len(basis) - central
-                return
-            a, b = planes[i]
+        flats = {}
+        pending = [(0, root, identity)]  # no hyperplane holds the whole space
+        while pending:
+            mask, point, basis = pending.pop()
+            if mask in flats:
+                continue
             p, den = point
-            value = _dot(a, p) - b * den
-            rates = [_dot(a, d) for d in basis]
-            pivot = next((j for j, rate in enumerate(rates) if rate), None)
-            if pivot is None:
-                # the hyperplane's sign is constant on the face's hull
-                child(_sign(value), point, stricts, basis)
-                return
-            d, rate = basis[pivot], rates[pivot]
-            on_plane = [
-                # e - r / rate * d, scaled to a primitive integer vector
-                _primitive([rate * x - r * y for x, y in zip(e, d)], 0)[0]
-                for j, (e, r) in enumerate(zip(basis, rates))
-                if j != pivot
-            ]
-            if not value:
+            plus = minus = 0
+            cutting = []
+            # the hyperplanes that cut X in the same hyperplane of X, by its
+            # equation in X's coordinates up to scale
+            along: dict[tuple[tuple[int, ...], int], int] = {}
+            for i, (a, b) in enumerate(planes):
+                if mask >> i & 1:
+                    continue
+                value = _dot(a, p) - b * den
+                rates = [_dot(a, d) for d in basis]
+                if not any(rates):
+                    if value > 0:
+                        plus |= 1 << i
+                    else:
+                        minus |= 1 << i
+                    continue
+                key = _primitive(rates, value)
+                if next(filter(None, key[0])) < 0:
+                    key = tuple(-c for c in key[0]), -key[1]
+                along[key] = along.get(key, 0) | 1 << i
+                cutting.append((i, value, rates, key))
+            cuts = []
+            subs: dict[tuple[tuple[int, ...], int], Optional[int]] = {}
+            for i, value, rates, key in cutting:
+                pivot = next(j for j, rate in enumerate(rates) if rate)
+                d, rate = basis[pivot], rates[pivot]
+                if key not in subs:
+                    on_plane = [
+                        # e - r / rate * d, scaled to a primitive integer vector
+                        _primitive([rate * x - r * y for x, y in zip(e, d)], 0)[0]
+                        for j, (e, r) in enumerate(zip(basis, rates))
+                        if j != pivot
+                    ]
+                    # p - (value / den) / rate * d
+                    meet = _lowest(
+                        [rate * x - value * c for x, c in zip(p, d)], rate * den
+                    )
+                    if central and not any(meet[0]):
+                        meet = (on_plane[0], 1) if on_plane else None
+                    subs[key] = None if meet is None else mask | along[key]
+                    if meet is not None:
+                        pending.append((subs[key], meet, on_plane))
                 up = d if rate > 0 else tuple(-c for c in d)
-                child(1, _step(point, up, stricts), stricts + [sides[i][1]], basis)
-                child(0, point, stricts, on_plane)
-                down = tuple(-c for c in up)
-                child(-1, _step(point, down, stricts), stricts + [sides[i][-1]], basis)
-                return
-            s = _sign(value)
-            # the hull line through the point along d meets the hyperplane at
-            # x - (value / den) / rate * d
-            origin = _lowest([rate * x - value * c for x, c in zip(p, d)], rate * den)
-            if central and not stricts:
-                q = origin if any(origin[0]) else (on_plane[0], 1) if on_plane else None
-                far = tuple(-x for x in p), den
-            else:
-                q = integer_strict_point(origin, on_plane, stricts)
-                # q - p, scaled by the positive den * q's denominator
-                far = None if q is None else _step(
-                    q, [y * den - x * q[1] for x, y in zip(p, q[0])], stricts
-                )
-            child(s, point, stricts + [sides[i][s]], basis)
-            if q is not None:
-                child(0, q, stricts, on_plane)
-            if far is not None:
-                child(-s, far, stricts + [sides[i][-s]], basis)
+                cuts.append((i, up, tuple(-c for c in up), subs[key]))
+            flats[mask] = point, len(basis), plus, minus, cuts
 
-        def child(sign, point, stricts, basis) -> None:
-            signs.append(sign)
-            visit(point, stricts, basis)
-            signs.pop()
-
-        visit(root, [], identity)
+        # the regions of A|X by (plus, minus) masks, with their points, flat
+        # by flat up from the lowest dimension, so that each cut's flat is
+        # done first
+        faces: dict[SignVector, int] = {}
+        regions: dict[int, dict[tuple[int, int], Point]] = {}
+        for mask in sorted(flats, key=lambda m: flats[m][1]):
+            point, size, plus, minus, cuts = flats[mask]
+            # each cut's regions by their signs on the hyperplanes before it
+            tables = []
+            for i, _, _, sub in cuts:
+                low = (1 << i) - 1
+                below = {} if sub is None else regions[sub]
+                tables.append({(s & low, t & low): q for (s, t), q in below.items()})
+            found: dict[tuple[int, int], Point] = {}
+            stack = [(0, point, [], plus, minus)]
+            while stack:
+                k, point, stricts, plus, minus = stack.pop()
+                if k == len(cuts):
+                    face = self._witnessed(planes, SignVector(n, plus, minus), point)
+                    faces[face] = size - central
+                    found[plus, minus] = point
+                    continue
+                i, up, down, _ = cuts[k]
+                a, b = planes[i]
+                p, den = point
+                value = _dot(a, p) - b * den
+                bit = 1 << i
+                if not value:
+                    children = [
+                        (1, _step(point, up, stricts)),
+                        (-1, _step(point, down, stricts)),
+                    ]
+                else:
+                    if central and not stricts:
+                        far = tuple(-x for x in p), den
+                    else:
+                        q = tables[k].get((plus & (bit - 1), minus & (bit - 1)))
+                        # q - p, scaled by the positive den * q's denominator
+                        far = None if q is None else _step(
+                            q, [y * den - x * q[1] for x, y in zip(p, q[0])], stricts
+                        )
+                    near = 1 if value > 0 else -1
+                    children = [(near, point), (-near, far)]
+                for sign, child in children:
+                    if child is not None:
+                        stack.append((
+                            k + 1,
+                            child,
+                            stricts + [sides[i][sign]],
+                            plus | bit if sign > 0 else plus,
+                            minus | bit if sign < 0 else minus,
+                        ))
+            regions[mask] = found
         return faces
 
-    def _witnessed(self, planes, signs, point: Point) -> SignVector:
-        """The face's sign vector, once its point is checked to realise it."""
+    def _witnessed(self, planes, face: SignVector, point: Point) -> SignVector:
+        """The face, once its point is checked to realise it."""
         p, den = point
-        if any(
-            _sign(_dot(a, p) - b * den) != s for (a, b), s in zip(planes, signs)
-        ) or (self.mode == "central" and not any(p)):
+        realised = SignVector.from_signs([_dot(a, p) - b * den for a, b in planes])
+        if realised != face or (self.mode == "central" and not any(p)):
             raise InconsistentWitness(
                 f"witness point ({', '.join(map(str, p))})/{den} does not "
-                f"realise the face {SignVector.from_signs(signs).to_string()}"
+                f"realise the face {face.to_string()}"
             )
-        return SignVector.from_signs(signs)
+        return face
 
     @cached_property
     def _regions(self) -> tuple[SignVector, ...]:

@@ -159,11 +159,10 @@ def gcd_minors(matrix, k: int):
     integer_input = all(e.is_constant() for r in rows for e in r)
     if k == 0:
         return 1 if integer_input else Polynomial.one()
-    if comb(nrows, k) * comb(ncols, k) > MAX_MINOR_PAIRS:
-        raise TooLarge(f"too many {k}x{k} minors")
-
     if integer_input:
         return prod(_snf_prefix([[e.as_int() for e in r] for r in rows], k))
+    if comb(nrows, k) * comb(ncols, k) > MAX_MINOR_PAIRS:
+        raise TooLarge(f"too many {k}x{k} minors")
 
     g = Polynomial.zero()
     for rsel in combinations(range(nrows), k):

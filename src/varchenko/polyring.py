@@ -36,6 +36,7 @@ neither.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -485,8 +486,8 @@ def _digit_limit(what: str) -> TooLarge:
 
 
 def parse_int(literal: str) -> int:
-    """A literal already checked to be decimal, as an int; TooLarge if it is
-    longer than the interpreter converts."""
+    """A literal already checked to be ASCII decimal, as an int; TooLarge if
+    it is longer than the interpreter converts."""
     try:
         return int(literal)
     except ValueError:
@@ -505,6 +506,9 @@ def parse_json(text: str, what: str = "JSON"):
         raise InvalidInput(f"bad {what}: nested too deeply") from None
     except ValueError:  # the integer-string limit
         raise _digit_limit("integer literal") from None
+
+
+_DECIMAL_RE = re.compile("[0-9]+")
 
 
 def parse_polynomial(s: str) -> Polynomial:
@@ -546,12 +550,12 @@ def _parse_term(term: str, sign: int, original: str) -> Polynomial:
                 var_s, _, exp_s = body.partition("^")
             else:
                 var_s, exp_s = body, "1"
-            bad = not var_s.isdecimal() or not exp_s.isdecimal()
+            bad = not _DECIMAL_RE.fullmatch(var_s) or not _DECIMAL_RE.fullmatch(exp_s)
             v = -1 if bad else parse_int(var_s) - 1
             if v < 0:  # x0, x00, ... as well as bad syntax
                 raise InvalidInput(f"bad variable factor {factor!r} in {original!r}")
             exps[v] = exps.get(v, 0) + parse_int(exp_s)
-        elif factor.isdecimal():
+        elif _DECIMAL_RE.fullmatch(factor):
             coeff *= parse_int(factor)
         else:
             raise InvalidInput(f"bad factor {factor!r} in {original!r}")

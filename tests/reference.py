@@ -8,10 +8,11 @@
   the resulting P in closed form.
 * `LinearSystem`, `solve_equalities` and `feasible_strict` solve rational
   equality systems by Gaussian elimination and decide sign patterns with
-  them, through `strict_point`, the Fourier-Motzkin point search over
-  `Fraction` origins and bases; the enumeration in `geometry` reads flats
-  off hull bases instead and searches in integer coordinates
-  (`exactlp.integer_strict_point`).
+  them, through `strict_point`, a point search by Fourier-Motzkin
+  elimination with back-substitution (`_fourier_motzkin`) from a rational
+  origin along integer directions.  The enumeration in `geometry` solves no LP: it
+  recurses over the flats and reads each hyperplane's cut of a face off
+  the regions of the flat below, so this search is independent of it.
 * `int_det` is the Bareiss determinant of an integer grid, and
   `fraction_rank` the rank by `Fraction` Gaussian elimination, which
   `int_rank` reads off the Smith form instead.
@@ -21,7 +22,8 @@
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from math import floor, lcm
 from operator import or_
 from typing import Optional, Sequence
 
@@ -33,7 +35,7 @@ from varchenko.diagonalize import (
     pivot_step,
 )
 from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge
-from varchenko.exactlp import _dot, _fourier_motzkin, _normalize_int
+from varchenko.exactlp import _dot, _normalize_int, _primitive
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import _check_int_grid
 from varchenko.polyring import (
@@ -263,22 +265,111 @@ def solve_equalities(
     return sys.particular_solution(), sys.nullspace_basis()
 
 
+def _fourier_motzkin(
+    constraints: set[tuple[tuple[int, ...], int]], nvars: int
+) -> Optional[list[Fraction | int]]:
+    """A point y with a . y > b for every constraint (a, b), or None.
+
+    Eliminates one variable at a time, keeping each stage's constraints,
+    then sets the variables in reverse order of elimination: with the later
+    ones fixed, a variable's stage bounds it strictly from below and above,
+    and elimination guarantees the bounds leave an open interval.
+    """
+    live = set(constraints)
+    remaining = list(range(nvars))
+    stages: list[tuple[int, set[tuple[tuple[int, ...], int]]]] = []
+    while remaining:
+        # eliminate the variable with the fewest pos*neg combinations
+        best_v, best_cost = None, None
+        for v in remaining:
+            npos = sum(1 for a, _ in live if a[v] > 0)
+            nneg = sum(1 for a, _ in live if a[v] < 0)
+            cost = npos * nneg
+            if best_cost is None or cost < best_cost:
+                best_v, best_cost = v, cost
+        v = best_v
+        remaining.remove(v)
+        stages.append((v, live))
+        pos = [(a, b) for a, b in live if a[v] > 0]
+        neg = [(a, b) for a, b in live if a[v] < 0]
+        keep = {(a, b) for a, b in live if a[v] == 0}
+        for ap, bp in pos:
+            for an, bn in neg:
+                s, t = -an[v], ap[v]
+                coeffs = tuple(s * p + t * q for p, q in zip(ap, an))
+                rhs = s * bp + t * bn
+                if not any(coeffs):
+                    if rhs >= 0:
+                        return None
+                    continue
+                keep.add(_primitive(coeffs, rhs))
+        live = keep
+    if any(b >= 0 for _, b in live):
+        return None
+    y: list[Fraction | int] = [0] * nvars
+    for v, stage in reversed(stages):
+        lo = hi = None
+        for a, b in stage:
+            av = a[v]
+            if not av:
+                continue
+            # y[v] is still 0, so the sum is over the variables set so far
+            bound = Fraction(b - _dot(a, y), av)
+            if av > 0:
+                lo = bound if lo is None or bound > lo else lo
+            else:
+                hi = bound if hi is None or bound < hi else hi
+        y[v] = _inside(lo, hi)
+    return y
+
+
+def _inside(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction | int:
+    """A number strictly between lo and hi (None: unbounded), an int when
+    one fits, to keep witness points small."""
+    if lo is None:
+        return 0 if hi is None or hi > 0 else floor(hi) - 1
+    k = floor(lo) + 1
+    if hi is None or k < hi:
+        return k
+    return (lo + hi) / 2
+
+
+@lru_cache(maxsize=1024)
+def _solved(eqs: tuple[Constraint, ...], nvars: int):
+    """`solve_equalities` with each basis direction scaled by a positive
+    rational to coprime integers, kept for the sign patterns that share
+    their equalities (a scan over sign vectors asks for each set many
+    times)."""
+    solved = solve_equalities(eqs, nvars)
+    if solved is None:
+        return None
+    particular, basis = solved
+    return particular, [_normalize_int(d, Fraction(0))[0] for d in basis]
+
+
 def strict_point(
     origin: Sequence[Fraction],
-    basis: Sequence[Sequence[Fraction]],
-    stricts: Sequence[Constraint],
+    basis: Sequence[Sequence[int]],
+    stricts: Sequence[tuple[Sequence[int], int]],
 ) -> Optional[list[Fraction]]:
     """A point x = origin + sum_j y_j basis_j with a . x > b for every strict
-    constraint (a, b), or None if the flat spanned that way has none."""
+    constraint (a, b), or None if the flat spanned that way has none.  The
+    constraints and the basis directions are integers (`_normalize_int`
+    scales rational ones), and the origin is rational."""
+    # the origin as N / D, so that the reduction to the flat's coordinates
+    # runs in integers
+    den = lcm(*(Fraction(c).denominator for c in origin))
+    num = [int(c * den) for c in origin]
     reduced: set[tuple[tuple[int, ...], int]] = set()
     for a, b in stricts:
-        coeffs = [_dot(a, d) for d in basis]
-        rhs = b - _dot(a, origin)
+        # a . (N / D + sum_j y_j d_j) > b, times D
+        coeffs = [den * _dot(a, d) for d in basis]
+        rhs = b * den - _dot(a, num)
         if not any(coeffs):
             if rhs >= 0:
                 return None
             continue
-        reduced.add(_normalize_int(coeffs, rhs))
+        reduced.add(_primitive(coeffs, rhs))
     y = _fourier_motzkin(reduced, len(basis))
     if y is None:
         return None
@@ -291,17 +382,18 @@ def strict_point(
 
 def feasible_strict(
     eqs: Sequence[Constraint],
-    stricts: Sequence[Constraint],
+    stricts: Sequence[tuple[Sequence[int], int]],
     nvars: int,
     require_nonzero: bool = False,
 ) -> bool:
-    """Decide whether some x satisfies all equalities and strict inequalities.
+    """Decide whether some x satisfies all equalities and strict inequalities
+    (integer ones, as `strict_point` takes them).
 
     With `require_nonzero` and no strict constraints, additionally demand a
     nonzero solution (used for sign patterns that lie on every sphere of a
     central arrangement).
     """
-    solved = solve_equalities(eqs, nvars)
+    solved = _solved(tuple(eqs), nvars)
     if solved is None:
         return False
     particular, basis = solved

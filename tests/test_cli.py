@@ -425,6 +425,55 @@ def test_det_from_json_names_a_zero_padded_variable_zero(tmp_path, capsys):
     assert err.startswith("error: ") and "'x00'" in err and "Traceback" not in err
 
 
+# literals that Unicode-aware digit tests took as numbers: a trailing
+# newline, Arabic-Indic digits in a rational, a variable id and an exponent
+NON_ASCII_NUMERALS = [
+    (REGIONS, "1\n"),
+    (REGIONS, "\u0661"),
+    (REGIONS, "1/\u0663"),
+    (DET_GRID, "x\u0661"),
+    (DET_GRID, "x1^\u0661\u0662"),
+]
+
+
+def test_non_ascii_numerals_exit_2_naming_the_literal(tmp_path, capsys):
+    for (subcommand, *flags), literal in NON_ASCII_NUMERALS:
+        if subcommand == "regions":
+            line = {"name": "S1", "normal": ["1", "0"], "offset": literal}
+            document = {"mode": "affine", "dim": 2, "hyperplanes": [line]}
+        else:
+            document = {"entries": [[literal]]}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, subcommand, str(path), *flags)
+        assert (code, out) == (2, ""), literal
+        assert err.startswith("error: ") and repr(literal) in err, literal
+
+
+def test_obstruct_beyond_the_minor_pair_cap(tmp_path, capsys):
+    # five lines through the origin and six generic lines: 61 regions, past
+    # the point where the 2x2 minors of V would number more than 10^6; the
+    # integer gcd is read off the Smith form and forms no minor
+    rows = [
+        (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0),
+        (-1, 2, -11), (5, -2, -9), (-4, -6, 11), (6, -2, 12), (8, -6, 3), (-9, -3, 14),
+    ]
+    hyperplanes = [
+        {"name": f"S{i + 1}", "normal": [str(a), str(b)], "offset": str(c)}
+        for i, (a, b, c) in enumerate(rows)
+    ]
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}))
+    code, out, _ = run(capsys, "regions", str(path))
+    assert code == 0 and len(out.split()) == 61
+    code, out, err = run(capsys, "obstruct", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["all_consistent"] is True
+    by_name = {c["name"]: c["result"] for c in payload["checks"]}
+    assert by_name["gcd_minors_all_threes"] == {"gcd": 8}
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "out.txt"
     code, stdout, _ = run(capsys, "matrix", fx("single_line"))

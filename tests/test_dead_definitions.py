@@ -4,7 +4,8 @@ as an attribute, imported, or listed in an ``__all__``.  Every module-level
 function, class and non-dunder assignment is also reachable, matching by
 name, from the command line (``cli.main``), the public API
 (``varchenko.__all__``) or the ``fixtures`` module, so nothing is left in
-src/ for the tests alone; and no module in src/ imports from tests/.
+src/ for the tests alone; no module in src/ imports from tests/, and none
+defines or refers to a Fourier-Motzkin routine.
 References are read from the syntax tree, so a name that occurs only in a
 docstring or a comment counts as unreferenced."""
 
@@ -152,3 +153,20 @@ def test_no_package_module_imports_from_the_tests():
                 if name.split(".")[0] in test_modules
             ]
     assert offending == []
+
+
+# the Fourier-Motzkin elimination and its helper (tests/reference.py), and
+# an integer point search built on them
+LP_ROUTINES = {"_fourier_motzkin", "integer_strict_point", "_inside"}
+
+
+def test_no_package_module_defines_or_imports_an_lp_routine():
+    """Face enumeration reads each cut off the regions of a smaller flat,
+    so no LP is left on any runtime path."""
+    found = []
+    for module, tree in _package_modules():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, DEFINITIONS)}
+        found += [f"{module} defines {name}" for name in sorted(defined & LP_ROUTINES)]
+        used = set(references(tree)) & LP_ROUTINES
+        found += [f"{module} refers to {name}" for name in sorted(used)]
+    assert found == []

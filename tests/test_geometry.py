@@ -14,6 +14,7 @@ from varchenko.errors import (
     InvalidInput,
     TooLarge,
 )
+from varchenko.exactlp import _normalize_int
 from varchenko.geometry import (
     Arrangement,
     FaceTable,
@@ -183,20 +184,26 @@ def test_faces_compose_with_regions_into_regions():
 
 
 def faces_by_full_scan(arr):
-    """Independent oracle: one feasibility call per sign vector in {+,0,-}^n."""
+    """Independent oracle: one feasibility call per sign vector in {+,0,-}^n,
+    grown one hyperplane at a time; a sign prefix that no point realises is
+    not extended, since every extension adds constraints to it."""
     nvars = arr.dim + 1 if arr.mode == "central" else arr.dim
+    # each hyperplane scaled by a positive rational to integers
+    planes = [_normalize_int(h.normal, h.offset) for h in arr.hyperplanes]
     found = set()
-    for signs in itertools.product((1, 0, -1), repeat=arr.n):
-        eqs, stricts = [], []
-        for h, s in zip(arr.hyperplanes, signs):
-            if s == 0:
-                eqs.append((h.normal, h.offset))
-            elif s > 0:
-                stricts.append((h.normal, h.offset))
-            else:
-                stricts.append((tuple(-c for c in h.normal), -h.offset))
-        if feasible_strict(eqs, stricts, nvars, require_nonzero=arr.mode == "central"):
+
+    def scan(signs, eqs, stricts):
+        if not feasible_strict(eqs, stricts, nvars, require_nonzero=arr.mode == "central"):
+            return
+        if len(signs) == arr.n:
             found.add(SignVector.from_signs(signs))
+            return
+        a, b = planes[len(signs)]
+        scan(signs + [1], eqs, stricts + [(a, b)])
+        scan(signs + [0], eqs + [(a, b)], stricts)
+        scan(signs + [-1], eqs, stricts + [(tuple(-c for c in a), -b)])
+
+    scan([], [], [])
     return found
 
 
@@ -337,6 +344,28 @@ def test_two_lines_on_the_circle_keep_every_face():
     assert [r.to_string() for r in arr.regions()] == ["++", "+-", "-+", "--"]
 
 
+def test_a_plane_meeting_a_flat_only_at_the_origin_still_cuts_it():
+    # S1, S2 and S4 meet in the z-axis X, a 0-sphere on S^2; S3 and S5 meet
+    # X only at the origin, so the restriction of X to either is empty, yet
+    # each splits X into its two points
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
+    arr = Arrangement(
+        "central",
+        2,
+        [
+            Hyperplane(f"S{i + 1}", tuple(map(Fraction, normal)))
+            for i, normal in enumerate(normals)
+        ],
+    )
+    faces = set(arr.faces().members)
+    assert faces == faces_by_full_scan(arr)
+    on_axis = {f.to_string() for f in faces if f.zero_set() == {0, 1, 3}}
+    assert on_axis == {"00+0+", "00-0-"}
+    for flat in arr.poset():
+        assert flat.dim == flat_dim_by_elimination(arr, flat.defining_set)
+    assert arr.poset().flats[arr.poset().flat_index({0, 1, 3})].dim == 0
+
+
 def test_covector_mode_fixture():
     arr = fixtures.suspension_three_generic_lines()
     assert arr.n == 3
@@ -419,7 +448,7 @@ def test_json_round_trip():
 def test_rational_parsing():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("17") == 17
-    for bad in ("3.5", "1/0x", "--2", "", "1e3", "x"):
+    for bad in ("3.5", "1/0x", "--2", "", "1e3", "x", "1\n", "\u0661", "1/\u0663"):
         with pytest.raises(InvalidInput):
             parse_rational(bad)
 

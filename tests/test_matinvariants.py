@@ -17,7 +17,7 @@ from varchenko.matinvariants import (
     obstruction_report,
     deletion_reduction,
 )
-from varchenko.polyring import Polynomial, one_minus_square
+from varchenko.polyring import Polynomial, one_minus_square, parse_polynomial
 from varchenko.varmatrix import (
     LabeledMatrix,
     build_varchenko,
@@ -77,9 +77,12 @@ def test_gcd_minors_integer_examples():
 def test_gcd_minors_caps_and_validation():
     with pytest.raises(InvalidInput):
         gcd_minors([[1, 2], [3, 4]], 3)
+    # the cap binds only where minors are formed, over polynomial entries;
+    # an integer grid's gcd is read off its Smith form
     big = [[1] * 40 for _ in range(40)]
+    assert gcd_minors(big, 20) == 0
     with pytest.raises(TooLarge):
-        gcd_minors(big, 20)
+        gcd_minors([[parse_polynomial("x1")] * 40 for _ in range(40)], 20)
 
 
 def test_integer_snf_examples():
