@@ -256,18 +256,30 @@ def test_obstruct_covector_mode_unsupported(tmp_path, capsys):
     assert "covector mode" in err
 
 
-def test_obstruct_at_45_regions(tmp_path, capsys):
-    # S1, S2, S3 meet at the origin; the other six lines are generic
-    rows = [
-        (1, 0, 0), (0, 1, 0), (1, 1, 0), (-3, 7, -3), (-4, 7, -10),
-        (-7, 3, 19), (5, 3, -12), (-9, 1, -7), (-3, 3, -10),
-    ]
+# S1, S2, S3 meet at the origin; the other six lines are generic
+LINES_45 = [
+    (1, 0, 0), (0, 1, 0), (1, 1, 0), (-3, 7, -3), (-4, 7, -10),
+    (-7, 3, 19), (5, 3, -12), (-9, 1, -7), (-3, 3, -10),
+]
+# S1..S5 meet at the origin; the other six lines are generic
+LINES_61 = [
+    (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0),
+    (-1, 2, -11), (5, -2, -9), (-4, -6, 11), (6, -2, 12), (8, -6, 3), (-9, -3, 14),
+]
+
+
+def lines_document(rows) -> dict:
+    """An affine arrangement of lines a*x1 + b*x2 = c from rows (a, b, c)."""
     hyperplanes = [
         {"name": f"S{i + 1}", "normal": [str(a), str(b)], "offset": str(c)}
         for i, (a, b, c) in enumerate(rows)
     ]
+    return {"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}
+
+
+def test_obstruct_at_45_regions(tmp_path, capsys):
     path = tmp_path / "lines.json"
-    path.write_text(json.dumps({"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}))
+    path.write_text(json.dumps(lines_document(LINES_45)))
     code, out, _ = run(capsys, "regions", str(path))
     assert code == 0 and len(out.split()) == 45
     code, out, _ = run(capsys, "obstruct", str(path), "--format", "json")
@@ -451,19 +463,11 @@ def test_non_ascii_numerals_exit_2_naming_the_literal(tmp_path, capsys):
 
 
 def test_obstruct_beyond_the_minor_pair_cap(tmp_path, capsys):
-    # five lines through the origin and six generic lines: 61 regions, past
-    # the point where the 2x2 minors of V would number more than 10^6; the
-    # integer gcd is read off the Smith form and forms no minor
-    rows = [
-        (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0),
-        (-1, 2, -11), (5, -2, -9), (-4, -6, 11), (6, -2, 12), (8, -6, 3), (-9, -3, 14),
-    ]
-    hyperplanes = [
-        {"name": f"S{i + 1}", "normal": [str(a), str(b)], "offset": str(c)}
-        for i, (a, b, c) in enumerate(rows)
-    ]
+    # 61 regions: past the point where the 2x2 minors of V would number
+    # more than 10^6; the integer gcd is read off the Smith form and forms
+    # no minor
     path = tmp_path / "lines.json"
-    path.write_text(json.dumps({"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}))
+    path.write_text(json.dumps(lines_document(LINES_61)))
     code, out, _ = run(capsys, "regions", str(path))
     assert code == 0 and len(out.split()) == 61
     code, out, err = run(capsys, "obstruct", str(path), "--format", "json")
@@ -472,6 +476,26 @@ def test_obstruct_beyond_the_minor_pair_cap(tmp_path, capsys):
     assert payload["all_consistent"] is True
     by_name = {c["name"]: c["result"] for c in payload["checks"]}
     assert by_name["gcd_minors_all_threes"] == {"gcd": 8}
+
+
+def test_obstruct_beyond_the_smith_form_cap(tmp_path, capsys):
+    # one more generic line: 73 regions, past integer_snf's 64 rows; the
+    # Smith forms at x_i = 3, x_j = 0 are read off the region pairs
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(lines_document(LINES_61 + [(7, 5, -13)])))
+    code, out, _ = run(capsys, "regions", str(path))
+    assert code == 0 and len(out.split()) == 73
+    code, out, err = run(capsys, "obstruct", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["all_consistent"] is True
+    by_name = {c["name"]: c["result"] for c in payload["checks"]}
+    assert by_name["gcd_minors_all_threes"] == {"gcd": 8}
+    assert by_name["rank_all_ones"] == {"rank": 1}
+    multiplicities = by_name["snf_specializations"]["snf_multiplicities"]
+    assert list(multiplicities) == [f"S{i + 1}" for i in range(12)]
+    for mult in multiplicities.values():
+        assert set(mult) == {"1", "8"} and mult["1"] + mult["8"] == 73
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

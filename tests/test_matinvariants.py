@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,8 @@ from math import gcd, prod
 import pytest
 
 from reference import int_det
-from varchenko import fixtures
+from test_cli import LINES_45, LINES_61, lines_document
+from varchenko import fixtures, matinvariants
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.matinvariants import (
@@ -83,6 +85,26 @@ def test_gcd_minors_caps_and_validation():
     assert gcd_minors(big, 20) == 0
     with pytest.raises(TooLarge):
         gcd_minors([[parse_polynomial("x1")] * 40 for _ in range(40)], 20)
+
+
+def test_gcd_minors_reads_an_int_grid_as_its_constant_polynomials():
+    rng = random.Random(31)
+    grids = [[[1, 3], [3, 1]], [[0, 0], [0, 0]], [[2, 4, 6]], [[5], [10], [0]]]
+    for _ in range(30):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        grids.append([[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)])
+    for grid in grids:
+        before = [row[:] for row in grid]
+        constants = [[Polynomial.constant(e) for e in row] for row in grid]
+        for k in range(min(len(grid), len(grid[0])) + 1):
+            value = gcd_minors(grid, k)
+            assert type(value) is int, (grid, k)
+            assert value == gcd_minors(constants, k), (grid, k)
+        assert grid == before  # the Smith form reduces a copy
+    assert gcd_minors([], 0) == 1
+    for grid, k in (([[1, 2], [3]], 1), ([[1, 2], [3, 4]], 3), ([[1, 2], [3, 4]], -1)):
+        with pytest.raises(InvalidInput):
+            gcd_minors(grid, k)
 
 
 def test_integer_snf_examples():
@@ -347,3 +369,47 @@ def test_obstruction_enumerates_nothing_once_faces_and_poset_are_cached(monkeypa
     for arr in arrangements:
         obstruction_report(arr)
     assert calls == []
+
+
+def snf_by_smith_form(arrangement):
+    """The single-hyperplane specialisations' Smith forms computed as they
+    were before the closed form: one `integer_snf` per hyperplane of V at
+    x_i = 3, x_j = 0, read off the separation masks."""
+    regions = arrangement.regions()
+    masks = [[x.separation_mask(y) for y in regions] for x in regions]
+    out = {}
+    for i, name in enumerate(arrangement.names):
+        diag = integer_snf(
+            [[3 if m == 1 << i else 0 if m else 1 for m in row] for row in masks]
+        )
+        out[name] = {str(val): diag.count(val) for val in sorted(set(diag))}
+    return out
+
+
+def test_closed_form_snf_equals_the_smith_form():
+    arrangements = [
+        arr
+        for arr in fixtures.named_fixtures().values()
+        if arr.mode != "covector" and not arr.is_semigeneral()
+    ]
+    assert len(arrangements) == 3
+    arrangements += [
+        Arrangement.from_json(json.dumps(lines_document(rows)))
+        for rows in (LINES_45, LINES_61)
+    ]
+    for arr in arrangements:
+        report = obstruction_report(arr)
+        snf = next(c for c in report.checks if c.name == "snf_specializations")
+        assert snf.consistent
+        assert snf.result["snf_multiplicities"] == snf_by_smith_form(arr), arr.to_json()
+
+
+def test_obstruction_report_computes_no_smith_form(monkeypatch):
+    builders = (fixtures.pencil_four_planes, fixtures.three_concurrent_lines)
+    expected = [obstruction_report(build()) for build in builders]
+
+    def refuse(grid):
+        raise AssertionError("integer_snf called on the obstruct path")
+
+    monkeypatch.setattr(matinvariants, "integer_snf", refuse)
+    assert [obstruction_report(build()) for build in builders] == expected

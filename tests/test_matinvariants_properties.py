@@ -1,16 +1,18 @@
 """Property tests of `gcd_minors` and `integer_snf` against the brute-force
-gcd of every k x k minor, and of `int_rank` against `Fraction` Gaussian
-elimination."""
+gcd of every k x k minor, of `int_rank` against `Fraction` Gaussian
+elimination, and of the closed-form single-hyperplane Smith forms of the
+obstruction report against `integer_snf`."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reference import fraction_rank
-from test_matinvariants import check_minor_gcds
-from varchenko.matinvariants import int_rank
+from test_geometry_properties import arrangements
+from test_matinvariants import check_minor_gcds, snf_by_smith_form
+from varchenko.matinvariants import MAX_SNF_SIZE, _single_threes_snf, int_rank
 
 
 @st.composite
@@ -39,3 +41,12 @@ def test_gcd_minors_equals_the_brute_force_reference(grid):
 @example([])
 def test_int_rank_equals_the_fraction_elimination_reference(grid):
     assert int_rank(grid) == fraction_rank(grid)
+
+
+@settings(max_examples=120)
+@given(arrangements())
+def test_closed_form_snf_equals_the_smith_form(arr):
+    regions = arr.regions()
+    assume(len(regions) <= MAX_SNF_SIZE)
+    masks = [[x.separation_mask(y) for y in regions] for x in regions]
+    assert _single_threes_snf(arr.names, masks) == snf_by_smith_form(arr)
