@@ -136,26 +136,23 @@ def gcd_minors(matrix, k: int):
     For an integer grid the gcd of the k x k minors is the k-th
     determinantal divisor d_1...d_k, the product of the first k invariant
     factors of the Smith normal form (Newman, Integral Matrices, 1972), so
-    no minor is formed; it is 0 exactly when the rank is below k.  A grid
-    of plain ints goes to the Smith form as it is.  Polynomial grids take
-    the gcd of every minor's determinant.
+    no minor is formed; it is 0 exactly when the rank is below k.  Ints
+    go to the Smith form as they are, constant polynomials as their values.
+    Polynomial grids take the gcd of every minor's determinant.
     """
-    labeled = isinstance(matrix, LabeledMatrix)
-    rows = [list(r) for r in (matrix.rows if labeled else matrix)]
+    rows = [list(r) for r in (matrix.rows if isinstance(matrix, LabeledMatrix) else matrix)]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InvalidInput("ragged matrix")
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     if k < 0 or k > min(nrows, ncols):
         raise InvalidInput(f"minor size {k} out of range")
-    if not labeled and all(isinstance(e, int) for r in rows for e in r):
-        return prod(_snf_prefix(rows, k))
+    if all(isinstance(e, int) or e.is_constant() for r in rows for e in r):
+        ints = [[e if isinstance(e, int) else e.as_int() for e in r] for r in rows]
+        return prod(_snf_prefix(ints, k))
     rows = [[Polynomial.constant(e) if isinstance(e, int) else e for e in r] for r in rows]
-    integer_input = all(e.is_constant() for r in rows for e in r)
     if k == 0:
-        return 1 if integer_input else Polynomial.one()
-    if integer_input:
-        return prod(_snf_prefix([[e.as_int() for e in r] for r in rows], k))
+        return Polynomial.one()
     if comb(nrows, k) * comb(ncols, k) > MAX_MINOR_PAIRS:
         raise TooLarge(f"too many {k}x{k} minors")
 

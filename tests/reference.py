@@ -19,6 +19,12 @@
 * `bareiss_det` is the Bareiss determinant of a polynomial matrix, with
   exact division by the previous pivot; `det_bruteforce` expands by minors
   memoised over column subsets instead and divides nothing.
+* `snf_by_smith_form` runs one `integer_snf` per hyperplane of V at
+  x_i = 3, x_j = 0; `obstruction_report` reads the same Smith forms off
+  the region pairs instead.
+* `LINES_45` and `LINES_61` are affine line arrangements with a deficient
+  flat, past the sizes of the fixtures; `lines_document` writes such rows
+  as an input document.
 """
 
 from fractions import Fraction
@@ -37,7 +43,7 @@ from varchenko.diagonalize import (
 from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge
 from varchenko.exactlp import _dot, _normalize_int, _primitive
 from varchenko.geometry import Arrangement
-from varchenko.matinvariants import _check_int_grid
+from varchenko.matinvariants import _check_int_grid, integer_snf
 from varchenko.polyring import (
     Monomial,
     Polynomial,
@@ -46,6 +52,17 @@ from varchenko.polyring import (
     one_minus_square,
 )
 from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko
+
+# S1, S2, S3 meet at the origin; the other six lines are generic
+LINES_45 = [
+    (1, 0, 0), (0, 1, 0), (1, 1, 0), (-3, 7, -3), (-4, 7, -10),
+    (-7, 3, 19), (5, 3, -12), (-9, 1, -7), (-3, 3, -10),
+]
+# S1..S5 meet at the origin; the other six lines are generic
+LINES_61 = [
+    (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0),
+    (-1, 2, -11), (5, -2, -9), (-4, -6, 11), (6, -2, 12), (8, -6, 3), (-9, -3, 14),
+]
 
 Vector = tuple[Fraction, ...]
 # a strict constraint (a, b) means a . x > b
@@ -479,3 +496,26 @@ def bareiss_det(matrix: LabeledMatrix) -> Polynomial:
         prev = rows[k][k]
     det = rows[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def lines_document(rows) -> dict:
+    """An affine arrangement of lines a*x1 + b*x2 = c from rows (a, b, c)."""
+    hyperplanes = [
+        {"name": f"S{i + 1}", "normal": [str(a), str(b)], "offset": str(c)}
+        for i, (a, b, c) in enumerate(rows)
+    ]
+    return {"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}
+
+
+def snf_by_smith_form(arrangement: Arrangement) -> dict[str, dict[str, int]]:
+    """The single-hyperplane specialisations' Smith forms, one `integer_snf`
+    per hyperplane of V at x_i = 3, x_j = 0, read off the separation masks."""
+    regions = arrangement.regions()
+    masks = [[x.separation_mask(y) for y in regions] for x in regions]
+    out = {}
+    for i, name in enumerate(arrangement.names):
+        diag = integer_snf(
+            [[3 if m == 1 << i else 0 if m else 1 for m in row] for row in masks]
+        )
+        out[name] = {str(val): diag.count(val) for val in sorted(set(diag))}
+    return out

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from reference import LINES_45, LINES_61, lines_document
 from test_varmatrix import three_planes_on_a_line_plus_one
 from varchenko import fixtures
 from varchenko.cli import main
@@ -254,27 +255,6 @@ def test_obstruct_covector_mode_unsupported(tmp_path, capsys):
     code, out, err = run(capsys, "obstruct", str(path))
     assert code == 3 and out == ""
     assert "covector mode" in err
-
-
-# S1, S2, S3 meet at the origin; the other six lines are generic
-LINES_45 = [
-    (1, 0, 0), (0, 1, 0), (1, 1, 0), (-3, 7, -3), (-4, 7, -10),
-    (-7, 3, 19), (5, 3, -12), (-9, 1, -7), (-3, 3, -10),
-]
-# S1..S5 meet at the origin; the other six lines are generic
-LINES_61 = [
-    (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0),
-    (-1, 2, -11), (5, -2, -9), (-4, -6, 11), (6, -2, 12), (8, -6, 3), (-9, -3, 14),
-]
-
-
-def lines_document(rows) -> dict:
-    """An affine arrangement of lines a*x1 + b*x2 = c from rows (a, b, c)."""
-    hyperplanes = [
-        {"name": f"S{i + 1}", "normal": [str(a), str(b)], "offset": str(c)}
-        for i, (a, b, c) in enumerate(rows)
-    ]
-    return {"mode": "affine", "dim": 2, "hyperplanes": hyperplanes}
 
 
 def test_obstruct_at_45_regions(tmp_path, capsys):

@@ -6,8 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from reference import int_det
-from test_cli import LINES_45, LINES_61, lines_document
+from reference import LINES_45, LINES_61, int_det, lines_document, snf_by_smith_form
 from varchenko import fixtures, matinvariants
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
 from varchenko.geometry import Arrangement, Hyperplane
@@ -369,21 +368,6 @@ def test_obstruction_enumerates_nothing_once_faces_and_poset_are_cached(monkeypa
     for arr in arrangements:
         obstruction_report(arr)
     assert calls == []
-
-
-def snf_by_smith_form(arrangement):
-    """The single-hyperplane specialisations' Smith forms computed as they
-    were before the closed form: one `integer_snf` per hyperplane of V at
-    x_i = 3, x_j = 0, read off the separation masks."""
-    regions = arrangement.regions()
-    masks = [[x.separation_mask(y) for y in regions] for x in regions]
-    out = {}
-    for i, name in enumerate(arrangement.names):
-        diag = integer_snf(
-            [[3 if m == 1 << i else 0 if m else 1 for m in row] for row in masks]
-        )
-        out[name] = {str(val): diag.count(val) for val in sorted(set(diag))}
-    return out
 
 
 def test_closed_form_snf_equals_the_smith_form():

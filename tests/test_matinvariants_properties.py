@@ -9,9 +9,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reference import fraction_rank
+from reference import fraction_rank, snf_by_smith_form
 from test_geometry_properties import arrangements
-from test_matinvariants import check_minor_gcds, snf_by_smith_form
+from test_matinvariants import check_minor_gcds
 from varchenko.matinvariants import MAX_SNF_SIZE, _single_threes_snf, int_rank
 
 
