@@ -2,6 +2,7 @@
 arrangements: construction, semigeneral tests, diagonal forms with
 certificates, determinant formulas and obstruction diagnostics."""
 
+from .certificate import verify_certificate
 from .diagonalize import (
     DiagonalizationCertificate,
     pivot_step,
@@ -105,4 +106,5 @@ __all__ = [
     "deletion_reduction",
     "separation_set",
     "snf_q",
+    "verify_certificate",
 ]

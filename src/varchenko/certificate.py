@@ -1,0 +1,277 @@
+"""The diagonal-form certificate: the rows of P its step faces imply, the
+proof that P V P^T = D, and the reader of its format-2 file.
+
+A certificate is the region ordering and, for each step, the flat it
+encompasses, the face of that flat it completes and its diagonal entry.
+Row k of P is fixed by step k's face, so the file holds no matrix.
+`diagonalize` proves the certificate it builds with `_ordering_det` and
+`_face_cube_checks`; `verify_certificate` reads a file and runs the same
+two checks on the rows it rebuilds from the face table, with no ordering
+search.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .errors import ClosedFormViolation, InvalidInput, NotSemigeneral
+from .geometry import Arrangement
+from .polyring import FactoredPoly, Monomial, Polynomial, mask_key, one_minus_square, parse_json
+from .signedsets import SignVector, bits
+
+FORMAT = 2
+
+
+@dataclass(frozen=True)
+class RegionOrdering:
+    """A coloring order together with the flat first encompassed per step
+    and the face of that flat whose adjacent regions the step completes."""
+
+    order: tuple[int, ...]
+    step_flats: tuple[int, ...]
+    step_faces: tuple[SignVector, ...]
+
+
+def _semigeneral_gate(arrangement: Arrangement) -> None:
+    witness = arrangement.semigeneral_witness()
+    if witness is not None:
+        names = [arrangement.names[i] for i in sorted(witness.defining_set)]
+        raise NotSemigeneral(
+            names, witness.dim, arrangement.dim - len(witness.defining_set)
+        )
+
+
+def _diagonal_entry(flat) -> FactoredPoly:
+    """The product of (1 - x_a^2) over the flat's defining set."""
+    return FactoredPoly.from_factors(
+        (one_minus_square((a,)), 1) for a in flat.defining_tuple()
+    )
+
+
+# A row of P by its nonzero entries: region id -> entry.
+SparseRow = dict[int, Polynomial]
+
+
+def _transform_entry(sep: int) -> Polynomial:
+    """(-1)^|S| x^S for the separation mask S of two regions."""
+    return Polynomial.from_monomial(
+        Monomial.from_mask(sep), -1 if sep.bit_count() % 2 else 1
+    )
+
+
+def _transform_rows(arrangement: Arrangement, order: RegionOrdering) -> list[SparseRow]:
+    """Row k of P: (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
+    to the face that step k completes."""
+    regions = arrangement.regions()
+    table = arrangement.face_table()
+    adjacent = dict(zip(table.faces, table.adjacent))
+    return [
+        {j: _transform_entry(regions[k].separation_mask(regions[j])) for j in bits(adjacent[face])}
+        for k, face in zip(order.order, order.step_faces)
+    ]
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """The sign of a permutation of 0..n-1: (-1)^(n - number of cycles)."""
+    seen = bytearray(len(perm))
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def _ordering_det(rows: list[SparseRow], perm: Sequence[int]) -> str:
+    """Prove det P in {+1, -1} from the shape of P's rows and return it as a
+    string.
+
+    P = L * Pi, where Pi[i][perm[i]] = 1 and L[i][j] = P[i][perm[j]].  Once
+    L is checked to be unit lower-triangular, det P = det Pi = sign(perm)
+    at every size.
+    """
+    step_of = {region: j for j, region in enumerate(perm)}
+    for i, row in enumerate(rows):
+        pivot = row.get(perm[i], Polynomial.zero())
+        if pivot != Polynomial.one():
+            raise ClosedFormViolation(
+                f"step {i}: transform entry ({i},{perm[i]}) is {pivot}, not 1, "
+                f"on the diagonal in elimination order"
+            )
+        for region, entry in row.items():
+            if step_of[region] > i and not entry.is_zero():
+                raise ClosedFormViolation(
+                    f"step {i}: transform entry ({i},{region}) is nonzero above the "
+                    f"diagonal in elimination order"
+                )
+    return str(_permutation_sign(perm))
+
+
+def _face_cube_checks(
+    arrangement: Arrangement, order: RegionOrdering, rows: list[SparseRow]
+) -> None:
+    """Prove P V P^T = D from the faces the steps complete, once
+    `_ordering_det` has proven P = L * Pi with L unit lower-triangular.
+
+    Let step i color R_i and complete face f_i with zero set Z.  If f_i's
+    adjacent regions are R_i (+) T, R_i with its signs on T flipped, for
+    every subset T of Z, and row i of P is (-1)^|T| x^T there, (P V)[i][b] is
+    x^sep(R_i, b) * prod_{e in Z} (1 - x_e^2) if sep(R_i, b) misses Z, else
+    0: the sum over T factorises by e in Z into 1 - x_e^2 where R_i and b
+    agree on e and x_e - x_e = 0 where they differ.  If no region colored
+    before step i agrees with R_i on Z either, P V in elimination order is
+    upper triangular with diagonal D, so the symmetric P V P^T is D.  These
+    conditions are checked per step on masks, entries read as packed keys.
+    """
+    regions, flats = arrangement.regions(), arrangement.poset().flats
+    table = arrangement.face_table()
+    faces = dict(zip(table.faces, zip(table.flats, table.adjacent)))
+    colored: list[int] = []  # the plus masks of the regions colored so far
+    steps = zip(order.order, order.step_flats, order.step_faces)
+    for i, (region, flat, face) in enumerate(steps):
+        (face_flat, adjacent), zero, step = faces[face], face.zero_mask, regions[region]
+        seps = {a: step.separation_mask(regions[a]) for a in rows[i]}
+        wrong = [
+            a for a, s in seps.items()
+            if s & ~zero or rows[i][a].packed() != {mask_key(s): (-1) ** s.bit_count()}
+        ]
+        earlier = [n for n, plus in enumerate(colored) if (plus ^ step.plus) & zero == 0]
+        if face_flat != flat or flats[flat].defining_set != face.zero_set():
+            failed = f"its face lies on flat {face_flat}, not on the step flat {flat}"
+        elif adjacent.bit_count() != 1 << zero.bit_count():
+            failed = f"its face has {adjacent.bit_count()} adjacent regions, not a full cube"
+        elif sum(1 << a for a in seps) != adjacent:
+            failed = "the row's nonzero entries are not its face's adjacent regions"
+        elif wrong:
+            failed = f"transform entry ({i},{wrong[0]}) is not (-1)^|T| x^T on the cube"
+        elif earlier:
+            failed = f"region {order.order[earlier[0]]} agrees with it on the face's zero set"
+        else:
+            colored.append(step.plus)
+            continue
+        raise ClosedFormViolation(f"P V Q does not equal the diagonal matrix: step {i}: {failed}")
+
+
+def _json_object(value, keys: set[str], what: str) -> dict:
+    """`value`, checked to be a JSON object with exactly `keys`."""
+    if not isinstance(value, dict):
+        raise InvalidInput(f"certificate {what} must be a JSON object")
+    if set(value) != keys:
+        missing, unknown = sorted(keys - set(value)), sorted(set(value) - keys)
+        raise InvalidInput(
+            f"certificate {what} must have the keys {sorted(keys)}"
+            + (f"; missing {missing}" if missing else "")
+            + (f"; unknown {unknown}" if unknown else "")
+        )
+    return value
+
+
+def _index(value, bound: int, what: str) -> int:
+    """`value`, checked to be an int in 0..bound-1."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise InvalidInput(f"certificate {what} must be an integer in 0..{bound - 1}, got {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    """`value`, checked to be a string."""
+    if not isinstance(value, str):
+        raise InvalidInput(f"certificate {what} must be a string, got {value!r}")
+    return value
+
+
+def read_certificate(
+    arrangement: Arrangement, text: str
+) -> tuple[RegionOrdering, list[str], dict]:
+    """The steps, diagonal entries and checks of a format-2 certificate
+    for `arrangement`; InvalidInput if the file is not one.
+
+    The ordering must list every region id once and there must be one step
+    per region, with its index as `k`, a flat id of the arrangement and a
+    sign string of the arrangement's length as its face.  Whether each face
+    is a face of the arrangement, and everything else the file claims, is
+    left to the proof.
+    """
+    data = parse_json(text, "certificate JSON")
+    if not isinstance(data, dict):
+        raise InvalidInput("certificate must be a JSON object")
+    if "format" not in data:
+        raise InvalidInput(
+            'certificate has no "format" key: it is a dense format-1 file or not a '
+            f"certificate; verify reads format {FORMAT}"
+        )
+    if type(data["format"]) is not int or data["format"] != FORMAT:
+        raise InvalidInput(
+            f"certificate format {data['format']!r} is not supported; verify reads "
+            f"format {FORMAT}"
+        )
+    _json_object(data, {"format", "ordering", "steps", "checks"}, "file")
+    r, nflats, n = len(arrangement.regions()), len(arrangement.poset()), arrangement.n
+    order, steps = data["ordering"], data["steps"]
+    for value, what in ((order, "ordering"), (steps, "steps")):
+        if not isinstance(value, list) or len(value) != r:
+            raise InvalidInput(f"certificate {what} must be a list of {r} entries, one per region")
+    seen: set[int] = set()
+    for value in order:
+        region = _index(value, r, "ordering region id")
+        if region in seen:
+            raise InvalidInput(f"certificate ordering lists region {region} twice")
+        seen.add(region)
+    flats, faces, entries = [], [], []
+    for k, step in enumerate(steps):
+        step = _json_object(step, {"k", "flat", "face", "entry"}, f"step {k}")
+        if type(step["k"]) is not int or step["k"] != k:
+            raise InvalidInput(f"certificate step {k} has k = {step['k']!r}")
+        flats.append(_index(step["flat"], nflats, f"step {k} flat id"))
+        face = _string(step["face"], f"step {k} face")
+        if len(face) != n:
+            raise InvalidInput(
+                f"certificate step {k} face {face!r} has {len(face)} signs, not {n}"
+            )
+        faces.append(SignVector.from_string(face))
+        entries.append(_string(step["entry"], f"step {k} entry"))
+    checks = _json_object(data["checks"], {"pvq_equals_d", "det_p", "det_q"}, "checks")
+    return RegionOrdering(tuple(order), tuple(flats), tuple(faces)), entries, checks
+
+
+def verify_certificate(arrangement: Arrangement, text: str) -> dict:
+    """Prove a format-2 certificate for `arrangement` and return its checks.
+
+    NotSemigeneral if the arrangement is not semigeneral, InvalidInput if
+    the file is malformed, and ClosedFormViolation, naming the step and the
+    condition, if a step face is not a face of the arrangement, the proof
+    of `diagonalize` fails on the rows of P the faces imply, an entry is
+    not the product over its step flat's defining set or a check differs
+    from what the proof gives.
+    """
+    _semigeneral_gate(arrangement)
+    order, entries, checks = read_certificate(arrangement, text)
+    table = arrangement.face_table()
+    known = set(table.faces)
+    for k, face in enumerate(order.step_faces):
+        if face not in known:
+            raise ClosedFormViolation(
+                f"step {k}: its face {face.to_string()} is not a face of the arrangement"
+            )
+    rows = _transform_rows(arrangement, order)
+    det = _ordering_det(rows, order.order)
+    _face_cube_checks(arrangement, order, rows)
+    flats = arrangement.poset().flats
+    for k, (flat, entry) in enumerate(zip(order.step_flats, entries)):
+        expected = str(_diagonal_entry(flats[flat]))
+        if entry != expected:
+            raise ClosedFormViolation(
+                f"step {k}: its entry {entry} is not {expected}, the product over "
+                f"the step flat's defining set"
+            )
+    proven = {"pvq_equals_d": True, "det_p": det, "det_q": det}
+    for key, value in proven.items():
+        if type(checks[key]) is not type(value) or checks[key] != value:
+            raise ClosedFormViolation(
+                f"checks: {key} is {checks[key]!r}, but the proof gives {value!r}"
+            )
+    return proven

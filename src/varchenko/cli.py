@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: regions, faces, poset, charpoly, matrix, det, check,
-diagonalize, snf-q, obstruct, axioms.  Exit codes: 0 success, 2 invalid
-input, 3 precondition failure, 4 size cap exceeded, 1 internal error.
+diagonalize, verify, snf-q, obstruct, axioms.  Exit codes: 0 success, 2
+invalid input, 3 precondition failure, 4 size cap exceeded, 1 internal
+error or, for verify, a certificate that does not hold.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .certificate import verify_certificate
 from .diagonalize import diagonalize, snf_q
 from .errors import (
     InvalidArrangement,
@@ -69,6 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("check", "semigeneral-position verdict with witness")
     p = add("diagonalize", "diagonal form with transformation certificate")
     p.add_argument("--certificate", default=None, help="write the certificate JSON here")
+    p = add("verify", "re-prove a certificate written by diagonalize --certificate")
+    p.add_argument("certificate", type=Path, help="the certificate JSON (format 2)")
     add("snf-q", "Smith normal form multiplicities after x_i := q")
     add("obstruct", "obstruction diagnostics for a non-semigeneral arrangement")
     add("axioms", "check the signed-family axioms on a covector list")
@@ -214,6 +218,16 @@ def _run_diagonalize(args: argparse.Namespace) -> tuple[str, object]:
     return "\n".join(lines), cert_json
 
 
+def _run_verify(args: argparse.Namespace) -> tuple[str, object]:
+    arr = _load_arrangement(args.input)
+    if not args.certificate.is_file():
+        raise InvalidInput(f"certificate file not found: {args.certificate}")
+    checks = verify_certificate(arr, args.certificate.read_text())
+    steps = len(arr.regions())
+    text = "verified: {steps} steps\nchecks: pvq_equals_d={pvq_equals_d} det_p={det_p} det_q={det_q}"
+    return text.format(steps=steps, **checks), {"verified": True, "steps": steps, "checks": checks}
+
+
 def _run_snf_q(args: argparse.Namespace) -> tuple[str, object]:
     arr = _load_arrangement(args.input)
     entries = snf_q(arr)
@@ -291,6 +305,7 @@ _HANDLERS = {
     "det": _run_det,
     "check": _run_check,
     "diagonalize": _run_diagonalize,
+    "verify": _run_verify,
     "snf-q": _run_snf_q,
     "obstruct": _run_obstruct,
     "axioms": _run_axioms,

@@ -3,37 +3,39 @@ arrangement, with a verifiable transformation certificate.
 
 The pipeline is: order the regions so that each new region extends the
 encompassed part of the flat poset by exactly one flat, completing one face
-of it; then write the row transform P in closed form from those faces.  P
-is the whole certificate, checked rather than trusted, and V is not built:
-P is a unit lower-triangular matrix times the ordering's permutation, and
-P * V * P^T is diagonal by the paper's face identity, checked on masks.
-`replay_elimination`, the elimination P summarises, is a test reference in
-tests/reference.py.
+of it; then write the row transform P in closed form from those faces.  The
+ordering and the step faces are the certificate, checked rather than
+trusted, and V is not built: P is a unit lower-triangular matrix times the
+ordering's permutation, and P * V * P^T is diagonal by the paper's face
+identity, checked on masks by the `certificate` module, which `verify`
+shares.  `replay_elimination`, the elimination P summarises, is a test
+reference in tests/reference.py.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
+from .certificate import (
+    FORMAT,
+    RegionOrdering,
+    _diagonal_entry,
+    _face_cube_checks,
+    _ordering_det,
+    _semigeneral_gate,
+    _transform_rows,
+)
 from .errors import (
     ClosedFormViolation,
     InvalidInput,
     NotDivisible,
-    NotSemigeneral,
     OrderingStuck,
     PivotDivisionFailure,
 )
 from .geometry import Arrangement
-from .polyring import (
-    FactoredPoly,
-    Monomial,
-    Polynomial,
-    exact_div,
-    mask_key,
-    one_minus_square,
-)
+from .polyring import FactoredPoly, Polynomial, exact_div
 from .signedsets import SignVector, bits
 from .varmatrix import LabeledMatrix
 
@@ -56,25 +58,6 @@ def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[i
         for mask, flat in zip(table.adjacent, table.flats)
         if mask & ~colored_mask == 0
     }
-
-
-@dataclass(frozen=True)
-class RegionOrdering:
-    """A coloring order together with the flat first encompassed per step
-    and the face of that flat whose adjacent regions the step completes."""
-
-    order: tuple[int, ...]
-    step_flats: tuple[int, ...]
-    step_faces: tuple[SignVector, ...]
-
-
-def _semigeneral_gate(arrangement: Arrangement) -> None:
-    witness = arrangement.semigeneral_witness()
-    if witness is not None:
-        names = [arrangement.names[i] for i in sorted(witness.defining_set)]
-        raise NotSemigeneral(
-            names, witness.dim, arrangement.dim - len(witness.defining_set)
-        )
 
 
 def ordering(arrangement: Arrangement) -> RegionOrdering:
@@ -207,11 +190,14 @@ def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
 
 @dataclass
 class DiagonalizationCertificate:
-    """Region ordering, per-step flats, factored diagonal and the unimodular
-    transform P with P V Q = diag(diagonal), where Q is P transposed."""
+    """Region ordering, per-step flats and faces, factored diagonal and the
+    unimodular transform P with P V Q = diag(diagonal), where Q is P
+    transposed.  Row k of P is fixed by step k's face, so the JSON form
+    (format 2) writes the faces and not P."""
 
     ordering: tuple[int, ...]
     step_flats: tuple[int, ...]
+    step_faces: tuple[SignVector, ...]
     diagonal: list[FactoredPoly]
     P: list[list[Polynomial]]
     checks: dict
@@ -232,122 +218,19 @@ class DiagonalizationCertificate:
         return LabeledMatrix(list(self.ordering), rows)
 
     def to_json_dict(self) -> dict:
-        P = [[p.to_string(spaces=False) for p in row] for row in self.P]
+        steps = zip(self.step_flats, self.step_faces, self.diagonal)
         return {
+            "format": FORMAT,
             "ordering": list(self.ordering),
             "steps": [
-                {"k": k, "flat": flat, "entry": str(self.diagonal[k])}
-                for k, flat in enumerate(self.step_flats)
+                {"k": k, "flat": flat, "face": face.to_string(), "entry": str(entry)}
+                for k, (flat, face, entry) in enumerate(steps)
             ],
-            "P": P,
-            "Q": [list(col) for col in zip(*P)],
             "checks": self.checks,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-
-# A row of P by its nonzero entries: region id -> entry.
-SparseRow = dict[int, Polynomial]
-
-
-def _ordering_det(rows: list[SparseRow], perm: Sequence[int]) -> str:
-    """Prove det P in {+1, -1} from the shape of P's rows and return it as a
-    string.
-
-    P = L * Pi, where Pi[i][perm[i]] = 1 and L[i][j] = P[i][perm[j]].  Once
-    L is checked to be unit lower-triangular, det P = det Pi = sign(perm)
-    at every size.
-    """
-    n = len(perm)
-    step_of = {region: j for j, region in enumerate(perm)}
-    for i, row in enumerate(rows):
-        pivot = row.get(perm[i], Polynomial.zero())
-        if pivot != Polynomial.one():
-            raise ClosedFormViolation(
-                f"transform entry ({i},{perm[i]}) is {pivot}, not 1, "
-                f"on the diagonal in elimination order"
-            )
-        for region, entry in row.items():
-            if step_of[region] > i and not entry.is_zero():
-                raise ClosedFormViolation(
-                    f"transform entry ({i},{region}) is nonzero above the "
-                    f"diagonal in elimination order"
-                )
-    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-    return "-1" if inversions % 2 else "1"
-
-
-def _diagonal_entry(flat) -> FactoredPoly:
-    """The product of (1 - x_a^2) over the flat's defining set."""
-    return FactoredPoly.from_factors(
-        (one_minus_square((a,)), 1) for a in flat.defining_tuple()
-    )
-
-
-def _transform_entry(sep: int) -> Polynomial:
-    """(-1)^|S| x^S for the separation mask S of two regions."""
-    return Polynomial.from_monomial(
-        Monomial.from_mask(sep), -1 if sep.bit_count() % 2 else 1
-    )
-
-
-def _transform_rows(arrangement: Arrangement, order: RegionOrdering) -> list[SparseRow]:
-    """Row k of P: (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
-    to the face that step k completes."""
-    regions = arrangement.regions()
-    table = arrangement.face_table()
-    adjacent = dict(zip(table.faces, table.adjacent))
-    return [
-        {j: _transform_entry(regions[k].separation_mask(regions[j])) for j in bits(adjacent[face])}
-        for k, face in zip(order.order, order.step_faces)
-    ]
-
-
-def _face_cube_checks(
-    arrangement: Arrangement, order: RegionOrdering, rows: list[SparseRow]
-) -> None:
-    """Prove P V P^T = D from the faces the steps complete, once
-    `_ordering_det` has proven P = L * Pi with L unit lower-triangular.
-
-    Let step i color R_i and complete face f_i with zero set Z.  If f_i's
-    adjacent regions are R_i (+) T, R_i with its signs on T flipped, for
-    every subset T of Z, and row i of P is (-1)^|T| x^T there, (P V)[i][b] is
-    x^sep(R_i, b) * prod_{e in Z} (1 - x_e^2) if sep(R_i, b) misses Z, else
-    0: the sum over T factorises by e in Z into 1 - x_e^2 where R_i and b
-    agree on e and x_e - x_e = 0 where they differ.  If no region colored
-    before step i agrees with R_i on Z either, P V in elimination order is
-    upper triangular with diagonal D, so the symmetric P V P^T is D.  These
-    conditions are checked per step on masks, entries read as packed keys.
-    """
-    regions, flats = arrangement.regions(), arrangement.poset().flats
-    table = arrangement.face_table()
-    faces = dict(zip(table.faces, zip(table.flats, table.adjacent)))
-    colored: list[int] = []  # the plus masks of the regions colored so far
-    steps = zip(order.order, order.step_flats, order.step_faces)
-    for i, (region, flat, face) in enumerate(steps):
-        (face_flat, adjacent), zero, step = faces[face], face.zero_mask, regions[region]
-        seps = {a: step.separation_mask(regions[a]) for a in rows[i]}
-        wrong = [
-            a for a, s in seps.items()
-            if s & ~zero or rows[i][a].packed() != {mask_key(s): (-1) ** s.bit_count()}
-        ]
-        earlier = [n for n, plus in enumerate(colored) if (plus ^ step.plus) & zero == 0]
-        if face_flat != flat or flats[flat].defining_set != face.zero_set():
-            failed = f"its face lies on flat {face_flat}, not on the step flat {flat}"
-        elif adjacent.bit_count() != 1 << zero.bit_count():
-            failed = f"its face has {adjacent.bit_count()} adjacent regions, not a full cube"
-        elif sum(1 << a for a in seps) != adjacent:
-            failed = "the row's nonzero entries are not its face's adjacent regions"
-        elif wrong:
-            failed = f"transform entry ({i},{wrong[0]}) is not (-1)^|T| x^T on the cube"
-        elif earlier:
-            failed = f"region {order.order[earlier[0]]} agrees with it on the face's zero set"
-        else:
-            colored.append(step.plus)
-            continue
-        raise ClosedFormViolation(f"P V Q does not equal the diagonal matrix: step {i}: {failed}")
 
 
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
@@ -372,6 +255,7 @@ def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
     return DiagonalizationCertificate(
         ordering=order.order,
         step_flats=order.step_flats,
+        step_faces=order.step_faces,
         diagonal=diagonal,
         P=[[row.get(j, zero) for j in range(len(regions))] for row in rows],
         checks={"pvq_equals_d": True, "det_p": det, "det_q": det},

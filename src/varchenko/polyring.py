@@ -22,9 +22,9 @@ lex with the variable met later the more significant).  This is a
 monomial order, so reducing by a single divisor decides divisibility
 exactly, and the quotient does not depend on the table's order.
 
-Print order.  `sorted_terms` and `to_string` list terms by total degree,
-then by the sparse tuple of (variable id, exponent) pairs.  That tuple is
-unpacked only when printing, so the printed form does not depend on the
+Print order.  `to_string` lists terms by total degree, then by the sparse
+tuple of (variable id, exponent) pairs.  That tuple is unpacked only when
+printing, once per term, so the printed form does not depend on the
 packing.
 
 The exponent-capping map (`capped`) replaces every exponent >= 3 by 2.
@@ -124,6 +124,11 @@ def _unpack(key: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((_VARS[s], e) for s, e in _fields(key)))
 
 
+def _monomial_string(exps: tuple[tuple[int, int], ...]) -> str:
+    """The printed form of a monomial other than 1 from its unpacked pairs."""
+    return "*".join(f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}" for v, e in exps)
+
+
 class Monomial:
     """Product of variable powers, stored as one packed int; immutable,
     hashable."""
@@ -163,10 +168,6 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial._of(_check_fields(self.key + other.key))
 
-    def sort_key(self) -> tuple:
-        # print order: total degree first, then the sparse exponent tuple
-        return (self.degree(), _unpack(self.key))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
 
@@ -176,9 +177,7 @@ class Monomial:
     def __str__(self) -> str:
         if not self.key:
             return "1"
-        return "*".join(
-            f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}" for v, e in _unpack(self.key)
-        )
+        return _monomial_string(_unpack(self.key))
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -339,9 +338,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
 
@@ -352,16 +348,18 @@ class Polynomial:
         if not self._terms:
             return "0"
         sep_plus, sep_minus = (" + ", " - ") if spaces else ("+", "-")
+        # print order: total degree first, then the sparse exponent tuple
+        terms = sorted(((key & _FIELD, _unpack(key)), c) for key, c in self._terms.items())
         parts: list[str] = []
         try:
-            for m, c in self.sorted_terms():
+            for (_, exps), c in terms:
                 mag = abs(c)
-                if m.is_one():
+                if not exps:
                     body = str(mag)
                 elif mag == 1:
-                    body = str(m)
+                    body = _monomial_string(exps)
                 else:
-                    body = f"{mag}*{m}"
+                    body = f"{mag}*{_monomial_string(exps)}"
                 if not parts:
                     parts.append(body if c > 0 else f"-{body}")
                 else:

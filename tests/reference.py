@@ -19,6 +19,10 @@
 * `bareiss_det` is the Bareiss determinant of a polynomial matrix, with
   exact division by the previous pivot; `det_bruteforce` expands by minors
   memoised over column subsets instead and divides nothing.
+* `det_mod_p` is det V at an integer point modulo the prime 2^61 - 1, by
+  Gaussian elimination over that field, and `factored_mod_p` a factored
+  determinant at the same point, factor by factor: a Schwartz-Zippel
+  check of `det_formula` at sizes past the exact oracle's cap.
 * `snf_by_smith_form` runs one `integer_snf` per hyperplane of V at
   x_i = 3, x_j = 0; `obstruction_report` reads the same Smith forms off
   the region pairs instead.
@@ -33,18 +37,14 @@ from math import floor, lcm
 from operator import or_
 from typing import Optional, Sequence
 
-from varchenko.diagonalize import (
-    SparseRow,
-    _diagonal_entry,
-    _ordering_det,
-    ordering,
-    pivot_step,
-)
+from varchenko.certificate import SparseRow, _diagonal_entry, _ordering_det
+from varchenko.diagonalize import ordering, pivot_step
 from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge
 from varchenko.exactlp import _dot, _normalize_int, _primitive
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import _check_int_grid, integer_snf
 from varchenko.polyring import (
+    FactoredPoly,
     Monomial,
     Polynomial,
     _check_fields,
@@ -496,6 +496,52 @@ def bareiss_det(matrix: LabeledMatrix) -> Polynomial:
         prev = rows[k][k]
     det = rows[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def det_mod_p(arrangement: Arrangement, point: dict[int, int], p: int = MERSENNE_61) -> int:
+    """det V mod p with x_a := point[a]: entry (i, j) is the product of
+    point[a] over sep(R_i, R_j), and the determinant is the product of the
+    pivots of Gaussian elimination over Z/p, negated per row swap."""
+    regions = arrangement.regions()
+    values: dict[int, int] = {}
+
+    def at(mask: int) -> int:
+        if mask not in values:
+            value = 1
+            for a in range(mask.bit_length()):
+                if mask >> a & 1:
+                    value = value * point[a] % p
+            values[mask] = value
+        return values[mask]
+
+    rows = [[at(x.separation_mask(y)) for y in regions] for x in regions]
+    det = 1
+    for c in range(len(rows)):
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inverse = pow(rows[c][c], -1, p)
+        for i in range(c + 1, len(rows)):
+            factor = rows[i][c] * inverse % p
+            if factor:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[c])]
+    return det % p
+
+
+def factored_mod_p(factored: FactoredPoly, point: dict[int, int], p: int = MERSENNE_61) -> int:
+    """A factored polynomial at `point` mod p, each base evaluated exactly
+    and raised to its exponent mod p."""
+    value = 1
+    for base, e in factored.factors:
+        value = value * pow(base.substitute(point).as_int() % p, e, p) % p
+    return value
 
 
 def lines_document(rows) -> dict:

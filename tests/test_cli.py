@@ -213,8 +213,11 @@ def test_diagonalize_with_certificate(tmp_path, capsys):
     assert code == 0
     assert "pvq_equals_d=True" in out
     cert = json.loads(cert_path.read_text())
-    assert set(cert) == {"ordering", "steps", "P", "Q", "checks"}
+    assert set(cert) == {"format", "ordering", "steps", "checks"}
+    assert cert["format"] == 2
     assert len(cert["ordering"]) == 7
+    assert [set(step) for step in cert["steps"]] == [{"k", "flat", "face", "entry"}] * 7
+    assert [len(step["face"]) for step in cert["steps"]] == [3] * 7
     assert cert["checks"]["det_p"] in ("1", "-1")
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import json
 import re
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from varchenko.errors import (
 )
 from varchenko.geometry import Arrangement, FaceTable
 from varchenko.matinvariants import gcd_minors
-from varchenko.polyring import Polynomial, parse_polynomial
+from varchenko.polyring import Monomial, Polynomial, parse_polynomial
 from varchenko.signedsets import SignVector, bits
 from varchenko.varmatrix import (
     LabeledMatrix,
@@ -40,6 +41,7 @@ from varchenko.varmatrix import (
 
 # the package exports the function `diagonalize` under the module's name
 diagonalize_module = importlib.import_module("varchenko.diagonalize")
+certificate_module = importlib.import_module("varchenko.certificate")
 
 
 def matmul(a, b):
@@ -339,17 +341,44 @@ def test_snf_q_examples():
         snf_q(fixtures.three_concurrent_lines())
 
 
+def transform_from_faces(arr, data):
+    """P rebuilt from a format-2 certificate's ordering and step faces:
+    row k is (-1)^|S| x^S, S = sep(R_k, R), on the regions R that conform
+    to step k's face, and zero elsewhere."""
+    regions = arr.regions()
+    rows = []
+    for region, step in zip(data["ordering"], data["steps"]):
+        face = SignVector.from_string(step["face"])
+        row = []
+        for other in regions:
+            sep = regions[region].separation_set(other)
+            monomial = Monomial((a, 1) for a in sep)
+            row.append(
+                Polynomial.from_monomial(monomial, (-1) ** len(sep))
+                if other.conforms_to(face)
+                else Polynomial.zero()
+            )
+        rows.append(row)
+    return rows
+
+
 def test_certificate_json_schema():
     cert = diagonalize(fixtures.single_line())
     data = cert.to_json_dict()
-    assert set(data) == {"ordering", "steps", "P", "Q", "checks"}
+    assert set(data) == {"format", "ordering", "steps", "checks"}
+    assert data["format"] == 2
     assert data["ordering"] == [0, 1]
-    assert data["steps"][0] == {"k": 0, "flat": 0, "entry": "1"}
-    assert data["steps"][1]["entry"] == "(1-x1^2)"
+    assert data["steps"][0] == {"k": 0, "flat": 0, "face": "+", "entry": "1"}
+    assert data["steps"][1] == {"k": 1, "flat": 1, "face": "0", "entry": "(1-x1^2)"}
     assert data["checks"]["pvq_equals_d"] is True
     assert data["checks"]["det_p"] in ("1", "-1")
-    parsed = [[parse_polynomial(s) for s in row] for row in data["P"]]
-    assert parsed == cert.P
+    assert transform_from_faces(fixtures.single_line(), data) == cert.P
+    for arr in (fixtures.three_generic_lines(), fixtures.five_generic_lines()):
+        cert = diagonalize(arr)
+        data = json.loads(cert.to_json())
+        assert [set(step) for step in data["steps"]] == [{"k", "flat", "face", "entry"}] * len(cert.P)
+        assert [step["entry"] for step in data["steps"]] == [str(d) for d in cert.diagonal]
+        assert transform_from_faces(arr, data) == cert.P
 
 
 def test_substitution_commutes_with_reduction():
@@ -472,7 +501,7 @@ def test_a_wrong_step_face_is_caught(monkeypatch):
 
 
 def test_a_flipped_transform_sign_is_caught(monkeypatch):
-    closed_form = diagonalize_module._transform_entry
+    closed_form = certificate_module._transform_entry
     calls = []
 
     def flip_the_tenth_monomial(sep):
@@ -483,7 +512,7 @@ def test_a_flipped_transform_sign_is_caught(monkeypatch):
                 return -entry
         return entry
 
-    monkeypatch.setattr(diagonalize_module, "_transform_entry", flip_the_tenth_monomial)
+    monkeypatch.setattr(certificate_module, "_transform_entry", flip_the_tenth_monomial)
     with pytest.raises(ClosedFormViolation, match="does not equal the diagonal"):
         diagonalize(fixtures.five_generic_lines())
     assert len(calls) >= 10

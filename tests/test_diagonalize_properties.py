@@ -1,8 +1,10 @@
 """Property tests of the closed-form transform against the replayed
-elimination, of the region ordering against a full rescan, and of the
+elimination, of the region ordering against a full rescan, of the
 face-cube certificate proof and the packed-key reference proof against
-dense `Polynomial` products."""
+dense `Polynomial` products, and of `verify_certificate` against the
+packed-key reference on changed certificate files."""
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,7 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from reference import _certificate_checks, replay_elimination
-from test_diagonalize import dense_product_is_diagonal, ordering_by_full_scan
+from test_diagonalize import (
+    dense_product_is_diagonal,
+    ordering_by_full_scan,
+    transform_from_faces,
+)
+from varchenko.certificate import verify_certificate
 from varchenko.diagonalize import (
     RegionOrdering,
     _diagonal_entry,
@@ -257,3 +264,69 @@ def test_face_cube_proof_raises_exactly_when_the_packed_reference_does(case):
         else:
             raised.append(False)
     assert raised[0] == raised[1] == (not dense_product_is_diagonal(v.rows, rows, diagonal))
+
+
+@st.composite
+def changed_certificate_files(draw):
+    """A small semigeneral arrangement and the format-2 certificate
+    `diagonalize` writes for it, maybe with one step's face replaced by a
+    face of the arrangement or changed in one sign, its flat or its entry
+    replaced by another flat's, two regions of the ordering swapped, or
+    det_p negated.  The file stays well formed."""
+    arr = draw(semigeneral_arrangements())
+    assume(len(arr.regions()) <= 16)
+    data = json.loads(diagonalize(arr).to_json())
+    flats = arr.poset().flats
+    k = draw(st.integers(0, len(data["ordering"]) - 1))
+    step = data["steps"][k]
+    kind = draw(st.sampled_from(("none", "face", "sign", "flat", "entry", "swap", "det")))
+    if kind == "face":
+        step["face"] = draw(st.sampled_from(arr.face_table().faces)).to_string()
+    elif kind == "sign":
+        e = draw(st.integers(0, arr.n - 1))
+        sign = draw(st.sampled_from([c for c in "+-0" if c != step["face"][e]]))
+        step["face"] = step["face"][:e] + sign + step["face"][e + 1 :]
+    elif kind == "flat":
+        step["flat"] = draw(st.integers(0, len(flats) - 1))
+    elif kind == "entry":
+        step["entry"] = str(_diagonal_entry(draw(st.sampled_from(flats))))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(data["ordering"]) - 1))
+        order = data["ordering"]
+        order[k], order[j] = order[j], order[k]
+    elif kind == "det":
+        data["checks"]["det_p"] = str(-int(data["checks"]["det_p"]))
+    return arr, data
+
+
+def reference_accepts(arr, data) -> bool:
+    """Whether each step's entry is the product over its flat's defining
+    set and the dense P rebuilt from the file's faces passes the packed-key
+    reference proof for those entries, with the file's checks."""
+    flats = arr.poset().flats
+    entries = [_diagonal_entry(flats[step["flat"]]) for step in data["steps"]]
+    if [str(e) for e in entries] != [step["entry"] for step in data["steps"]]:
+        return False
+    rows = [
+        {j: e for j, e in enumerate(row) if not e.is_zero()}
+        for row in transform_from_faces(arr, data)
+    ]
+    diagonal = [e.expand() for e in entries]
+    try:
+        checks = _certificate_checks(build_varchenko(arr), rows, data["ordering"], diagonal)
+    except ClosedFormViolation:
+        return False
+    return checks == data["checks"]
+
+
+@settings(max_examples=150)
+@given(changed_certificate_files())
+def test_verify_accepts_exactly_what_the_packed_reference_accepts(case):
+    arr, data = case
+    try:
+        verify_certificate(arr, json.dumps(data))
+    except ClosedFormViolation:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == reference_accepts(arr, data)

@@ -1,7 +1,8 @@
 """Property tests of the face enumeration (the recursion over the flats),
 the flat dimensions it reports and the face table against full scans over
-small affine and central arrangements, many of them degenerate, and of
-Zaslavsky's region count over the affine ones."""
+small affine and central arrangements, many of them degenerate, of
+Zaslavsky's region count over the affine ones and of the covector axioms
+over the central ones."""
 
 from fractions import Fraction
 from random import Random
@@ -19,7 +20,11 @@ from test_geometry import (
 )
 from varchenko.errors import InvalidArrangement
 from varchenko.geometry import Arrangement, Hyperplane
-from varchenko.signedsets import SignVector
+from varchenko.signedsets import (
+    SignVector,
+    check_composition_closure,
+    check_vector_axioms,
+)
 
 
 @st.composite
@@ -93,3 +98,18 @@ def test_affine_region_count_is_the_moebius_sum(arr):
     term on most central draws, and whether that flat belongs to the poset
     is the open central-origin convention."""
     assert len(arr.regions()) == sum(abs(mu) for mu in arr.poset().mobius)
+
+
+@settings(max_examples=60)
+@given(arrangements(modes=("central",)))
+def test_central_covector_families_satisfy_the_covector_axioms(arr):
+    """The nonzero covectors of a central arrangement, many of them
+    degenerate, are closed under composition and satisfy axioms a-c of
+    `check_vector_axioms` (no zero vector, symmetry, elimination), which
+    is checked where the family has at most 60 members, since (c) is
+    quadratic in the family."""
+    family = arr.covector_family()
+    assert check_composition_closure(family) is None
+    if len(family) <= 60:
+        report = check_vector_axioms(family)
+        assert report.passed, report

@@ -4,11 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from reference import bareiss_det
+from reference import (
+    LINES_45,
+    LINES_61,
+    bareiss_det,
+    det_mod_p,
+    factored_mod_p,
+    lines_document,
+)
 from varchenko import fixtures, polyring, varmatrix
 from varchenko.errors import TooLarge, Unsupported
 from varchenko.geometry import Arrangement, Hyperplane
-from varchenko.polyring import Monomial, Polynomial, parse_polynomial
+from varchenko.polyring import FactoredPoly, Monomial, Polynomial, parse_polynomial
 from varchenko.varmatrix import (
     MAX_BRUTE_DET,
     LabeledMatrix,
@@ -346,3 +353,32 @@ def test_equal_up_to_relabeling_negative():
     v = build_varchenko(fixtures.three_concurrent_lines())
     w = build_varchenko(fixtures.three_parallel_lines())
     assert equal_up_to_relabeling(v, w) is None
+
+
+def test_det_formula_equals_det_v_mod_p_at_real_sizes():
+    """Schwartz-Zippel (Schwartz 1980; Zippel 1979): det V and the factored
+    `det_formula` agree mod 2^61 - 1 at seeded random points, on the
+    fixtures, the 45- and 61-region line arrangements with a deficient flat
+    and twelve generic lines (r = 79), all past the exact oracle's cap but
+    the fixtures.  Two distinct polynomials of degree d agree at a random
+    point with probability at most d / p."""
+    arrangements = [
+        (name, arr) for name, arr in fixtures.named_fixtures().items() if arr.mode != "covector"
+    ]
+    arrangements += [
+        ("lines_45", Arrangement.from_json_dict(lines_document(LINES_45))),
+        ("lines_61", Arrangement.from_json_dict(lines_document(LINES_61))),
+        ("generic_lines_12", fixtures.random_generic_lines(12, 1005)),
+    ]
+    sizes = {name: len(arr.regions()) for name, arr in arrangements}
+    assert [sizes[n] for n in ("lines_45", "lines_61", "generic_lines_12")] == [45, 61, 79]
+    rng = random.Random(2061)
+    p = 2**61 - 1
+    for name, arr in arrangements:
+        point = {a: rng.randrange(2, p) for a in range(arr.n)}
+        factored = det_formula(arr)
+        assert det_mod_p(arr, point) == factored_mod_p(factored, point), name
+        # with one factor dropped once, the same check tells them apart
+        (base, e), *rest = factored.factors
+        fewer = FactoredPoly.from_factors([(base, e - 1), *rest])
+        assert det_mod_p(arr, point) != factored_mod_p(fewer, point), name
