@@ -1,24 +1,26 @@
-"""The diagonal-form certificate: the rows of P its step faces imply, the
-proof that P V P^T = D, and the reader of its format-2 file.
+"""The diagonal-form certificate: its type, the rows of P its step faces
+imply, `prove`, the one proof that P V P^T = D, and the format-2 writer
+and reader.
 
 A certificate is the region ordering and, for each step, the flat it
 encompasses, the face of that flat it completes and its diagonal entry.
 Row k of P is fixed by step k's face, so the file holds no matrix.
-`diagonalize` proves the certificate it builds with `_ordering_det` and
-`_face_cube_checks`; `verify_certificate` reads a file and runs the same
-two checks on the rows it rebuilds from the face table, with no ordering
-search.
+`diagonalize` proves the ordering its search finds; `verify_certificate`
+reads a file and proves the file's ordering, with no ordering search.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ClosedFormViolation, InvalidInput, NotSemigeneral
 from .geometry import Arrangement
 from .polyring import FactoredPoly, Monomial, Polynomial, mask_key, one_minus_square, parse_json
 from .signedsets import SignVector, bits
+from .varmatrix import LabeledMatrix
 
 FORMAT = 2
 
@@ -156,6 +158,77 @@ def _face_cube_checks(
         raise ClosedFormViolation(f"P V Q does not equal the diagonal matrix: step {i}: {failed}")
 
 
+@dataclass
+class DiagonalizationCertificate:
+    """Region ordering, per-step flats and faces, factored diagonal and the
+    sparse rows of the unimodular transform P with P V Q = diag(diagonal),
+    where Q is P transposed.  Row k of P is fixed by step k's face, so the
+    JSON form (format 2) writes the faces and not P, and the dense P is
+    built on first read."""
+
+    ordering: tuple[int, ...]
+    step_flats: tuple[int, ...]
+    step_faces: tuple[SignVector, ...]
+    diagonal: list[FactoredPoly]
+    rows: list[SparseRow]
+    checks: dict
+
+    @cached_property
+    def P(self) -> list[list[Polynomial]]:
+        zero = Polynomial.zero()
+        return [[row.get(j, zero) for j in range(len(self.rows))] for row in self.rows]
+
+    @property
+    def Q(self) -> list[list[Polynomial]]:
+        return [list(col) for col in zip(*self.P)]
+
+    def diagonal_matrix(self) -> LabeledMatrix:
+        n = len(self.diagonal)
+        rows = [
+            [
+                self.diagonal[i].expand() if i == j else Polynomial.zero()
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        return LabeledMatrix(list(self.ordering), rows)
+
+    def to_json_dict(self) -> dict:
+        steps = zip(self.step_flats, self.step_faces, self.diagonal)
+        return {
+            "format": FORMAT,
+            "ordering": list(self.ordering),
+            "steps": [
+                {"k": k, "flat": flat, "face": face.to_string(), "entry": str(entry)}
+                for k, (flat, face, entry) in enumerate(steps)
+            ],
+            "checks": self.checks,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
+
+
+def prove(arrangement: Arrangement, order: RegionOrdering) -> DiagonalizationCertificate:
+    """The certificate of `order`, proven: P's rows are written from the
+    faces its steps complete (`_transform_rows`), `_ordering_det` proves
+    det P = +-1 and `_face_cube_checks` proves P V P^T = D, or either
+    raises ClosedFormViolation.  Diagonal entry k is the product of
+    (1 - x_a^2) over the defining set of step k's flat."""
+    rows = _transform_rows(arrangement, order)
+    det = _ordering_det(rows, order.order)
+    _face_cube_checks(arrangement, order, rows)
+    flats = arrangement.poset().flats
+    return DiagonalizationCertificate(
+        ordering=order.order,
+        step_flats=order.step_flats,
+        step_faces=order.step_faces,
+        diagonal=[_diagonal_entry(flats[flat]) for flat in order.step_flats],
+        rows=rows,
+        checks={"pvq_equals_d": True, "det_p": det, "det_q": det},
+    )
+
+
 def _json_object(value, keys: set[str], what: str) -> dict:
     """`value`, checked to be a JSON object with exactly `keys`."""
     if not isinstance(value, dict):
@@ -243,35 +316,29 @@ def verify_certificate(arrangement: Arrangement, text: str) -> dict:
 
     NotSemigeneral if the arrangement is not semigeneral, InvalidInput if
     the file is malformed, and ClosedFormViolation, naming the step and the
-    condition, if a step face is not a face of the arrangement, the proof
-    of `diagonalize` fails on the rows of P the faces imply, an entry is
-    not the product over its step flat's defining set or a check differs
-    from what the proof gives.
+    condition, if a step face is not a face of the arrangement, `prove`
+    fails on the file's ordering and faces, an entry is not the product
+    over its step flat's defining set or a check differs from what the
+    proof gives.
     """
     _semigeneral_gate(arrangement)
     order, entries, checks = read_certificate(arrangement, text)
-    table = arrangement.face_table()
-    known = set(table.faces)
+    known = set(arrangement.face_table().faces)
     for k, face in enumerate(order.step_faces):
         if face not in known:
             raise ClosedFormViolation(
                 f"step {k}: its face {face.to_string()} is not a face of the arrangement"
             )
-    rows = _transform_rows(arrangement, order)
-    det = _ordering_det(rows, order.order)
-    _face_cube_checks(arrangement, order, rows)
-    flats = arrangement.poset().flats
-    for k, (flat, entry) in enumerate(zip(order.step_flats, entries)):
-        expected = str(_diagonal_entry(flats[flat]))
+    cert = prove(arrangement, order)
+    for k, (entry, expected) in enumerate(zip(entries, map(str, cert.diagonal))):
         if entry != expected:
             raise ClosedFormViolation(
                 f"step {k}: its entry {entry} is not {expected}, the product over "
                 f"the step flat's defining set"
             )
-    proven = {"pvq_equals_d": True, "det_p": det, "det_q": det}
-    for key, value in proven.items():
+    for key, value in cert.checks.items():
         if type(checks[key]) is not type(value) or checks[key] != value:
             raise ClosedFormViolation(
                 f"checks: {key} is {checks[key]!r}, but the proof gives {value!r}"
             )
-    return proven
+    return cert.checks

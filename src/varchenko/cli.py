@@ -200,22 +200,20 @@ def _run_check(args: argparse.Namespace) -> tuple[str, object]:
     return text, payload
 
 
+def _checks_line(checks: dict) -> str:
+    return "checks: pvq_equals_d={pvq_equals_d} det_p={det_p} det_q={det_q}".format(**checks)
+
+
 def _run_diagonalize(args: argparse.Namespace) -> tuple[str, object]:
     arr = _load_arrangement(args.input)
     cert = diagonalize(arr)
-    cert_json = cert.to_json_dict()
-    cert_path = args.certificate
-    if cert_path:
-        Path(cert_path).write_text(json.dumps(cert_json, indent=2) + "\n")
+    if args.certificate:
+        Path(args.certificate).write_text(cert.to_json() + "\n")
     lines = ["ordering: " + " ".join(str(i) for i in cert.ordering)]
     for k, (flat, entry) in enumerate(zip(cert.step_flats, cert.diagonal)):
         lines.append(f"step {k}: flat {flat}  {entry}")
-    lines.append(
-        "checks: pvq_equals_d={pvq_equals_d} det_p={det_p} det_q={det_q}".format(
-            **cert.checks
-        )
-    )
-    return "\n".join(lines), cert_json
+    lines.append(_checks_line(cert.checks))
+    return "\n".join(lines), cert.to_json_dict()
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[str, object]:
@@ -224,8 +222,8 @@ def _run_verify(args: argparse.Namespace) -> tuple[str, object]:
         raise InvalidInput(f"certificate file not found: {args.certificate}")
     checks = verify_certificate(arr, args.certificate.read_text())
     steps = len(arr.regions())
-    text = "verified: {steps} steps\nchecks: pvq_equals_d={pvq_equals_d} det_p={det_p} det_q={det_q}"
-    return text.format(steps=steps, **checks), {"verified": True, "steps": steps, "checks": checks}
+    text = f"verified: {steps} steps\n" + _checks_line(checks)
+    return text, {"verified": True, "steps": steps, "checks": checks}
 
 
 def _run_snf_q(args: argparse.Namespace) -> tuple[str, object]:

@@ -7,25 +7,21 @@ of it; then write the row transform P in closed form from those faces.  The
 ordering and the step faces are the certificate, checked rather than
 trusted, and V is not built: P is a unit lower-triangular matrix times the
 ordering's permutation, and P * V * P^T is diagonal by the paper's face
-identity, checked on masks by the `certificate` module, which `verify`
+identity, checked on masks by `certificate.prove`, which `verify`
 shares.  `replay_elimination`, the elimination P summarises, is a test
 reference in tests/reference.py.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .certificate import (
-    FORMAT,
+    DiagonalizationCertificate,
     RegionOrdering,
     _diagonal_entry,
-    _face_cube_checks,
-    _ordering_det,
     _semigeneral_gate,
-    _transform_rows,
+    prove,
 )
 from .errors import (
     ClosedFormViolation,
@@ -35,8 +31,8 @@ from .errors import (
     PivotDivisionFailure,
 )
 from .geometry import Arrangement
-from .polyring import FactoredPoly, Polynomial, exact_div
-from .signedsets import SignVector, bits
+from .polyring import FactoredPoly, exact_div
+from .signedsets import bits
 from .varmatrix import LabeledMatrix
 
 
@@ -188,78 +184,12 @@ def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
     return LabeledMatrix(matrix.labels, rows)
 
 
-@dataclass
-class DiagonalizationCertificate:
-    """Region ordering, per-step flats and faces, factored diagonal and the
-    unimodular transform P with P V Q = diag(diagonal), where Q is P
-    transposed.  Row k of P is fixed by step k's face, so the JSON form
-    (format 2) writes the faces and not P."""
-
-    ordering: tuple[int, ...]
-    step_flats: tuple[int, ...]
-    step_faces: tuple[SignVector, ...]
-    diagonal: list[FactoredPoly]
-    P: list[list[Polynomial]]
-    checks: dict
-
-    @property
-    def Q(self) -> list[list[Polynomial]]:
-        return [list(col) for col in zip(*self.P)]
-
-    def diagonal_matrix(self) -> LabeledMatrix:
-        n = len(self.diagonal)
-        rows = [
-            [
-                self.diagonal[i].expand() if i == j else Polynomial.zero()
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return LabeledMatrix(list(self.ordering), rows)
-
-    def to_json_dict(self) -> dict:
-        steps = zip(self.step_flats, self.step_faces, self.diagonal)
-        return {
-            "format": FORMAT,
-            "ordering": list(self.ordering),
-            "steps": [
-                {"k": k, "flat": flat, "face": face.to_string(), "entry": str(entry)}
-                for k, (flat, face, entry) in enumerate(steps)
-            ],
-            "checks": self.checks,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:
-    """Reduce V to its diagonal form and prove the result.
-
-    Diagonal entry k is the product of (1 - x_a^2) over the defining set of
-    the flat first encompassed at step k, and row k of P is written from the
-    face step k completes (`_transform_rows`).  `_ordering_det` proves
-    det P = +-1 and `_face_cube_checks` proves P V P^T = D, or either raises
-    ClosedFormViolation.  Neither V nor any intermediate matrix of the
-    elimination is formed; the test reference `replay_elimination` checks
-    those.
-    """
-    order = ordering(arrangement)
-    poset = arrangement.poset()
-    regions = arrangement.regions()
-    rows = _transform_rows(arrangement, order)
-    det = _ordering_det(rows, order.order)
-    _face_cube_checks(arrangement, order, rows)
-    diagonal = [_diagonal_entry(poset.flats[flat]) for flat in order.step_flats]
-    zero = Polynomial.zero()
-    return DiagonalizationCertificate(
-        ordering=order.order,
-        step_flats=order.step_flats,
-        step_faces=order.step_faces,
-        diagonal=diagonal,
-        P=[[row.get(j, zero) for j in range(len(regions))] for row in rows],
-        checks={"pvq_equals_d": True, "det_p": det, "det_q": det},
-    )
+    """Reduce V to its diagonal form and prove the result: `prove` on the
+    region order `ordering` finds.  Neither V nor any intermediate matrix
+    of the elimination is formed; the test reference `replay_elimination`
+    checks those."""
+    return prove(arrangement, ordering(arrangement))
 
 
 def expected_diagonal(arrangement: Arrangement) -> list[FactoredPoly]:

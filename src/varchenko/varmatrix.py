@@ -10,7 +10,7 @@ from operator import or_
 from typing import Mapping, Sequence, Union
 
 from .errors import InvalidInput, TooLarge, Unsupported
-from .geometry import Arrangement
+from .geometry import Arrangement, _reject_unknown_keys
 from .polyring import (
     FactoredPoly,
     Monomial,
@@ -106,6 +106,7 @@ class LabeledMatrix:
     def from_json_dict(cls, data: dict) -> "LabeledMatrix":
         if not isinstance(data, dict) or "entries" not in data:
             raise InvalidInput("matrix JSON must be an object with 'entries'")
+        _reject_unknown_keys(data, ("labels", "entries"), "matrix JSON")
         entries = data["entries"]
         if not isinstance(entries, list) or not all(
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
@@ -116,6 +117,8 @@ class LabeledMatrix:
         labels = data.get("labels", list(range(len(rows))))
         if not isinstance(labels, list) or not all(type(i) is int for i in labels):
             raise InvalidInput("'labels' must be a list of integers")
+        if len(labels) != len(rows):
+            raise InvalidInput(f"'labels' has {len(labels)} entries but the matrix has {len(rows)} rows")
         return cls(labels, rows)
 
     @classmethod

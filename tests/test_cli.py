@@ -184,6 +184,25 @@ def test_det_from_json_needs_bruteforce(tmp_path, capsys):
     assert "bruteforce" in err
 
 
+def test_matrix_json_rejects_unknown_keys_and_a_wrong_label_count(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    entries = [["1", "x1"], ["x1", "1"]]
+    for document, expected in (
+        ({"labels": [5, 6], "entries": entries}, (0, "")),
+        (
+            {"lables": [5, 6], "entries": entries, "extra": True},
+            (2, "error: unknown key 'extra' in matrix JSON; allowed keys: labels, entries\n"),
+        ),
+        (
+            {"labels": [5, 6, 7], "entries": entries},
+            (2, "error: 'labels' has 3 entries but the matrix has 2 rows\n"),
+        ),
+    ):
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
+        assert (code, err) == expected, document
+
+
 def test_det_covector_mode_unsupported(capsys):
     code, _, err = run(capsys, "det", fx("suspension_three_generic_lines"))
     assert code == 3

@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 from reference import _certificate_checks, int_det, replay_elimination
-from varchenko import exactlp, fixtures, polyring, varmatrix
-from varchenko.diagonalize import (
+from varchenko import DiagonalizationCertificate, cli, exactlp, fixtures, polyring, varmatrix
+from varchenko.certificate import (
     RegionOrdering,
+    _diagonal_entry,
     _face_cube_checks,
     _ordering_det,
     _transform_rows,
+)
+from varchenko.diagonalize import (
     pivot_step,
     diagonalize,
     encompassed_flats,
@@ -291,7 +294,7 @@ def test_tampered_transform_raises():
     cert = diagonalize(arr)
     perm = list(cert.ordering)
     v = build_varchenko(arr)
-    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
+    rows = cert.rows
     # negating a row keeps P V P^T = D, so only the structure catches it
     negated = [dict(row) for row in rows]
     negated[3] = {j: -e for j, e in negated[3].items()}
@@ -379,6 +382,34 @@ def test_certificate_json_schema():
         assert [set(step) for step in data["steps"]] == [{"k", "flat", "face", "entry"}] * len(cert.P)
         assert [step["entry"] for step in data["steps"]] == [str(d) for d in cert.diagonal]
         assert transform_from_faces(arr, data) == cert.P
+
+
+def test_the_dense_transform_is_built_only_when_read(tmp_path, monkeypatch, capsys):
+    """`diagonalize`, `snf_q` and the CLI keep P as the sparse rows they
+    prove; `cert.P` builds the dense grid on first read."""
+    arr = fixtures.five_generic_lines()
+    cert = diagonalize(arr)
+    assert "P" not in vars(cert)
+    with monkeypatch.context() as m:
+        m.setattr(diagonalize_module, "diagonalize", lambda a: cert)
+        snf_q(arr)
+    assert "P" not in vars(cert)
+    # the P the faces imply, rebuilt by a conforms_to scan
+    assert cert.P == transform_from_faces(arr, cert.to_json_dict())
+    assert "P" in vars(cert) and cert.Q == [list(col) for col in zip(*cert.P)]
+    assert cert.rows == [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
+    assert DiagonalizationCertificate is diagonalize_module.DiagonalizationCertificate
+    assert DiagonalizationCertificate is certificate_module.DiagonalizationCertificate
+
+    def refuse(self):
+        raise AssertionError("dense P built on the CLI path")
+
+    monkeypatch.setattr(DiagonalizationCertificate, "P", property(refuse))
+    path = tmp_path / "arr.json"
+    path.write_text(arr.to_json())
+    cert_path = str(tmp_path / "cert.json")
+    for argv in (["diagonalize", "--certificate", cert_path, "--format", "json"], ["snf-q"]):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
 
 
 def test_substitution_commutes_with_reduction():
@@ -525,7 +556,7 @@ def face_cube_checks_on(arr, order):
     rows = _transform_rows(arr, order)
     _ordering_det(rows, order.order)
     diagonal = [
-        diagonalize_module._diagonal_entry(arr.poset().flats[flat]).expand()
+        _diagonal_entry(arr.poset().flats[flat]).expand()
         for flat in order.step_flats
     ]
     assert not dense_product_is_diagonal(build_varchenko(arr).rows, rows, diagonal)
@@ -615,16 +646,12 @@ def test_ordering_equals_the_full_scan_reference():
         assert ordering(arr) == ordering_by_full_scan(arr), name
 
 
-def sparse_rows(cert):
-    return [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
-
-
 def test_tampered_entries_are_caught_by_the_packed_proof():
     arr = fixtures.five_generic_lines()
     cert = diagonalize(arr)
     perm = list(cert.ordering)
     v = build_varchenko(arr)
-    rows = sparse_rows(cert)
+    rows = cert.rows
     diagonal = [d.expand() for d in cert.diagonal]
     assert _certificate_checks(v, rows, perm, diagonal) == cert.checks
     i, a = next((i, a) for i, row in enumerate(rows) for a in row if a != perm[i])
@@ -649,7 +676,7 @@ def test_tampered_entries_are_caught_by_the_packed_proof():
 
 
 def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
-    checks = diagonalize_module._face_cube_checks
+    checks = certificate_module._face_cube_checks
     calls = []
 
     def refuse(*args):
@@ -662,7 +689,7 @@ def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
                 m.setattr(Polynomial, op, refuse)
             return checks(*args)
 
-    monkeypatch.setattr(diagonalize_module, "_face_cube_checks", guarded)
+    monkeypatch.setattr(certificate_module, "_face_cube_checks", guarded)
     cert = diagonalize(fixtures.random_generic_lines(8, 108))
     assert len(calls) == 1
     assert cert.checks["pvq_equals_d"] is True

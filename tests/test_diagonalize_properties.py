@@ -20,16 +20,15 @@ from test_diagonalize import (
     ordering_by_full_scan,
     transform_from_faces,
 )
-from varchenko.certificate import verify_certificate
-from varchenko.diagonalize import (
+from varchenko.certificate import (
     RegionOrdering,
     _diagonal_entry,
     _face_cube_checks,
     _ordering_det,
     _transform_rows,
-    diagonalize,
-    ordering,
+    verify_certificate,
 )
+from varchenko.diagonalize import diagonalize, ordering
 from varchenko.errors import ClosedFormViolation, InvalidArrangement, OrderingStuck
 from varchenko.geometry import Arrangement, FaceTable, Hyperplane
 from varchenko.polyring import Monomial, Polynomial
@@ -166,9 +165,8 @@ def arrangement_certificates(draw):
     arr = draw(semigeneral_arrangements())
     assume(len(arr.regions()) <= 16)
     cert = diagonalize(arr)
-    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in cert.P]
     diagonal = [d.expand() for d in cert.diagonal]
-    return build_varchenko(arr), rows, list(cert.ordering), diagonal
+    return build_varchenko(arr), cert.rows, list(cert.ordering), diagonal
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Property tests of `gcd_minors` and `integer_snf` against the brute-force
 gcd of every k x k minor, of `int_rank` against `Fraction` Gaussian
-elimination, and of the closed-form single-hyperplane Smith forms of the
-obstruction report against `integer_snf`."""
+elimination, of the closed-form single-hyperplane Smith forms of the
+obstruction report against `integer_snf`, and of `deletion_reduction`
+against the Varchenko matrix of the deleted arrangement."""
 
 import pytest
 
@@ -12,7 +13,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reference import fraction_rank, snf_by_smith_form
 from test_geometry_properties import arrangements
 from test_matinvariants import check_minor_gcds
-from varchenko.matinvariants import MAX_SNF_SIZE, _single_threes_snf, int_rank
+from varchenko.geometry import Arrangement
+from varchenko.matinvariants import (
+    MAX_SNF_SIZE,
+    _single_threes_snf,
+    deletion_reduction,
+    int_rank,
+    nonzero_block,
+)
+from varchenko.varmatrix import build_varchenko, equal_up_to_relabeling
 
 
 @st.composite
@@ -50,3 +59,17 @@ def test_closed_form_snf_equals_the_smith_form(arr):
     assume(len(regions) <= MAX_SNF_SIZE)
     masks = [[x.separation_mask(y) for y in regions] for x in regions]
     assert _single_threes_snf(arr.names, masks) == snf_by_smith_form(arr)
+
+
+@settings(max_examples=150)
+@given(arrangements())
+def test_deletion_reduction_leaves_the_deleted_arrangements_matrix(arr):
+    """x_e := 1 for the last hyperplane e, with the duplicated rows and
+    columns cancelled, leaves the deleted arrangement's V on the nonzero
+    rows, up to relabeling."""
+    assume(arr.n >= 1 and len(arr.regions()) <= 24)
+    deleted = build_varchenko(Arrangement(arr.mode, arr.dim, arr.hyperplanes[:-1]))
+    reduced, _ = deletion_reduction(build_varchenko(arr), arr.n - 1)
+    block = nonzero_block(reduced)
+    assert block.size == deleted.size
+    assert equal_up_to_relabeling(block, deleted) is not None

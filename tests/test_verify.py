@@ -215,7 +215,10 @@ def test_verify_runs_no_ordering_search_and_no_diagonalize(tmp_path, capsys, mon
     imported = {
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
     }
-    assert imported == {"__future__", "dataclasses", "typing", "errors", "geometry", "polyring", "signedsets"}
+    assert imported == {
+        "__future__", "dataclasses", "functools", "typing",
+        "errors", "geometry", "polyring", "signedsets", "varmatrix",
+    }
 
 
 def test_diagonalize_text_output_is_unchanged_by_the_certificate(tmp_path, capsys):
