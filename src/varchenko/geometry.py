@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
 from .exactlp import Point, _dot, _lowest, _normalize_int, _primitive
 from .polyring import parse_int, parse_json
-from .signedsets import SignedFamily, SignVector, check_composition_closure
+from .signedsets import SignedFamily, SignVector, bits, check_composition_closure
 
 MAX_GROUND_SIZE = 16
 MAX_DIM = 64
@@ -114,11 +114,13 @@ def _canonical_key(normal: Sequence[Fraction], offset: Fraction) -> tuple[int, .
 
 @dataclass(frozen=True)
 class Flat:
-    """A nonempty intersection, identified by its closed defining set."""
+    """A nonempty intersection, identified by its closed defining set;
+    ``faces`` counts the faces on it (n_X of the determinant formula)."""
 
     index: int
     defining_set: frozenset[int]
     dim: int
+    faces: int
 
     def defining_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.defining_set))
@@ -299,10 +301,10 @@ class Arrangement:
     # ------------------------------------------------------------------
     # face / region enumeration
 
-    def _enumerate_faces(self) -> dict[SignVector, int]:
-        """Every face with the dimension of its affine hull: the faces are
-        the regions of the restrictions A|X of the arrangement to its flats
-        X (Zaslavsky), found flat by flat, each flat once.
+    def _enumerate_faces(self) -> dict[int, tuple[int, list[SignVector]]]:
+        """The flat table, closed defining mask -> (dimension, faces on the
+        flat): the faces on a flat X are the regions of the restriction A|X
+        (Zaslavsky), n_X of them, found flat by flat, each flat once.
 
         A flat X is held as a point p = P / D on it, a basis of primitive
         integer directions of its affine hull and its closed defining mask,
@@ -332,10 +334,10 @@ class Arrangement:
         x -> -x: both of its sides exist (p and -p), even where the
         hyperplane meets X only at the origin, whose lookup table is
         empty.  Each region's point is checked to realise the sign vector
-        it is reported under.  A region of A|X has X's dimension,
-        len(basis), one less in central mode (spherical dimension).  The
-        flats and their tables hold no reference cycle, so they are freed
-        when the enumeration returns.
+        it is reported under.  X's dimension is len(basis), one less in
+        central mode (spherical dimension).  The flats' points, cuts and
+        lookup tables hold no reference cycle, so they are freed when the
+        enumeration returns.
         """
         if self.n > MAX_GROUND_SIZE:
             raise TooLarge(
@@ -410,7 +412,7 @@ class Arrangement:
         # the regions of A|X by (plus, minus) masks, with their points, flat
         # by flat up from the lowest dimension, so that each cut's flat is
         # done first
-        faces: dict[SignVector, int] = {}
+        table: dict[int, tuple[int, list[SignVector]]] = {}
         regions: dict[int, dict[tuple[int, int], Point]] = {}
         for mask in sorted(flats, key=lambda m: flats[m][1]):
             point, size, plus, minus, cuts = flats[mask]
@@ -421,12 +423,13 @@ class Arrangement:
                 below = {} if sub is None else regions[sub]
                 tables.append({(s & low, t & low): q for (s, t), q in below.items()})
             found: dict[tuple[int, int], Point] = {}
+            faces = []
             stack = [(0, point, [], plus, minus)]
             while stack:
                 k, point, stricts, plus, minus = stack.pop()
                 if k == len(cuts):
-                    face = self._witnessed(planes, SignVector(n, plus, minus), point)
-                    faces[face] = size - central
+                    face = SignVector(n, plus, minus)
+                    faces.append(self._witnessed(planes, face, point))
                     found[plus, minus] = point
                     continue
                 i, up, down, _ = cuts[k]
@@ -460,7 +463,8 @@ class Arrangement:
                             minus | bit if sign < 0 else minus,
                         ))
             regions[mask] = found
-        return faces
+            table[mask] = size - central, faces
+        return table
 
     def _witnessed(self, planes, face: SignVector, point: Point) -> SignVector:
         """The face, once its point is checked to realise it."""
@@ -479,14 +483,31 @@ class Arrangement:
         return tuple(sorted(vecs, key=SignVector.sort_key))
 
     @cached_property
-    def _face_dims(self) -> dict[SignVector, int]:
-        return self._enumerate_faces()
+    def _flats(self) -> dict[int, tuple[int, list[SignVector]]]:
+        """The flat table of `_enumerate_faces`.  Covector flats are zero sets,
+        and a flat's dimension is the stated one less its poset height."""
+        if self.mode != "covector":
+            return self._enumerate_faces()
+        on: dict[int, list[SignVector]] = {}
+        for v in self.covectors.members:
+            on.setdefault(v.zero_mask, []).append(v)
+        if 0 not in on:
+            raise InvalidArrangement("covector family has no zero-free member")
+        heights: dict[int, int] = {}
+        for z in sorted(on, key=int.bit_count):  # by size: after every flat below
+            heights[z] = max((h + 1 for o, h in heights.items() if o | z == z), default=0)
+        if max(heights.values()) > self.dim:
+            raise InvalidArrangement(
+                f"covector poset is deeper than the stated dimension {self.dim}"
+            )
+        return {z: (self.dim - heights[z], on[z]) for z in on}
 
     @cached_property
     def _faces(self) -> SignedFamily:
         if self.mode == "covector":
             return self.covectors
-        return SignedFamily.from_vectors(self.n, self._face_dims)
+        faces = (f for _, on in self._flats.values() for f in on)
+        return SignedFamily.from_vectors(self.n, faces)
 
     def regions(self) -> list[SignVector]:
         """Zero-free sign vectors in canonical (lex, '+' < '-') order."""
@@ -515,24 +536,11 @@ class Arrangement:
 
     @cached_property
     def _poset(self) -> IntersectionPoset:
-        zsets = sorted(
-            {f.zero_set() for f in self._faces.members},
-            key=lambda z: (len(z), tuple(sorted(z))),
-        )
-        if self.mode == "covector":
-            if frozenset() not in zsets:
-                raise InvalidArrangement("covector family has no zero-free member")
-            heights: dict[frozenset[int], int] = {}
-            for z in zsets:  # by size, so after every flat below it
-                heights[z] = max((h + 1 for o, h in heights.items() if o < z), default=0)
-            if max(heights.values()) > self.dim:
-                raise InvalidArrangement(
-                    f"covector poset is deeper than the stated dimension {self.dim}"
-                )
-            dims = {z: self.dim - h for z, h in heights.items()}
-        else:
-            dims = {f.zero_set(): d for f, d in self._face_dims.items()}
-        flats = [Flat(idx, z, dims[z]) for idx, z in enumerate(zsets)]
+        masks = sorted(self._flats, key=lambda m: (m.bit_count(), tuple(bits(m))))
+        flats = [
+            Flat(index, frozenset(bits(m)), self._flats[m][0], len(self._flats[m][1]))
+            for index, m in enumerate(masks)
+        ]
         return IntersectionPoset(flats, self.dim)
 
     def poset(self) -> IntersectionPoset:
@@ -541,24 +549,20 @@ class Arrangement:
     @cached_property
     def _face_table(self) -> FaceTable:
         # a region is adjacent to a face exactly when it has the face's
-        # signs on the face's support (every face has one: the face composed
-        # with any region), so the regions are grouped by those signs once
-        # per support, that is once per flat
+        # signs on the face's support, the complement of its flat's mask
+        # (every face has one: the face composed with any region), so the
+        # regions are grouped by those signs once per flat
+        placed: dict[SignVector, tuple[int, int]] = {}
+        for flat in self._poset:
+            mask = sum(1 << i for i in flat.defining_set)
+            by_signs: dict[int, int] = {}
+            for i, region in enumerate(self._regions):
+                key = region.plus & ~mask
+                by_signs[key] = by_signs.get(key, 0) | 1 << i
+            for f in self._flats[mask][1]:
+                placed[f] = flat.index, by_signs[f.plus]
         faces = tuple(self._faces.sorted_members())
-        groups: dict[int, tuple[int, dict[int, int]]] = {}
-        for f in faces:
-            if f.support_mask not in groups:
-                by_signs: dict[int, int] = {}
-                for i, region in enumerate(self._regions):
-                    key = region.plus & f.support_mask
-                    by_signs[key] = by_signs.get(key, 0) | 1 << i
-                flat = self._poset.flat_index(f.zero_set())
-                groups[f.support_mask] = flat, by_signs
-        return FaceTable(
-            faces,
-            tuple(groups[f.support_mask][0] for f in faces),
-            tuple(groups[f.support_mask][1][f.plus] for f in faces),
-        )
+        return FaceTable(faces, *zip(*(placed[f] for f in faces)))
 
     def face_table(self) -> FaceTable:
         return self._face_table

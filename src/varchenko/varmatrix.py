@@ -3,7 +3,6 @@ and an independent brute-force determinant oracle."""
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
 from itertools import chain, combinations
 from operator import or_
@@ -140,29 +139,26 @@ def build_varchenko(arrangement: Arrangement) -> LabeledMatrix:
 def distance(arrangement: Arrangement, k: int, m: int, n: int) -> Monomial:
     """Product of the variables separating region k from both m and n."""
     regions = arrangement.regions()
-    try:
-        rk, rm, rn = regions[k], regions[m], regions[n]
-    except IndexError:
-        raise InvalidInput("region id out of range") from None
+    if not all(0 <= i < len(regions) for i in (k, m, n)):
+        raise InvalidInput("region id out of range")
+    rk, rm, rn = regions[k], regions[m], regions[n]
     return Monomial.from_mask(rk.separation_mask(rm) & rk.separation_mask(rn))
 
 
 def det_formula(arrangement: Arrangement) -> FactoredPoly:
-    """Closed-form determinant, read off the cached faces and poset.
+    """Closed-form determinant, read off the cached poset.
 
     Each flat X above the bottom contributes (1 - m_X^2)^(n_X * p_X), where
     m_X is the product of the variables of the hyperplanes containing X,
-    n_X is the number of faces whose zero set is exactly X's defining set
-    (the regions of the restriction to X), and p_X = |sum mu(Y) * dim Y|
-    over the flats Y whose defining set lies in X's (|chi'(1)| of the
-    localization at X).  In central mode, when the hyperplanes meet only at
-    the origin, the origin is a flat too: it contributes
-    (1 - (x_1 ... x_n)^2)^p with p = |sum mu(Y) * (dim Y + 1)| over all
-    flats, its linear dimension being 0."""
+    n_X is the number of faces on X (the regions of the restriction to X),
+    read off the flat, and p_X = |sum mu(Y) * dim Y| over the flats Y whose
+    defining set lies in X's (|chi'(1)| of the localization at X).  In
+    central mode, when the hyperplanes meet only at the origin, the origin
+    is a flat too, of linear dimension 0: it contributes
+    (1 - (x_1 ... x_n)^2)^p with p = |sum mu(Y) * (dim Y + 1)| over all flats."""
     if arrangement.mode == "covector":
         raise Unsupported("determinant formula needs coordinates (covector mode)")
     poset = arrangement.poset()
-    face_counts = Counter(f.zero_set() for f in arrangement.faces().members)
     factors = []
     for flat in poset:
         if not flat.defining_set:
@@ -174,8 +170,7 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
                 if y.defining_set <= flat.defining_set
             )
         )
-        n_x = face_counts[flat.defining_set]
-        factors.append((one_minus_square(flat.defining_tuple()), n_x * p_x))
+        factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
     n = arrangement.n
     if arrangement.mode == "central" and poset.flat_index(range(n)) is None:
         p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))

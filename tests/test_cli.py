@@ -101,6 +101,28 @@ def test_poset(capsys):
     assert flats[-1]["mobius"] == 2
 
 
+def test_covector_poset_errors_exit_2_where_the_poset_is_read(tmp_path, capsys):
+    """A covector family deeper than its stated dimension, or with no
+    zero-free member, has no poset: `poset`, `check` and `diagonalize` exit
+    2 with the message, while `regions` and `faces` read the family as it
+    is."""
+    path = tmp_path / "covectors.json"
+    deep = ["+-", "-+", "++", "--", "0+", "0-", "+0", "-0"]
+    path.write_text(json.dumps({"mode": "covector", "dim": 0, "covectors": deep}))
+    for sub in ("poset", "check", "diagonalize"):
+        assert run(capsys, sub, str(path)) == (
+            2, "", "error: covector poset is deeper than the stated dimension 0\n"
+        ), sub
+    assert run(capsys, "regions", str(path)) == (0, "++\n+-\n-+\n--\n", "")
+    code, out, _ = run(capsys, "faces", str(path))
+    assert (code, len(out.split())) == (0, 8)
+
+    path.write_text(json.dumps({"mode": "covector", "dim": 1, "covectors": ["+0", "-0"]}))
+    assert run(capsys, "poset", str(path)) == (
+        2, "", "error: covector family has no zero-free member\n"
+    )
+
+
 def test_charpoly(capsys):
     code, out, _ = run(capsys, "charpoly", fx("three_generic_lines"))
     assert code == 0

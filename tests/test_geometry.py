@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +24,7 @@ from varchenko.geometry import (
     parse_rational,
 )
 from varchenko.signedsets import SignedFamily, SignVector
+from varchenko.varmatrix import det_formula
 
 
 def flats_by_subset_enumeration(arr):
@@ -235,17 +237,46 @@ def face_table_by_full_scan(arr):
     )
 
 
-def test_face_table_equals_the_full_scan():
+def fixture_and_bench_cases():
+    """(name, arrangement), freshly built: the fixtures, the semigeneral
+    suite and the inputs of every benchmark workload."""
     bench = [
         case
         for workload in ("semigeneral", "oracle", "degenerate")
         for case in bench_inputs(workload)
     ]
-    cases = (
-        list(fixtures.named_fixtures().items()) + fixtures.semigeneral_suite() + bench
-    )
-    for name, arr in cases:
+    return list(fixtures.named_fixtures().items()) + fixtures.semigeneral_suite() + bench
+
+
+def test_face_table_equals_the_full_scan():
+    for name, arr in fixture_and_bench_cases():
         assert arr.face_table() == face_table_by_full_scan(arr), name
+
+
+def test_each_flat_counts_the_faces_with_its_zero_set():
+    """n_X, read off the flat table, is the number of faces whose zero set
+    is X's defining set; the counts cover the faces, and the ambient flat's
+    faces are the regions."""
+    for name, arr in fixture_and_bench_cases():
+        flats = arr.poset().flats
+        by_zero_set = Counter(f.zero_set() for f in arr.faces().members)
+        assert {f.defining_set: f.faces for f in flats} == by_zero_set, name
+        assert sum(f.faces for f in flats) == len(arr.faces()), name
+        assert flats[0].faces == len(arr.regions()), name
+
+
+def test_poset_face_table_and_det_formula_regroup_no_faces_by_zero_set(monkeypatch):
+    """The flat table alone places the faces on their flats."""
+
+    def refuse(self):
+        raise AssertionError(f"{self.to_string()} was placed by its zero set")
+
+    monkeypatch.setattr(SignVector, "zero_set", refuse)
+    for arr in fixtures.named_fixtures().values():
+        arr.poset()
+        arr.face_table()
+        if arr.mode != "covector":
+            det_formula(arr)
 
 
 def leaf_points(arr, monkeypatch):
@@ -265,15 +296,7 @@ def leaf_points(arr, monkeypatch):
 
 
 def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
-    bench = [
-        case
-        for workload in ("semigeneral", "oracle", "degenerate")
-        for case in bench_inputs(workload)
-    ]
-    cases = (
-        list(fixtures.named_fixtures().items()) + fixtures.semigeneral_suite() + bench
-    )
-    for name, arr in cases:
+    for name, arr in fixture_and_bench_cases():
         if arr.mode == "covector":
             continue
         leaves = leaf_points(arr, monkeypatch)

@@ -13,7 +13,7 @@ from reference import (
     lines_document,
 )
 from varchenko import fixtures, polyring, varmatrix
-from varchenko.errors import TooLarge, Unsupported
+from varchenko.errors import InvalidInput, TooLarge, Unsupported
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.polyring import FactoredPoly, Monomial, Polynomial, parse_polynomial
 from varchenko.varmatrix import (
@@ -94,6 +94,11 @@ def test_distance_examples():
     regions = [r.to_string() for r in two.regions()]
     a, b = regions.index("++"), regions.index("--")
     assert distance(two, a, b, b) == Monomial([(0, 1), (1, 1)])
+    # a region id is checked, not wrapped: -1 names no region
+    r = len(arr.regions())
+    for ids in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (r, 0, 0), (0, 0, r)):
+        with pytest.raises(InvalidInput, match="region id out of range"):
+            distance(arr, *ids)
     assert distance(two, regions.index("+-"), a, b) == Monomial.one()
 
 
