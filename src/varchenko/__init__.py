@@ -5,9 +5,7 @@ certificates, determinant formulas and obstruction diagnostics."""
 from .certificate import verify_certificate
 from .diagonalize import (
     DiagonalizationCertificate,
-    pivot_step,
     diagonalize,
-    encompassed_flats,
     expected_diagonal,
     ordering,
     snf_q,
@@ -17,10 +15,8 @@ from .errors import (
     InconsistentWitness,
     InvalidArrangement,
     InvalidInput,
-    NotDivisible,
     NotSemigeneral,
     OrderingStuck,
-    PivotDivisionFailure,
     SemigeneralInput,
     TooLarge,
     Unsupported,
@@ -30,29 +26,23 @@ from .geometry import Arrangement, Flat, Hyperplane, IntersectionPoset
 from .matinvariants import (
     ObstructionReport,
     gcd_minors,
+    int_rank,
     integer_snf,
-    nonzero_block,
     obstruction_report,
-    deletion_reduction,
 )
-from .polyring import FactoredPoly, Monomial, Polynomial, exact_div, parse_polynomial
+from .polyring import FactoredPoly, Monomial, Polynomial, parse_polynomial
 from .signedsets import (
     AxiomReport,
     SignedFamily,
     SignVector,
     check_composition_closure,
     check_vector_axioms,
-    compose,
-    opposite,
-    separation_set,
 )
 from .varmatrix import (
     LabeledMatrix,
     build_varchenko,
     det_bruteforce,
     det_formula,
-    distance,
-    equal_up_to_relabeling,
 )
 
 __version__ = "0.1.0"
@@ -71,11 +61,9 @@ __all__ = [
     "InvalidInput",
     "LabeledMatrix",
     "Monomial",
-    "NotDivisible",
     "NotSemigeneral",
     "ObstructionReport",
     "OrderingStuck",
-    "PivotDivisionFailure",
     "Polynomial",
     "SemigeneralInput",
     "SignVector",
@@ -83,28 +71,19 @@ __all__ = [
     "TooLarge",
     "Unsupported",
     "VarchenkoError",
-    "pivot_step",
     "build_varchenko",
     "check_composition_closure",
     "check_vector_axioms",
-    "compose",
     "det_bruteforce",
     "det_formula",
     "diagonalize",
-    "distance",
-    "encompassed_flats",
-    "equal_up_to_relabeling",
-    "exact_div",
     "expected_diagonal",
     "gcd_minors",
+    "int_rank",
     "integer_snf",
-    "nonzero_block",
     "obstruction_report",
-    "opposite",
     "ordering",
     "parse_polynomial",
-    "deletion_reduction",
-    "separation_set",
     "snf_q",
     "verify_certificate",
 ]

@@ -14,7 +14,7 @@ reference in tests/reference.py.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .certificate import (
     DiagonalizationCertificate,
@@ -23,37 +23,10 @@ from .certificate import (
     _semigeneral_gate,
     prove,
 )
-from .errors import (
-    ClosedFormViolation,
-    InvalidInput,
-    NotDivisible,
-    OrderingStuck,
-    PivotDivisionFailure,
-)
+from .errors import ClosedFormViolation, OrderingStuck
 from .geometry import Arrangement
-from .polyring import FactoredPoly, exact_div
+from .polyring import FactoredPoly
 from .signedsets import bits
-from .varmatrix import LabeledMatrix
-
-
-def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[int]:
-    """Flat indices encompassed by a set of region ids.
-
-    A flat is encompassed as soon as some face supported exactly on it has
-    every adjacent region colored.
-    """
-    colored_mask = 0
-    nregions = len(arrangement.regions())
-    for i in colored:
-        if not 0 <= i < nregions:
-            raise InvalidInput(f"region id {i} out of range")
-        colored_mask |= 1 << i
-    table = arrangement.face_table()
-    return {
-        flat
-        for mask, flat in zip(table.adjacent, table.flats)
-        if mask & ~colored_mask == 0
-    }
 
 
 def ordering(arrangement: Arrangement) -> RegionOrdering:
@@ -147,41 +120,6 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
     return RegionOrdering(
         tuple(colored), tuple(step_flats), tuple(table.faces[f] for f in step_faces)
     )
-
-
-def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
-    """One symmetric elimination step at pivot (k, k).
-
-    Requires the pivot to divide every entry of its row; entry (k, k) is
-    preserved and all other entries become P[m][n] - P[m][k] P[n][k] / P[k][k].
-    """
-    if not matrix.is_symmetric():
-        raise InvalidInput("pivot elimination needs a symmetric matrix")
-    n = matrix.size
-    if not 0 <= k < n:
-        raise InvalidInput(f"pivot index {k} out of range")
-    pivot = matrix.rows[k][k]
-    if pivot.is_zero():
-        for m in range(n):
-            if not matrix.rows[k][m].is_zero():
-                raise PivotDivisionFailure(k, m)
-        return LabeledMatrix(matrix.labels, matrix.rows)
-    quotients = []
-    for m in range(n):
-        try:
-            quotients.append(exact_div(matrix.rows[k][m], pivot))
-        except NotDivisible:
-            raise PivotDivisionFailure(k, m) from None
-    rows = []
-    for m in range(n):
-        row = []
-        for j in range(n):
-            if m == k and j == k:
-                row.append(pivot)
-            else:
-                row.append(matrix.rows[m][j] - quotients[m] * matrix.rows[k][j])
-        rows.append(row)
-    return LabeledMatrix(matrix.labels, rows)
 
 
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:

@@ -27,10 +27,6 @@ class InconsistentWitness(VarchenkoError):
     """A face's witness point does not realise its sign vector (internal bug)."""
 
 
-class NotDivisible(VarchenkoError):
-    """Exact polynomial division has a nonzero remainder."""
-
-
 class NotSemigeneral(VarchenkoError):
     """Arrangement fails the semigeneral-position test.
 
@@ -54,15 +50,6 @@ class SemigeneralInput(VarchenkoError):
 
 class OrderingStuck(VarchenkoError):
     """No valid region ordering could be completed."""
-
-
-class PivotDivisionFailure(VarchenkoError):
-    """A pivot entry does not divide its row during elimination."""
-
-    def __init__(self, k, n):
-        self.k = k
-        self.n = n
-        super().__init__(f"pivot ({k},{k}) does not divide entry ({k},{n})")
 
 
 class ClosedFormViolation(VarchenkoError):

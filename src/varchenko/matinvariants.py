@@ -1,16 +1,19 @@
 """Equivalence invariants of matrices over the integers or a univariate
-polynomial ring: gcd of k-minors, rank, integer Smith normal form, the
-one-hyperplane deletion reduction, and the obstruction diagnostics for
-arrangements that are not semigeneral, whose single-hyperplane Smith forms
-are read off the region pairs in closed form."""
+polynomial ring (gcd of k-minors, rank, integer Smith normal form), and
+the obstruction diagnostics for arrangements that are not semigeneral.
+
+The report states its integer specialisations of V in closed form: the
+2 x 2 minor gcd at x_i = 3 is 8, the rank at x_i = 1 is 1, and the
+single-hyperplane Smith forms are read off a count of region pairs.  It
+computes no minor, rank or Smith form; `gcd_minors`, `int_rank` and
+`integer_snf` are the tests' oracle for those closed forms."""
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, gcd, prod
 from typing import Optional, Sequence
 
@@ -241,54 +244,6 @@ def integer_snf(grid: Sequence[Sequence[int]]) -> list[int]:
     return _snf_prefix(rows, min(n, m))
 
 
-def deletion_reduction(v_ext: LabeledMatrix, e: int) -> tuple[LabeledMatrix, dict[int, int]]:
-    """Delete hyperplane e from a Varchenko matrix by setting x_e = 1 and
-    cancelling the duplicated rows and columns.
-
-    Region pairs separated only by hyperplane e become equal rows after the
-    substitution; each duplicate is subtracted away, leaving the deleted
-    arrangement's matrix plus a zero block (up to simultaneous permutation).
-    Returns the reduced matrix and the map duplicate -> representative.
-    """
-    x_e = Polynomial.variable(e)
-    pairs = []
-    paired = set()
-    for i in range(v_ext.size):
-        if i in paired:
-            continue
-        for j in range(i + 1, v_ext.size):
-            if j not in paired and v_ext.rows[i][j] == x_e:
-                pairs.append((i, j))
-                paired.update((i, j))
-                break
-    variables = {e}
-    for row in v_ext.rows:
-        for p in row:
-            variables.update(p.variables())
-    sigma = {v: 1 if v == e else Polynomial.variable(v) for v in variables}
-    reduced = v_ext.substitute(sigma)
-    rows = [list(r) for r in reduced.rows]
-    for i, j in pairs:
-        rows[j] = [a - b for a, b in zip(rows[j], rows[i])]
-    for i, j in pairs:
-        for r in rows:
-            r[j] = r[j] - r[i]
-    return LabeledMatrix(reduced.labels, rows), {j: i for i, j in pairs}
-
-
-def nonzero_block(matrix: LabeledMatrix) -> LabeledMatrix:
-    """Submatrix on the rows/columns that are not identically zero."""
-    keep = [
-        i
-        for i in range(matrix.size)
-        if any(not e.is_zero() for e in matrix.rows[i])
-    ]
-    return LabeledMatrix(
-        [matrix.labels[i] for i in keep],
-        [[matrix.rows[i][j] for j in keep] for i in keep],
-    )
-
-
 # ----------------------------------------------------------------------
 # obstruction diagnostics
 
@@ -306,9 +261,10 @@ class ObstructionReport:
     """Named diagnostics for a non-semigeneral arrangement.
 
     Every check is a necessary condition consistent with the nonexistence
-    of a diagonal form, not a standalone proof.  The `snf_specializations`
-    multiplicities come in closed form from a direct-sum argument, so that
-    check is consistent by construction rather than a test that could fail.
+    of a diagonal form, not a standalone proof.  The
+    `gcd_minors_all_threes`, `rank_all_ones` and `snf_specializations`
+    results come in closed form, so those checks are consistent by
+    construction rather than tests that could fail.
     """
 
     semigeneral: bool
@@ -385,19 +341,18 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
 
     Reads the minimal core off the arrangement's own poset, so it runs no
     enumeration beyond the arrangement's regions, faces and poset.  The
-    Smith forms at x_i = 3, x_j = 0 are read off the count of region pairs
-    that each hyperplane alone separates (see `_single_threes_snf`): they
-    are consistent by that direct-sum argument, and no Smith form is
-    computed, so no size cap of `integer_snf` applies.
+    three integer specialisations of V are stated in closed form, each by
+    the argument in its docstring: the 2 x 2 minor gcd at x_i = 3
+    (`_all_threes_check`), the rank at x_i = 1 (`_all_ones_check`) and the
+    Smith forms at x_i = 3, x_j = 0, read off a count of the region pairs
+    that each hyperplane alone separates (`_single_threes_snf`).  So no
+    minor, rank, Smith form or separation mask is computed, and no size
+    cap of `gcd_minors` or `integer_snf` applies.
     """
     if arrangement.is_semigeneral():
         raise SemigeneralInput("arrangement is semigeneral: nothing to obstruct")
     if arrangement.mode == "covector":
         raise Unsupported("obstruction report needs coordinates (covector mode)")
-    # V's entry (m, n) is the squarefree monomial over sep(R_m, R_n), so
-    # each specialisation below is read straight off the separation masks
-    regions = arrangement.regions()
-    masks = [[x.separation_mask(y) for y in regions] for x in regions]
     names = arrangement.names
     checks = []
 
@@ -437,31 +392,15 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
         )
     )
 
-    g = gcd_minors([[3 ** m.bit_count() for m in row] for row in masks], 2)
-    checks.append(
-        ObstructionCheck(
-            name="gcd_minors_all_threes",
-            inputs={"specialization": "x_i = 3 for all i", "minor_size": 2},
-            result={"gcd": g},
-            consistent=g != 0 and 8 % g == 0,
-        )
-    )
+    checks.append(_all_threes_check())
+    checks.append(_all_ones_check())
 
-    rank = int_rank([[1] * len(row) for row in masks])
-    checks.append(
-        ObstructionCheck(
-            name="rank_all_ones",
-            inputs={"specialization": "x_i = 1 for all i"},
-            result={"rank": rank},
-            consistent=rank == 1,
-        )
-    )
-
+    plus = [x.plus for x in arrangement.regions()]
     checks.append(
         ObstructionCheck(
             name="snf_specializations",
             inputs={"specialization": "x_i = 3, x_j = 0 for j != i"},
-            result={"snf_multiplicities": _single_threes_snf(names, masks)},
+            result={"snf_multiplicities": _single_threes_snf(names, plus)},
             consistent=True,
         )
     )
@@ -470,8 +409,39 @@ def obstruction_report(arrangement: Arrangement) -> ObstructionReport:
     return ObstructionReport(semigeneral=False, checks=tuple(checks))
 
 
-def _single_threes_snf(names: Sequence[str], masks: list[list[int]]) -> dict:
-    """Smith form multiplicities of V at x_i = 3, x_j = 0 (j != i), by name.
+def _all_threes_check() -> ObstructionCheck:
+    """The gcd of the 2 x 2 minors of V at x_i = 3 for all i: exactly 8
+    on every arrangement with a hyperplane.
+
+    Rows a, b and columns c, d give the minor 3^u - 3^v, with
+    u = |sep(a, c)| + |sep(b, d)| and v = |sep(a, d)| + |sep(b, c)|.  The
+    separation set of two regions is the symmetric difference of their
+    plus sets, so |sep(x, y)| = |P_x| + |P_y| (mod 2) and u = v (mod 2);
+    as 9 = 1 (mod 8), 8 divides every minor.  Two regions on either side
+    of one wall give the principal minor 1 - 9 = -8.
+    """
+    return ObstructionCheck(
+        name="gcd_minors_all_threes",
+        inputs={"specialization": "x_i = 3 for all i", "minor_size": 2},
+        result={"gcd": 8},
+        consistent=True,
+    )
+
+
+def _all_ones_check() -> ObstructionCheck:
+    """The rank of V at x_i = 1 for all i: every entry is a monomial in
+    the x_i, so V is the all-ones matrix, of rank 1."""
+    return ObstructionCheck(
+        name="rank_all_ones",
+        inputs={"specialization": "x_i = 1 for all i"},
+        result={"rank": 1},
+        consistent=True,
+    )
+
+
+def _single_threes_snf(names: Sequence[str], plus: Sequence[int]) -> dict:
+    """Smith form multiplicities of V at x_i = 3, x_j = 0 (j != i), by name,
+    from the regions' plus masks `plus`.
 
     The specialised entry (m, n) is 1 on the diagonal, 3 when H_i alone
     separates R_m from R_n and 0 otherwise.  A region has at most one
@@ -479,13 +449,17 @@ def _single_threes_snf(names: Sequence[str], masks: list[list[int]]) -> dict:
     is the direct sum of p_i blocks [[1, 3], [3, 1]] and r - 2 p_i blocks
     [1], where p_i counts those region pairs.  Its Smith form is therefore
     1 repeated r - p_i times and 8 repeated p_i times (Newman, Integral
-    Matrices, 1972), read off one count of the masks with no elimination.
+    Matrices, 1972).  A region is zero-free, so it is its plus mask, and
+    its partner across H_i alone is the region whose plus mask is its own
+    with bit i flipped: p_i is half the number of regions whose flipped
+    mask is a region's, one set lookup per region and hyperplane.
     """
-    r = len(masks)
-    counts = Counter(chain.from_iterable(masks))
+    r = len(plus)
+    present = set(plus)
     out = {}
     for i, name in enumerate(names):
-        pairs = counts[1 << i] // 2  # each pair is counted as (m, n) and (n, m)
+        bit = 1 << i
+        pairs = sum(m ^ bit in present for m in plus) // 2
         out[name] = {"1": r - pairs, "8": pairs} if pairs else {"1": r}
     return out
 

@@ -16,21 +16,15 @@ raises TooLarge.  `b` divides `a` exactly when `a - b` sets no guard bit.
 A `Polynomial` maps packed ints to nonzero coefficients; `Monomial` wraps
 one packed int for the public API.
 
-Division order.  `exact_div` reduces by leading terms in graded order on
-the packed ints: total degree first, then the packed int itself (graded
-lex with the variable met later the more significant).  This is a
-monomial order, so reducing by a single divisor decides divisibility
-exactly, and the quotient does not depend on the table's order.
-
 Print order.  `to_string` lists terms by total degree, then by the sparse
 tuple of (variable id, exponent) pairs.  That tuple is unpacked only when
 printing, once per term, so the printed form does not depend on the
 packing.
 
-The exponent-capping map (`capped`) replaces every exponent >= 3 by 2.
-`exact_div` and `capped` serve `pivot_step`, the elimination reference in
-the tests and acceptance criteria 3 and 8; the runtime pipeline reaches
-neither.
+Exact division and the exponent-capping map serve only `pivot_step`, the
+step-by-step elimination that the tests replay, so all three are test
+references (`exact_div`, `capped`, `pivot_step` in tests/reference.py);
+the package divides no polynomial.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from operator import or_
 from threading import Lock
 from typing import Iterable, Mapping, Union
 
-from .errors import InvalidInput, NotDivisible, TooLarge
+from .errors import InvalidInput, TooLarge
 
 _W = 16  # bits per field
 _FIELD = (1 << _W) - 1
@@ -303,18 +297,6 @@ class Polynomial:
             return Polynomial.zero()
         return _raw({k: c * v for k, v in self._terms.items()})
 
-    def capped(self) -> "Polynomial":
-        """Cap every exponent at 2, recombining like terms: a field s + 1
-        holding e > 2 drops by e - 2, and the degree field with it."""
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            if k & _FIELD > 2:  # else no exponent exceeds 2
-                for s, e in _fields(k):
-                    if e > 2:
-                        k -= (e - 2) * ((1 << (_W * (s + 1))) + 1)
-            out[k] = out.get(k, 0) + c
-        return _raw({k: c for k, c in out.items() if c})
-
     def substitute(
         self, sigma: Mapping[int, Union[int, "Polynomial"]]
     ) -> "Polynomial":
@@ -386,46 +368,6 @@ def _power(p: Polynomial, e: int) -> Polynomial:
     for _ in range(e):
         out = out * p
     return out
-
-
-def _graded(key: int) -> tuple[int, int]:
-    """A packed key's place in the division order."""
-    return key & _FIELD, key
-
-
-def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Return r with r*q == p, or raise NotDivisible.
-
-    Reduction by the leading term of q in the division order: while the
-    remainder is nonzero, its leading term must be divisible by q's, in the
-    coefficient and in the monomial (the difference of the keys sets no
-    guard bit); the quotient term times q is then subtracted from it.
-    """
-    if q.is_zero():
-        raise InvalidInput("division by the zero polynomial")
-    if q.is_one():
-        return p
-    qt = q._terms
-    lead = max(qt, key=_graded)
-    lead_c = qt[lead]
-    rest = dict(p._terms)
-    quotient: dict[int, int] = {}
-    while rest:
-        k = max(rest, key=_graded)
-        c = rest[k]
-        m = k - lead
-        if m & _GUARDS or c % lead_c:
-            raise NotDivisible(f"({q}) does not divide ({p})")
-        qc = c // lead_c
-        quotient[m] = qc
-        for d, dc in qt.items():
-            key = m + d
-            r = rest.get(key, 0) - qc * dc
-            if r:
-                rest[key] = r
-            else:
-                del rest[key]
-    return _raw(quotient)
 
 
 def one_minus_square(variables: Iterable[int]) -> Polynomial:

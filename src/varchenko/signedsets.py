@@ -148,18 +148,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    return x.compose(y)
-
-
-def opposite(x: SignVector) -> SignVector:
-    return -x
-
-
-def separation_set(x: SignVector, y: SignVector) -> frozenset[int]:
-    return x.separation_set(y)
-
-
 @dataclass(frozen=True)
 class SignedFamily:
     """A deduplicated set of sign vectors over a common ground set."""

@@ -1,5 +1,5 @@
-"""The Varchenko matrix, distance monomials, the closed determinant formula
-and an independent brute-force determinant oracle."""
+"""The Varchenko matrix, the closed determinant formula and an independent
+brute-force determinant oracle."""
 
 from __future__ import annotations
 
@@ -136,15 +136,6 @@ def build_varchenko(arrangement: Arrangement) -> LabeledMatrix:
     return LabeledMatrix(list(range(len(regions))), rows)
 
 
-def distance(arrangement: Arrangement, k: int, m: int, n: int) -> Monomial:
-    """Product of the variables separating region k from both m and n."""
-    regions = arrangement.regions()
-    if not all(0 <= i < len(regions) for i in (k, m, n)):
-        raise InvalidInput("region id out of range")
-    rk, rm, rn = regions[k], regions[m], regions[n]
-    return Monomial.from_mask(rk.separation_mask(rm) & rk.separation_mask(rn))
-
-
 def det_formula(arrangement: Arrangement) -> FactoredPoly:
     """Closed-form determinant, read off the cached poset.
 
@@ -228,47 +219,3 @@ def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
             return Polynomial.zero()
         prev = layer
     return _raw(prev[(1 << n) - 1])
-
-
-def equal_up_to_relabeling(a: LabeledMatrix, b: LabeledMatrix):
-    """A permutation p with a[i][j] == b[p[i]][p[j]], or None.
-
-    Backtracking with row-multiset pruning; intended for desk-size matrices.
-    """
-    n = a.size
-    if b.size != n:
-        return None
-
-    def row_signature(m: LabeledMatrix, i: int):
-        return sorted(e.to_string(spaces=False) for e in m.rows[i])
-
-    sig_a = [row_signature(a, i) for i in range(n)]
-    sig_b = [row_signature(b, i) for i in range(n)]
-    candidates = [
-        [j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)
-    ]
-    perm: list[int] = []
-    used = set()
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = all(
-                a.rows[i][i2] == b.rows[j][perm[i2]]
-                and a.rows[i2][i] == b.rows[perm[i2]][j]
-                for i2 in range(i)
-            ) and a.rows[i][i] == b.rows[j][j]
-            if not ok:
-                continue
-            perm.append(j)
-            used.add(j)
-            if extend(i + 1):
-                return True
-            perm.pop()
-            used.remove(j)
-        return False
-
-    return list(perm) if extend(0) else None

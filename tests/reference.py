@@ -5,7 +5,17 @@
   steps complete (`_face_cube_checks`) and builds no V.
 * `replay_elimination` folds `pivot_step` over the region ordering and
   checks the paper's closed forms after every step; `diagonalize` writes
-  the resulting P in closed form.
+  the resulting P in closed form.  `pivot_step` divides by the pivot with
+  `exact_div` (raising `PivotDivisionFailure`, or `NotDivisible` from the
+  division), and the closed forms cap exponents at 2 with `capped`; the
+  package divides no polynomial.
+* `encompassed_flats` is the set of flats a set of colored regions
+  encompasses, which `ordering` keeps up to date step by step, and
+  `distance` the paper's distance monomial of three regions.
+* `deletion_reduction` sets x_e = 1 in V and cancels the duplicated rows
+  and columns, `nonzero_block` drops the zero rows and columns, and
+  `equal_up_to_relabeling` compares the result with the deleted
+  arrangement's V.
 * `LinearSystem`, `solve_equalities` and `feasible_strict` solve rational
   equality systems by Gaussian elimination and decide sign patterns with
   them, through `strict_point`, a point search by Fourier-Motzkin
@@ -35,20 +45,24 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import floor, lcm
 from operator import or_
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from varchenko import polyring
 from varchenko.certificate import SparseRow, _diagonal_entry, _ordering_det
-from varchenko.diagonalize import ordering, pivot_step
-from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge
+from varchenko.diagonalize import ordering
+from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge, VarchenkoError
 from varchenko.exactlp import _dot, _normalize_int, _primitive
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import _check_int_grid, integer_snf
 from varchenko.polyring import (
+    _FIELD,
+    _W,
     FactoredPoly,
     Monomial,
     Polynomial,
     _check_fields,
-    exact_div,
+    _fields,
+    _raw,
     one_minus_square,
 )
 from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko
@@ -67,6 +81,237 @@ LINES_61 = [
 Vector = tuple[Fraction, ...]
 # a strict constraint (a, b) means a . x > b
 Constraint = tuple[Vector, Fraction]
+
+
+class NotDivisible(VarchenkoError):
+    """Exact polynomial division has a nonzero remainder."""
+
+
+class PivotDivisionFailure(VarchenkoError):
+    """A pivot entry does not divide its row during elimination."""
+
+    def __init__(self, k, n):
+        self.k = k
+        self.n = n
+        super().__init__(f"pivot ({k},{k}) does not divide entry ({k},{n})")
+
+
+def _graded(key: int) -> tuple[int, int]:
+    """A packed key's place in the division order."""
+    return key & _FIELD, key
+
+
+def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Return r with r*q == p, or raise NotDivisible.
+
+    Reduction by the leading term of q in the division order: while the
+    remainder is nonzero, its leading term must be divisible by q's, in the
+    coefficient and in the monomial (the difference of the keys sets no
+    guard bit); the quotient term times q is then subtracted from it.
+
+    Division order.  Leading terms are taken in graded order on the packed
+    ints: total degree first, then the packed int itself (graded lex with
+    the variable met later the more significant).  This is a monomial
+    order, so reducing by a single divisor decides divisibility exactly,
+    and the quotient does not depend on the variable table's order.
+
+    The guard mask is read from `polyring` at each call: it grows as
+    variables get fields, so a copy bound at import would miss them.
+    """
+    if q.is_zero():
+        raise InvalidInput("division by the zero polynomial")
+    if q.is_one():
+        return p
+    qt = q.packed()
+    lead = max(qt, key=_graded)
+    lead_c = qt[lead]
+    rest = dict(p.packed())
+    quotient: dict[int, int] = {}
+    while rest:
+        k = max(rest, key=_graded)
+        c = rest[k]
+        m = k - lead
+        if m & polyring._GUARDS or c % lead_c:
+            raise NotDivisible(f"({q}) does not divide ({p})")
+        qc = c // lead_c
+        quotient[m] = qc
+        for d, dc in qt.items():
+            key = m + d
+            r = rest.get(key, 0) - qc * dc
+            if r:
+                rest[key] = r
+            else:
+                del rest[key]
+    return _raw(quotient)
+
+
+def capped(p: Polynomial) -> Polynomial:
+    """`p` with every exponent >= 3 replaced by 2, like terms recombined: a
+    field s + 1 holding e > 2 drops by e - 2, and the degree field with it."""
+    out: dict[int, int] = {}
+    for k, c in p.packed().items():
+        if k & _FIELD > 2:  # else no exponent exceeds 2
+            for s, e in _fields(k):
+                if e > 2:
+                    k -= (e - 2) * ((1 << (_W * (s + 1))) + 1)
+        out[k] = out.get(k, 0) + c
+    return _raw({k: c for k, c in out.items() if c})
+
+
+def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
+    """One symmetric elimination step at pivot (k, k).
+
+    Requires the pivot to divide every entry of its row; entry (k, k) is
+    preserved and all other entries become P[m][n] - P[m][k] P[n][k] / P[k][k].
+    """
+    if not matrix.is_symmetric():
+        raise InvalidInput("pivot elimination needs a symmetric matrix")
+    n = matrix.size
+    if not 0 <= k < n:
+        raise InvalidInput(f"pivot index {k} out of range")
+    pivot = matrix.rows[k][k]
+    if pivot.is_zero():
+        for m in range(n):
+            if not matrix.rows[k][m].is_zero():
+                raise PivotDivisionFailure(k, m)
+        return LabeledMatrix(matrix.labels, matrix.rows)
+    quotients = []
+    for m in range(n):
+        try:
+            quotients.append(exact_div(matrix.rows[k][m], pivot))
+        except NotDivisible:
+            raise PivotDivisionFailure(k, m) from None
+    rows = []
+    for m in range(n):
+        row = []
+        for j in range(n):
+            if m == k and j == k:
+                row.append(pivot)
+            else:
+                row.append(matrix.rows[m][j] - quotients[m] * matrix.rows[k][j])
+        rows.append(row)
+    return LabeledMatrix(matrix.labels, rows)
+
+
+def encompassed_flats(arrangement: Arrangement, colored: Iterable[int]) -> set[int]:
+    """Flat indices encompassed by a set of region ids.
+
+    A flat is encompassed as soon as some face supported exactly on it has
+    every adjacent region colored.
+    """
+    colored_mask = 0
+    nregions = len(arrangement.regions())
+    for i in colored:
+        if not 0 <= i < nregions:
+            raise InvalidInput(f"region id {i} out of range")
+        colored_mask |= 1 << i
+    table = arrangement.face_table()
+    return {
+        flat
+        for mask, flat in zip(table.adjacent, table.flats)
+        if mask & ~colored_mask == 0
+    }
+
+
+def distance(arrangement: Arrangement, k: int, m: int, n: int) -> Monomial:
+    """Product of the variables separating region k from both m and n."""
+    regions = arrangement.regions()
+    if not all(0 <= i < len(regions) for i in (k, m, n)):
+        raise InvalidInput("region id out of range")
+    rk, rm, rn = regions[k], regions[m], regions[n]
+    return Monomial.from_mask(rk.separation_mask(rm) & rk.separation_mask(rn))
+
+
+def deletion_reduction(v_ext: LabeledMatrix, e: int) -> tuple[LabeledMatrix, dict[int, int]]:
+    """Delete hyperplane e from a Varchenko matrix by setting x_e = 1 and
+    cancelling the duplicated rows and columns.
+
+    Region pairs separated only by hyperplane e become equal rows after the
+    substitution; each duplicate is subtracted away, leaving the deleted
+    arrangement's matrix plus a zero block (up to simultaneous permutation).
+    Returns the reduced matrix and the map duplicate -> representative.
+    """
+    x_e = Polynomial.variable(e)
+    pairs = []
+    paired = set()
+    for i in range(v_ext.size):
+        if i in paired:
+            continue
+        for j in range(i + 1, v_ext.size):
+            if j not in paired and v_ext.rows[i][j] == x_e:
+                pairs.append((i, j))
+                paired.update((i, j))
+                break
+    variables = {e}
+    for row in v_ext.rows:
+        for p in row:
+            variables.update(p.variables())
+    sigma = {v: 1 if v == e else Polynomial.variable(v) for v in variables}
+    reduced = v_ext.substitute(sigma)
+    rows = [list(r) for r in reduced.rows]
+    for i, j in pairs:
+        rows[j] = [a - b for a, b in zip(rows[j], rows[i])]
+    for i, j in pairs:
+        for r in rows:
+            r[j] = r[j] - r[i]
+    return LabeledMatrix(reduced.labels, rows), {j: i for i, j in pairs}
+
+
+def nonzero_block(matrix: LabeledMatrix) -> LabeledMatrix:
+    """Submatrix on the rows/columns that are not identically zero."""
+    keep = [
+        i
+        for i in range(matrix.size)
+        if any(not e.is_zero() for e in matrix.rows[i])
+    ]
+    return LabeledMatrix(
+        [matrix.labels[i] for i in keep],
+        [[matrix.rows[i][j] for j in keep] for i in keep],
+    )
+
+
+def equal_up_to_relabeling(a: LabeledMatrix, b: LabeledMatrix):
+    """A permutation p with a[i][j] == b[p[i]][p[j]], or None.
+
+    Backtracking with row-multiset pruning; intended for desk-size matrices.
+    """
+    n = a.size
+    if b.size != n:
+        return None
+
+    def row_signature(m: LabeledMatrix, i: int):
+        return sorted(e.to_string(spaces=False) for e in m.rows[i])
+
+    sig_a = [row_signature(a, i) for i in range(n)]
+    sig_b = [row_signature(b, i) for i in range(n)]
+    candidates = [
+        [j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)
+    ]
+    perm: list[int] = []
+    used = set()
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        for j in candidates[i]:
+            if j in used:
+                continue
+            ok = all(
+                a.rows[i][i2] == b.rows[j][perm[i2]]
+                and a.rows[i2][i] == b.rows[perm[i2]][j]
+                for i2 in range(i)
+            ) and a.rows[i][i] == b.rows[j][j]
+            if not ok:
+                continue
+            perm.append(j)
+            used.add(j)
+            if extend(i + 1):
+                return True
+            perm.pop()
+            used.remove(j)
+        return False
+
+    return list(perm) if extend(0) else None
 
 
 def _signed_key(entry: Polynomial, matrix: str, i: int, j: int) -> tuple[int, int]:
@@ -157,7 +402,7 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
         [Polynomial.one() if j == perm[i] else Polynomial.zero() for j in range(r)]
         for i in range(r)
     ]
-    capped = [[Polynomial.one()] * r for _ in range(r)]
+    capped_product = [[Polynomial.one()] * r for _ in range(r)]
     factors: dict[int, Polynomial] = {}  # 1 - m^2 per separation mask
     pivots: list[Polynomial] = []
     for k, flat in enumerate(order.step_flats):
@@ -187,8 +432,8 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
                     factors[mask] = one_minus_square(
                         Monomial.from_mask(mask).variables()
                     )
-                capped[m][n] = (capped[m][n] * factors[mask]).capped()
-                expected = original[m][n] * capped[m][n]
+                capped_product[m][n] = capped(capped_product[m][n] * factors[mask])
+                expected = original[m][n] * capped_product[m][n]
                 if rows[m][n] != expected or rows[n][m] != expected:
                     raise ClosedFormViolation(
                         f"step {k}: entry ({m},{n}) does not match the "

@@ -4,8 +4,9 @@ as an attribute, imported, or listed in an ``__all__``.  Every module-level
 function, class and non-dunder assignment is also reachable, matching by
 name, from the command line (``cli.main``), the public API
 (``varchenko.__all__``) or the ``fixtures`` module, so nothing is left in
-src/ for the tests alone; no module in src/ imports from tests/, and none
-defines or refers to a Fourier-Motzkin routine.
+src/ for the tests alone; every public name is reached from the command
+line or imported by the benchmark; no module in src/ imports from tests/,
+and none defines or refers to a Fourier-Motzkin routine.
 References are read from the syntax tree, so a name that occurs only in a
 docstring or a comment counts as unreferenced."""
 
@@ -95,17 +96,13 @@ def test_no_definition_is_unreferenced():
     assert unreferenced == []
 
 
-def unreachable_definitions() -> list[str]:
-    """``module.name`` of each module-level function, class and non-dunder
-    assignment that no chain of references leads to from the roots.
-
-    A module-level function, class or assignment refers to every name in
-    its statement; a name reaches every module-level definition of that
-    name, in any module.
-    """
+def _module_level() -> tuple[dict[tuple[str, str], ast.stmt], set[tuple[str, str]], list[str]]:
+    """The statement of each module-level function, class and assignment,
+    keyed by ``(module, name)``; the keys of the non-dunder ones, which the
+    reachability test checks; and the names in ``varchenko.__all__``."""
     statements: dict[tuple[str, str], ast.stmt] = {}
     checked = set()
-    roots = set()
+    public = []
     for module, tree in _package_modules():
         for node in tree.body:
             if isinstance(node, DEFINITIONS):
@@ -116,12 +113,23 @@ def unreachable_definitions() -> list[str]:
                 statements[module, name] = node
             checked.update((module, name) for name in names if not _is_dunder(name))
             if module == "__init__":
-                roots.update(_all_strings(node))
+                public += _all_strings(node)
+    return statements, checked, public
+
+
+def reached_from(
+    statements: dict[tuple[str, str], ast.stmt], roots: set[tuple[str, str]]
+) -> set[tuple[str, str]]:
+    """The keys that some chain of references leads to from `roots`.
+
+    A module-level function, class or assignment refers to every name in
+    its statement; a name reaches every module-level definition of that
+    name, in any module.
+    """
     by_name: dict[str, list[tuple[str, str]]] = {}
     for key in statements:
         by_name.setdefault(key[1], []).append(key)
-    reached = {key for key in statements if key[1] in roots or key[0] == "fixtures"}
-    reached.add(("cli", "main"))
+    reached = set(roots)
     frontier = list(reached)
     while frontier:
         for name in references(statements[frontier.pop()]):
@@ -129,11 +137,47 @@ def unreachable_definitions() -> list[str]:
                 if key not in reached:
                     reached.add(key)
                     frontier.append(key)
+    return reached
+
+
+def unreachable_definitions() -> list[str]:
+    """``module.name`` of each module-level function, class and non-dunder
+    assignment that no chain of references leads to from the roots: the
+    command line (``cli.main``), the public API and the ``fixtures``
+    module."""
+    statements, checked, public = _module_level()
+    roots = {key for key in statements if key[1] in public or key[0] == "fixtures"}
+    roots.add(("cli", "main"))
+    reached = reached_from(statements, roots)
     return sorted(f"{module}.{name}" for module, name in checked - reached)
 
 
 def test_every_definition_is_reachable_from_the_cli_or_the_public_api():
     assert unreachable_definitions() == []
+
+
+def benchmark_imports() -> set[str]:
+    """The names that a module of perfbench/ imports from the package."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and not node.level
+                and node.module.split(".")[0] == "varchenko"
+            ):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_reached_from_the_cli_or_imported_by_the_benchmark():
+    """`varchenko.__all__` holds what the command line reaches and what
+    the benchmark imports, and nothing only the tests call (those are in
+    tests/reference.py)."""
+    statements, _, public = _module_level()
+    reached = {name for _, name in reached_from(statements, {("cli", "main")})}
+    extra = sorted(set(public) - reached - benchmark_imports())
+    assert extra == []
 
 
 def test_no_package_module_imports_from_the_tests():

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from reference import _certificate_checks, int_det, replay_elimination
+import reference
+from reference import (
+    PivotDivisionFailure,
+    _certificate_checks,
+    encompassed_flats,
+    int_det,
+    pivot_step,
+    replay_elimination,
+)
 from varchenko import DiagonalizationCertificate, cli, exactlp, fixtures, polyring, varmatrix
 from varchenko.certificate import (
     RegionOrdering,
@@ -16,21 +24,8 @@ from varchenko.certificate import (
     _ordering_det,
     _transform_rows,
 )
-from varchenko.diagonalize import (
-    pivot_step,
-    diagonalize,
-    encompassed_flats,
-    expected_diagonal,
-    ordering,
-    snf_q,
-)
-from varchenko.errors import (
-    ClosedFormViolation,
-    NotSemigeneral,
-    OrderingStuck,
-    PivotDivisionFailure,
-    TooLarge,
-)
+from varchenko.diagonalize import diagonalize, expected_diagonal, ordering, snf_q
+from varchenko.errors import ClosedFormViolation, NotSemigeneral, OrderingStuck, TooLarge
 from varchenko.geometry import Arrangement, FaceTable
 from varchenko.matinvariants import gcd_minors
 from varchenko.polyring import Monomial, Polynomial, parse_polynomial
@@ -622,13 +617,17 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("elimination on the runtime path")
 
-    monkeypatch.setattr(polyring, "exact_div", refuse)
-    monkeypatch.setattr(diagonalize_module, "exact_div", refuse)
-    monkeypatch.setattr(diagonalize_module, "pivot_step", refuse)
+    # exact division, exponent capping and the pivot step are test
+    # references, which no package module imports
+    for name in ("exact_div", "capped", "pivot_step"):
+        monkeypatch.setattr(reference, name, refuse)
+    assert not hasattr(polyring, "exact_div")
+    assert not hasattr(diagonalize_module, "exact_div")
+    assert not hasattr(diagonalize_module, "pivot_step")
+    assert not hasattr(Polynomial, "capped")
     # nor V: the proof reads the faces the steps complete
     assert not hasattr(diagonalize_module, "build_varchenko")
     monkeypatch.setattr(varmatrix, "build_varchenko", refuse)
-    monkeypatch.setattr(Polynomial, "capped", refuse)
     # nor a region-by-face scan or a linear solve: the arrangement is built
     # under these patches, so enumeration and the poset are covered too
     monkeypatch.setattr(SignVector, "conforms_to", refuse)

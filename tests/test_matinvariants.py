@@ -6,24 +6,23 @@ from math import gcd, prod
 
 import pytest
 
-from reference import LINES_45, LINES_61, int_det, lines_document, snf_by_smith_form
+from reference import (
+    LINES_45,
+    LINES_61,
+    deletion_reduction,
+    equal_up_to_relabeling,
+    int_det,
+    lines_document,
+    nonzero_block,
+    snf_by_smith_form,
+)
 from varchenko import fixtures, matinvariants
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
 from varchenko.geometry import Arrangement, Hyperplane
-from varchenko.matinvariants import (
-    gcd_minors,
-    int_rank,
-    integer_snf,
-    nonzero_block,
-    obstruction_report,
-    deletion_reduction,
-)
+from varchenko.matinvariants import gcd_minors, int_rank, integer_snf, obstruction_report
 from varchenko.polyring import Polynomial, one_minus_square, parse_polynomial
-from varchenko.varmatrix import (
-    LabeledMatrix,
-    build_varchenko,
-    equal_up_to_relabeling,
-)
+from varchenko.signedsets import SignVector
+from varchenko.varmatrix import build_varchenko
 
 
 def minor_gcd_reference(grid, k):
@@ -389,11 +388,19 @@ def test_closed_form_snf_equals_the_smith_form():
 
 
 def test_obstruction_report_computes_no_smith_form(monkeypatch):
+    """Once the regions and the poset are cached, the report computes no
+    Smith form, minor gcd, rank or separation mask."""
     builders = (fixtures.pencil_four_planes, fixtures.three_concurrent_lines)
     expected = [obstruction_report(build()) for build in builders]
+    arrangements = [build() for build in builders]
+    for arr in arrangements:
+        arr.regions()
+        arr.poset()
 
-    def refuse(grid):
-        raise AssertionError("integer_snf called on the obstruct path")
+    def refuse(*args):
+        raise AssertionError("matrix invariant computed on the obstruct path")
 
-    monkeypatch.setattr(matinvariants, "integer_snf", refuse)
-    assert [obstruction_report(build()) for build in builders] == expected
+    for name in ("integer_snf", "gcd_minors", "int_rank"):
+        monkeypatch.setattr(matinvariants, name, refuse)
+    monkeypatch.setattr(SignVector, "separation_mask", refuse)
+    assert [obstruction_report(arr) for arr in arrangements] == expected

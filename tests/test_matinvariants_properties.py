@@ -1,8 +1,8 @@
 """Property tests of `gcd_minors` and `integer_snf` against the brute-force
 gcd of every k x k minor, of `int_rank` against `Fraction` Gaussian
-elimination, of the closed-form single-hyperplane Smith forms of the
-obstruction report against `integer_snf`, and of `deletion_reduction`
-against the Varchenko matrix of the deleted arrangement."""
+elimination, of the obstruction report's closed forms against `gcd_minors`,
+`int_rank` and `integer_snf`, and of `deletion_reduction` against the
+Varchenko matrix of the deleted arrangement."""
 
 import pytest
 
@@ -10,18 +10,23 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reference import fraction_rank, snf_by_smith_form
+from reference import (
+    deletion_reduction,
+    equal_up_to_relabeling,
+    fraction_rank,
+    nonzero_block,
+    snf_by_smith_form,
+)
 from test_geometry_properties import arrangements
 from test_matinvariants import check_minor_gcds
 from varchenko.geometry import Arrangement
 from varchenko.matinvariants import (
     MAX_SNF_SIZE,
     _single_threes_snf,
-    deletion_reduction,
+    gcd_minors,
     int_rank,
-    nonzero_block,
 )
-from varchenko.varmatrix import build_varchenko, equal_up_to_relabeling
+from varchenko.varmatrix import build_varchenko
 
 
 @st.composite
@@ -55,10 +60,18 @@ def test_int_rank_equals_the_fraction_elimination_reference(grid):
 @settings(max_examples=120)
 @given(arrangements())
 def test_closed_form_snf_equals_the_smith_form(arr):
+    """The report's closed forms against the computations they replace:
+    the single-hyperplane Smith forms, the 2 x 2 minor gcd 8 at x_i = 3
+    (there is no 2 x 2 minor with no hyperplane) and the rank 1 at
+    x_i = 1."""
     regions = arr.regions()
     assume(len(regions) <= MAX_SNF_SIZE)
-    masks = [[x.separation_mask(y) for y in regions] for x in regions]
-    assert _single_threes_snf(arr.names, masks) == snf_by_smith_form(arr)
+    assert _single_threes_snf(arr.names, [x.plus for x in regions]) == snf_by_smith_form(arr)
+    # V's entry (m, n) is the product of the x_i over sep(R_m, R_n)
+    sizes = [[x.separation_mask(y).bit_count() for y in regions] for x in regions]
+    if arr.n:
+        assert gcd_minors([[3**s for s in row] for row in sizes], 2) == 8
+    assert int_rank([[1**s for s in row] for row in sizes]) == 1
 
 
 @settings(max_examples=150)

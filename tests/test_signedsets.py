@@ -9,40 +9,37 @@ from varchenko.signedsets import (
     SignVector,
     check_composition_closure,
     check_vector_axioms,
-    compose,
-    opposite,
-    separation_set,
 )
 
 V = SignVector.from_string
 
 
 def test_compose_examples():
-    assert compose(V("+0-"), V("-+-")) == V("++-")
+    assert V("+0-").compose(V("-+-")) == V("++-")
     y = V("-+")
-    assert compose(V("00"), y) == y
+    assert V("00").compose(y) == y
     x = V("+0-")
-    assert compose(x, x) == x
+    assert x.compose(x) == x
 
 
 def test_compose_length_mismatch():
     with pytest.raises(InvalidInput):
-        compose(V("+0"), V("+0-"))
+        V("+0").compose(V("+0-"))
 
 
 def test_opposite_examples():
-    assert opposite(V("+-0")) == V("-+0")
-    assert opposite(V("000")) == V("000")
+    assert -V("+-0") == V("-+0")
+    assert -V("000") == V("000")
     x = V("+-0+")
-    assert opposite(opposite(x)) == x
+    assert -(-x) == x
 
 
 def test_separation_examples():
-    assert separation_set(V("+++"), V("-++")) == {0}
-    assert separation_set(V("+++"), V("---")) == {0, 1, 2}
+    assert V("+++").separation_set(V("-++")) == {0}
+    assert V("+++").separation_set(V("---")) == {0, 1, 2}
     x = V("+-0")
-    assert separation_set(x, x) == set()
-    assert separation_set(x, opposite(x)) == x.support()
+    assert x.separation_set(x) == set()
+    assert x.separation_set(-x) == x.support()
 
 
 def test_separation_symmetric():
@@ -51,7 +48,7 @@ def test_separation_symmetric():
         n = rng.randint(1, 8)
         x = SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
         y = SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
-        assert separation_set(x, y) == separation_set(y, x)
+        assert x.separation_set(y) == y.separation_set(x)
 
 
 def test_compose_associative_exhaustive():
@@ -61,7 +58,7 @@ def test_compose_associative_exhaustive():
             for signs in itertools.product((-1, 0, 1), repeat=n)
         ]
         for x, y, z in itertools.product(vecs, repeat=3):
-            assert compose(compose(x, y), z) == compose(x, compose(y, z))
+            assert x.compose(y).compose(z) == x.compose(y.compose(z))
 
 
 def test_compose_associative_random():
@@ -72,7 +69,7 @@ def test_compose_associative_random():
             SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
             for _ in range(3)
         )
-        assert compose(compose(x, y), z) == compose(x, compose(y, z))
+        assert x.compose(y).compose(z) == x.compose(y.compose(z))
 
 
 def test_string_round_trip():
@@ -128,7 +125,7 @@ def test_composition_closure_planted_violation():
     witness = check_composition_closure(family)
     assert witness is not None
     x, y = witness
-    assert compose(x, y) not in family
+    assert x.compose(y) not in family
 
 
 def test_composition_closure_pass():
