@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ClosedFormViolation, InvalidInput, NotSemigeneral
 from .geometry import Arrangement
 from .polyring import FactoredPoly, Monomial, Polynomial, mask_key, one_minus_square, parse_json
-from .signedsets import SignVector, bits
-from .varmatrix import LabeledMatrix
+from .signedsets import SignVector, bits, side_masks
 
 FORMAT = 2
 
@@ -64,14 +63,22 @@ def _transform_entry(sep: int) -> Polynomial:
 
 def _transform_rows(arrangement: Arrangement, order: RegionOrdering) -> list[SparseRow]:
     """Row k of P: (-1)^|S| x^S, S = sep(R_k, R), on the regions R adjacent
-    to the face that step k completes."""
-    regions = arrangement.regions()
+    to the face that step k completes; S is the XOR of the regions' '+'
+    masks, and entries with the same S share one polynomial."""
+    pluses = [region.plus for region in arrangement.regions()]
     table = arrangement.face_table()
     adjacent = dict(zip(table.faces, table.adjacent))
-    return [
-        {j: _transform_entry(regions[k].separation_mask(regions[j])) for j in bits(adjacent[face])}
-        for k, face in zip(order.order, order.step_faces)
-    ]
+    shared: dict[int, Polynomial] = {}
+    rows = []
+    for k, face in zip(order.order, order.step_faces):
+        row = {}
+        for j in bits(adjacent[face]):
+            sep = pluses[k] ^ pluses[j]
+            if sep not in shared:
+                shared[sep] = _transform_entry(sep)
+            row[j] = shared[sep]
+        rows.append(row)
+    return rows
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -113,6 +120,23 @@ def _ordering_det(rows: list[SparseRow], perm: Sequence[int]) -> str:
     return str(_permutation_sign(perm))
 
 
+def _first_agreeing(pluses: Sequence[int], zeros: Sequence[int], n: int) -> list[Optional[int]]:
+    """For each step i, the first step before it whose region agrees with
+    step i's on zeros[i], or None; the regions are given by their '+'
+    masks (they have no zero entry) in step order.  With one bitset over
+    the steps per hyperplane and side, the steps that agree with step i on
+    Z are the AND over Z of the side step i takes, and the lowest set bit
+    below i names the first."""
+    sides = side_masks(pluses, n)
+    first: list[Optional[int]] = []
+    for i, (plus, zero) in enumerate(zip(pluses, zeros)):
+        agree = (1 << i) - 1
+        for e in bits(zero):
+            agree &= sides[e][plus >> e & 1]
+        first.append((agree & -agree).bit_length() - 1 if agree else None)
+    return first
+
+
 def _face_cube_checks(
     arrangement: Arrangement, order: RegionOrdering, rows: list[SparseRow]
 ) -> None:
@@ -125,24 +149,28 @@ def _face_cube_checks(
     x^sep(R_i, b) * prod_{e in Z} (1 - x_e^2) if sep(R_i, b) misses Z, else
     0: the sum over T factorises by e in Z into 1 - x_e^2 where R_i and b
     agree on e and x_e - x_e = 0 where they differ.  If no region colored
-    before step i agrees with R_i on Z either, P V in elimination order is
-    upper triangular with diagonal D, so the symmetric P V P^T is D.  These
-    conditions are checked per step on masks, entries read as packed keys.
+    before step i agrees with R_i on Z either (`_first_agreeing`), P V in
+    elimination order is upper triangular with diagonal D, so the symmetric
+    P V P^T is D.  These conditions are checked per step on masks, entries
+    read as packed keys.
     """
-    regions, flats = arrangement.regions(), arrangement.poset().flats
+    pluses = [region.plus for region in arrangement.regions()]
+    masks = arrangement.poset().masks
     table = arrangement.face_table()
     faces = dict(zip(table.faces, zip(table.flats, table.adjacent)))
-    colored: list[int] = []  # the plus masks of the regions colored so far
-    steps = zip(order.order, order.step_flats, order.step_faces)
-    for i, (region, flat, face) in enumerate(steps):
-        (face_flat, adjacent), zero, step = faces[face], face.zero_mask, regions[region]
-        seps = {a: step.separation_mask(regions[a]) for a in rows[i]}
+    zeros = [face.zero_mask for face in order.step_faces]
+    steps = [pluses[region] for region in order.order]
+    earlier = _first_agreeing(steps, zeros, arrangement.n)
+    for i, (flat, face, zero, step) in enumerate(
+        zip(order.step_flats, order.step_faces, zeros, steps)
+    ):
+        face_flat, adjacent = faces[face]
+        seps = {a: step ^ pluses[a] for a in rows[i]}
         wrong = [
             a for a, s in seps.items()
             if s & ~zero or rows[i][a].packed() != {mask_key(s): (-1) ** s.bit_count()}
         ]
-        earlier = [n for n, plus in enumerate(colored) if (plus ^ step.plus) & zero == 0]
-        if face_flat != flat or flats[flat].defining_set != face.zero_set():
+        if face_flat != flat or masks[flat] != zero:
             failed = f"its face lies on flat {face_flat}, not on the step flat {flat}"
         elif adjacent.bit_count() != 1 << zero.bit_count():
             failed = f"its face has {adjacent.bit_count()} adjacent regions, not a full cube"
@@ -150,10 +178,9 @@ def _face_cube_checks(
             failed = "the row's nonzero entries are not its face's adjacent regions"
         elif wrong:
             failed = f"transform entry ({i},{wrong[0]}) is not (-1)^|T| x^T on the cube"
-        elif earlier:
-            failed = f"region {order.order[earlier[0]]} agrees with it on the face's zero set"
+        elif earlier[i] is not None:
+            failed = f"region {order.order[earlier[i]]} agrees with it on the face's zero set"
         else:
-            colored.append(step.plus)
             continue
         raise ClosedFormViolation(f"P V Q does not equal the diagonal matrix: step {i}: {failed}")
 
@@ -181,17 +208,6 @@ class DiagonalizationCertificate:
     @property
     def Q(self) -> list[list[Polynomial]]:
         return [list(col) for col in zip(*self.P)]
-
-    def diagonal_matrix(self) -> LabeledMatrix:
-        n = len(self.diagonal)
-        rows = [
-            [
-                self.diagonal[i].expand() if i == j else Polynomial.zero()
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return LabeledMatrix(list(self.ordering), rows)
 
     def to_json_dict(self) -> dict:
         steps = zip(self.step_flats, self.step_faces, self.diagonal)

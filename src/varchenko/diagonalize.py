@@ -14,7 +14,7 @@ reference in tests/reference.py.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Optional
 
 from .certificate import (
     DiagonalizationCertificate,
@@ -39,6 +39,14 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
     whose new flat has the smallest dimension, tie-broken by region id, with
     full backtracking behind the greedy front (an explicit stack, so the
     depth is not bounded by the interpreter's recursion limit).
+
+    The front is kept up to date rather than rescanned: each uncolored
+    region holds, by flat, the faces whose one uncolored adjacent region it
+    is, and is a candidate move exactly when one of those flats is not yet
+    encompassed, with that flat's largest face.  Coloring or uncoloring a
+    region changes only the faces adjacent to it, and encompassing a flat
+    only the regions holding it, so a step costs the faces it changes and
+    a pass over the candidates for the least one.
     """
     _semigeneral_gate(arrangement)
     regions = arrangement.regions()
@@ -52,10 +60,6 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
     table = arrangement.face_table()
     flat_ids = table.flats
     dims = [f.dim for f in poset.flats]
-    adjacent: list[list[int]] = [[] for _ in range(r)]  # region -> its faces
-    for f, m in enumerate(table.adjacent):
-        for region in bits(m):
-            adjacent[region].append(f)
 
     base = 0
     uncolored = [m & ~(1 << base) for m in table.adjacent]
@@ -68,53 +72,91 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         )
     step_flats = [flat_ids[completed[0]]]
     step_faces = [completed[0]]
-    # the faces with exactly one uncolored adjacent region
-    single = {f for f, m in enumerate(uncolored) if m and m & (m - 1) == 0}
+    # the base's flat stays encompassed, so its faces never make a move
+    adjacent: list[list[int]] = [[] for _ in range(r)]  # region -> its faces
+    for f, m in enumerate(table.adjacent):
+        if flat_ids[f] != step_flats[0]:
+            for region in bits(m):
+                adjacent[region].append(f)
 
-    def toggle(region: int) -> None:
-        """Color an uncolored region, or uncolor a colored one."""
+    # the front: region -> flat -> the faces whose one uncolored adjacent
+    # region it is; flat -> the regions holding such a face on it; region
+    # -> its move, if it encompasses exactly one new flat
+    pending: list[dict[int, set[int]]] = [{} for _ in range(r)]
+    holders: list[set[int]] = [set() for _ in range(len(poset))]
+    candidates: dict[int, tuple[int, int, int, int]] = {}
+
+    def hold(f: int, region: int) -> int:
+        flat = flat_ids[f]
+        if flat in pending[region]:
+            pending[region][flat].add(f)
+        else:
+            pending[region][flat] = {f}
+            holders[flat].add(region)
+        return region
+
+    def drop(f: int, region: int) -> int:
+        flat = flat_ids[f]
+        faces = pending[region][flat]
+        faces.discard(f)
+        if not faces:
+            del pending[region][flat]
+            holders[flat].discard(region)
+        return region
+
+    def update(region: int) -> None:
+        new = [flat for flat in pending[region] if flat not in encompassed]
+        if len(new) == 1:
+            [flat] = new
+            candidates[region] = dims[flat], region, flat, max(pending[region][flat])
+        else:
+            candidates.pop(region, None)
+
+    def play(region: int, flat: int, color: bool) -> None:
+        """Color a region and encompass its new flat, or undo that: only
+        the faces adjacent to the region change their uncolored masks."""
         bit = 1 << region
+        changed = set()
         for f in adjacent[region]:
-            m = uncolored[f] ^ bit
-            uncolored[f] = m
-            if m and m & (m - 1) == 0:
-                single.add(f)
-            else:
-                single.discard(f)
+            old = uncolored[f]
+            uncolored[f] = new = old ^ bit
+            if old and not old & (old - 1):
+                changed.add(drop(f, old.bit_length() - 1))
+            if new and not new & (new - 1):
+                changed.add(hold(f, new.bit_length() - 1))
+        if color:
+            encompassed.add(flat)
+        else:
+            encompassed.discard(flat)
+        for holder in changed | holders[flat]:
+            update(holder)
 
-    def next_candidates() -> list[tuple[int, int, int, int]]:
-        """(new flat dim, region, new flat, completed face) for regions
-        encompassing exactly one new flat."""
-        ready: dict[int, dict[int, int]] = {}
-        for f in sorted(single):
-            flat = flat_ids[f]
-            if flat not in encompassed:
-                ready.setdefault(uncolored[f].bit_length() - 1, {})[flat] = f
-        out = []
-        for region, flats in ready.items():
-            if len(flats) == 1:
-                [(flat, face)] = flats.items()
-                out.append((dims[flat], region, flat, face))
-        out.sort()
-        return out
+    for f, m in enumerate(uncolored):
+        if m and not m & (m - 1) and flat_ids[f] != step_flats[0]:
+            hold(f, m.bit_length() - 1)
+    for region, held in enumerate(pending):
+        if held:
+            update(region)
 
-    # frames[d] holds the untried candidates after d + 1 colored regions.
-    frames: list[Iterator[tuple[int, int, int, int]]] = []
+    # tried[d] is the move made after d + 1 colored regions; on backtracking
+    # the next one is the least candidate above it: the state is restored,
+    # so the candidates are the ones that move was the least of
+    tried: list[tuple[int, int, int, int]] = []
     while len(colored) < r:
-        frames.append(iter(next_candidates()))
-        while (move := next(frames[-1], None)) is None:
-            frames.pop()
-            if not frames:
+        move = min(candidates.values(), default=None)
+        while move is None:
+            if not tried:
                 raise OrderingStuck(
                     "exhaustive search found no valid region ordering (internal bug)"
                 )
-            toggle(colored.pop())
-            encompassed.discard(step_flats.pop())
+            last = tried.pop()
+            play(colored.pop(), step_flats.pop(), False)
             step_faces.pop()
+            move = min((m for m in candidates.values() if m > last), default=None)
         _, region, flat, face = move
-        toggle(region)
+        play(region, flat, True)
+        tried.append(move)
         colored.append(region)
-        encompassed.add(flat)
         step_flats.append(flat)
         step_faces.append(face)
     return RegionOrdering(

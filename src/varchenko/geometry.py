@@ -40,7 +40,13 @@ from typing import Iterable, Optional, Sequence
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
 from .exactlp import Point, _dot, _lowest, _normalize_int, _primitive
 from .polyring import parse_int, parse_json
-from .signedsets import SignedFamily, SignVector, bits, check_composition_closure
+from .signedsets import (
+    SignedFamily,
+    SignVector,
+    bits,
+    check_composition_closure,
+    side_masks,
+)
 
 MAX_GROUND_SIZE = 16
 MAX_DIM = 64
@@ -132,14 +138,32 @@ class IntersectionPoset:
     Because defining sets are closed, ``M <= N`` (N inside M) is exactly
     ``defining_set(M) issubset defining_set(N)``.  The bottom element is the
     ambient space (empty defining set) and Moebius values are taken from it.
+    The order is held as a bitset over the flats per hyperplane, the flats
+    that do not contain it: the flats below X are those that contain no
+    hyperplane outside X, one AND per hyperplane (`below`), and each
+    Moebius value is a sum over those bits (`sum_over`) rather than a pass
+    over the flats before it.
     """
 
     def __init__(self, flats: list[Flat], ambient_dim: int):
         self.flats = flats
         self.ambient_dim = ambient_dim
-        self._by_defset = {f.defining_set: f.index for f in flats}
         if flats[0].defining_set:
             raise InvalidArrangement("poset bottom must be the ambient flat")
+        # the closed defining mask of each flat, by index, and the flats
+        # that contain each hyperplane
+        masks, containing = [], {}
+        for f in flats:
+            mask = 0
+            for h in f.defining_set:
+                mask |= 1 << h
+                containing[h] = containing.get(h, 0) | 1 << f.index
+            masks.append(mask)
+        self.masks = tuple(masks)
+        self._by_mask = {m: f.index for m, f in zip(masks, flats)}
+        self._everything = (1 << len(flats)) - 1
+        # (hyperplane bit, the flats that do not contain it)
+        self._missing = [(1 << h, self._everything ^ c) for h, c in containing.items()]
         self.mobius = self._mobius_values()
 
     def __len__(self) -> int:
@@ -149,17 +173,23 @@ class IntersectionPoset:
         return iter(self.flats)
 
     def flat_index(self, defining_set: Iterable[int]) -> Optional[int]:
-        return self._by_defset.get(frozenset(defining_set))
+        return self._by_mask.get(sum(1 << i for i in set(defining_set)))
+
+    def below(self, index: int) -> int:
+        """The flats whose defining set lies in flat `index`'s, itself
+        included, as a bitset over the flat indices."""
+        out, mask = self._everything, self.masks[index]
+        for bit, flats in self._missing:
+            if not mask & bit:
+                out &= flats
+        return out
 
     def _mobius_values(self) -> tuple[int, ...]:
-        # flats are sorted by |defining_set|, a linear extension of the order
-        mu = [0] * len(self.flats)
-        mu[0] = 1
+        # flats are sorted by |defining_set|, a linear extension of the
+        # order, so the flats below flat j other than j come before it
+        mu = [1]
         for j in range(1, len(self.flats)):
-            dj = self.flats[j].defining_set
-            mu[j] = -sum(
-                mu[i] for i in range(j) if self.flats[i].defining_set < dj
-            )
+            mu.append(-sum_over(self.below(j) ^ 1 << j, mu))
         return tuple(mu)
 
     def characteristic_polynomial(self) -> tuple[int, ...]:
@@ -185,6 +215,16 @@ class FaceTable:
     faces: tuple[SignVector, ...]
     flats: tuple[int, ...]
     adjacent: tuple[int, ...]
+
+
+def sum_over(chosen: int, values: Sequence[int]) -> int:
+    """The sum of values[i] over the set bits i of `chosen`."""
+    total = 0
+    while chosen:
+        low = chosen & -chosen
+        total += values[low.bit_length() - 1]
+        chosen ^= low
+    return total
 
 
 def charpoly_string(coeffs: Sequence[int]) -> str:
@@ -551,16 +591,19 @@ class Arrangement:
         # a region is adjacent to a face exactly when it has the face's
         # signs on the face's support, the complement of its flat's mask
         # (every face has one: the face composed with any region), so the
-        # regions are grouped by those signs once per flat
+        # adjacent regions are the AND, over the support, of the side the
+        # face takes: |support| big-int ANDs per face
+        n, poset = self.n, self._poset
+        sides = side_masks([region.plus for region in self._regions], n)
+        everything = (1 << len(self._regions)) - 1
         placed: dict[SignVector, tuple[int, int]] = {}
-        for flat in self._poset:
-            mask = sum(1 << i for i in flat.defining_set)
-            by_signs: dict[int, int] = {}
-            for i, region in enumerate(self._regions):
-                key = region.plus & ~mask
-                by_signs[key] = by_signs.get(key, 0) | 1 << i
+        for index, mask in enumerate(poset.masks):
+            support = [(i, sides[i]) for i in range(n) if not mask >> i & 1]
             for f in self._flats[mask][1]:
-                placed[f] = flat.index, by_signs[f.plus]
+                adjacent = everything
+                for i, side in support:
+                    adjacent &= side[f.plus >> i & 1]
+                placed[f] = index, adjacent
         faces = tuple(self._faces.sorted_members())
         return FaceTable(faces, *zip(*(placed[f] for f in faces)))
 

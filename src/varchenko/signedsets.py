@@ -14,9 +14,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInput, TooLarge
 
-_CHAR_RANK = {"+": 0, "-": 1, "0": 2}  # '+' < '-' < '0' for canonical sorts
-
-
 class SignVector:
     """Immutable element of {+,0,-}^E, E = {0, ..., n-1}."""
 
@@ -91,12 +88,6 @@ class SignVector:
     def zero_mask(self) -> int:
         return ((1 << self.n) - 1) & ~self.support_mask
 
-    def zero_set(self) -> frozenset[int]:
-        return frozenset(bits(self.zero_mask))
-
-    def support(self) -> frozenset[int]:
-        return frozenset(bits(self.support_mask))
-
     def is_zero_free(self) -> bool:
         return self.zero_mask == 0
 
@@ -115,29 +106,15 @@ class SignVector:
     def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.minus, self.plus)
 
-    def separation_mask(self, other: "SignVector") -> int:
-        if self.n != other.n:
-            raise InvalidInput("separation needs equal lengths")
-        return (self.plus & other.minus) | (self.minus & other.plus)
-
-    def separation_set(self, other: "SignVector") -> frozenset[int]:
-        return frozenset(bits(self.separation_mask(other)))
-
-    def conforms_to(self, face: "SignVector") -> bool:
-        """True if self agrees with `face` on every nonzero entry of `face`."""
-        return not (face.plus & ~self.plus) and not (face.minus & ~self.minus)
-
-    def reoriented(self, flip_mask: int) -> "SignVector":
-        """Swap '+' and '-' on the elements selected by `flip_mask`."""
-        keep = ~flip_mask
-        return SignVector(
-            self.n,
-            (self.plus & keep) | (self.minus & flip_mask),
-            (self.minus & keep) | (self.plus & flip_mask),
-        )
-
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(_CHAR_RANK[c] for c in self.to_string())
+    def sort_key(self) -> int:
+        """The canonical order ('+' < '-' < '0', position 0 first) as one
+        integer: base-4 digits, position 0 the most significant, each the
+        rank 0, 1, 2 of '+', '-', '0', so its two bits are the entry's
+        '-' bit and its zero bit."""
+        n = self.n
+        minus = int(f"{self.minus:0{n}b}"[::-1], 4)
+        zero = int(f"{self.zero_mask:0{n}b}"[::-1], 4)
+        return minus | zero << 1
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -146,6 +123,19 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def side_masks(pluses: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """For each position e < n, the bitsets over the indices of `pluses`,
+    the '+' masks of zero-free sign vectors, of those with '-' at e and of
+    those with '+' at e: the zero-free vectors that agree with a sign
+    vector on a set of positions are one AND per position."""
+    # the masks' binary strings, the last vector's first: column k of them
+    # is the bitset of position n - 1 - k
+    strings = [f"{p:0{n}b}" for p in reversed(pluses)] if n else []
+    plus = [int("".join(column), 2) for column in zip(*strings)][::-1] if strings else [0] * n
+    everything = (1 << len(pluses)) - 1
+    return [(everything ^ m, m) for m in plus]
 
 
 @dataclass(frozen=True)
@@ -205,10 +195,6 @@ class AxiomReport:
     witness_a: Optional[SignVector] = None
     witness_b: Optional[SignVector] = None
     witness_c: Optional[tuple[SignVector, SignVector, int, int]] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.axiom_a and self.axiom_b and self.axiom_c
 
 
 def check_vector_axioms(family: SignedFamily) -> AxiomReport:

@@ -4,12 +4,12 @@ brute-force determinant oracle."""
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from operator import or_
 from typing import Mapping, Sequence, Union
 
 from .errors import InvalidInput, TooLarge, Unsupported
-from .geometry import Arrangement, _reject_unknown_keys
+from .geometry import Arrangement, _reject_unknown_keys, sum_over
 from .polyring import (
     FactoredPoly,
     Monomial,
@@ -41,21 +41,6 @@ class LabeledMatrix:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def is_symmetric(self) -> bool:
-        n = self.size
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i)
-        )
-
-    def permuted(self, perm: Sequence[int]) -> "LabeledMatrix":
-        """Simultaneous row/column reorder; row i of the result is row perm[i]."""
-        if sorted(perm) != list(range(self.size)):
-            raise InvalidInput("not a permutation of the matrix indices")
-        return LabeledMatrix(
-            [self.labels[p] for p in perm],
-            [[self.rows[p][q] for q in perm] for p in perm],
-        )
 
     def substitute(
         self, sigma: Mapping[int, Union[int, Polynomial]]
@@ -126,14 +111,14 @@ class LabeledMatrix:
 
 
 def build_varchenko(arrangement: Arrangement) -> LabeledMatrix:
-    """Entry (m, n) is the squarefree monomial over sep(R_m, R_n); entries
-    with the same separation set share one polynomial."""
-    regions = arrangement.regions()
-    masks = [[x.separation_mask(y) for y in regions] for x in regions]
-    distinct = set(chain.from_iterable(masks))
+    """Entry (m, n) is the squarefree monomial over sep(R_m, R_n), the XOR
+    of the regions' '+' masks (regions have no zero entry); entries with
+    the same separation set share one polynomial."""
+    pluses = [region.plus for region in arrangement.regions()]
+    distinct = {p ^ q for p in pluses for q in pluses}
     shared = {m: Polynomial.from_monomial(Monomial.from_mask(m)) for m in distinct}
-    rows = [[shared[m] for m in row] for row in masks]
-    return LabeledMatrix(list(range(len(regions))), rows)
+    rows = [[shared[p ^ q] for q in pluses] for p in pluses]
+    return LabeledMatrix(list(range(len(pluses))), rows)
 
 
 def det_formula(arrangement: Arrangement) -> FactoredPoly:
@@ -143,24 +128,20 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
     m_X is the product of the variables of the hyperplanes containing X,
     n_X is the number of faces on X (the regions of the restriction to X),
     read off the flat, and p_X = |sum mu(Y) * dim Y| over the flats Y whose
-    defining set lies in X's (|chi'(1)| of the localization at X).  In
-    central mode, when the hyperplanes meet only at the origin, the origin
-    is a flat too, of linear dimension 0: it contributes
-    (1 - (x_1 ... x_n)^2)^p with p = |sum mu(Y) * (dim Y + 1)| over all flats."""
+    defining set lies in X's (|chi'(1)| of the localization at X), the set
+    bits of `IntersectionPoset.below`.  In central mode, when the
+    hyperplanes meet only at the origin, the origin is a flat too, of
+    linear dimension 0: it contributes (1 - (x_1 ... x_n)^2)^p with
+    p = |sum mu(Y) * (dim Y + 1)| over all flats."""
     if arrangement.mode == "covector":
         raise Unsupported("determinant formula needs coordinates (covector mode)")
     poset = arrangement.poset()
+    weights = [mu * y.dim for y, mu in zip(poset, poset.mobius)]
     factors = []
     for flat in poset:
         if not flat.defining_set:
             continue
-        p_x = abs(
-            sum(
-                mu * y.dim
-                for y, mu in zip(poset, poset.mobius)
-                if y.defining_set <= flat.defining_set
-            )
-        )
+        p_x = abs(sum_over(poset.below(flat.index), weights))
         factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
     n = arrangement.n
     if arrangement.mode == "central" and poset.flat_index(range(n)) is None:

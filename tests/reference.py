@@ -39,20 +39,46 @@
 * `LINES_45` and `LINES_61` are affine line arrangements with a deficient
   flat, past the sizes of the fixtures; `lines_document` writes such rows
   as an input document.
+* The scans the per-hyperplane bitsets replace: `face_table_by_full_scan`
+  tests each region against each face with `conforms_to`,
+  `down_set_by_pairs`, `mobius_by_pairs` and `det_formula_by_subset_sum`
+  compare every pair of flats' defining sets, `first_agreeing_by_scan` tests each step against
+  every step before it, and `ordering_by_rescan` sorts the faces with one
+  uncolored region at every step of the region search.
+* `string_rank_key` is the canonical sign-vector order as a tuple of
+  ranks, which `SignVector.sort_key` packs into one integer.
+* Methods of the package's classes that only the tests call, as
+  functions: `is_symmetric` and `permuted` of a `LabeledMatrix`;
+  `support`, `zero_set`, `separation_mask`, `separation_set`,
+  `conforms_to` and `reoriented` of a `SignVector`; `diagonal_matrix` of a certificate and
+  `passed` of an `AxiomReport`.
 """
 
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import floor, lcm
 from operator import or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from varchenko import polyring
-from varchenko.certificate import SparseRow, _diagonal_entry, _ordering_det
+from varchenko.certificate import (
+    RegionOrdering,
+    SparseRow,
+    _diagonal_entry,
+    _ordering_det,
+    _semigeneral_gate,
+)
 from varchenko.diagonalize import ordering
-from varchenko.errors import ClosedFormViolation, InvalidInput, TooLarge, VarchenkoError
+from varchenko.errors import (
+    ClosedFormViolation,
+    InvalidInput,
+    OrderingStuck,
+    TooLarge,
+    Unsupported,
+    VarchenkoError,
+)
 from varchenko.exactlp import _dot, _normalize_int, _primitive
-from varchenko.geometry import Arrangement
+from varchenko.geometry import Arrangement, FaceTable, IntersectionPoset
 from varchenko.matinvariants import _check_int_grid, integer_snf
 from varchenko.polyring import (
     _FIELD,
@@ -65,6 +91,7 @@ from varchenko.polyring import (
     _raw,
     one_minus_square,
 )
+from varchenko.signedsets import AxiomReport, SignVector, bits
 from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko
 
 # S1, S2, S3 meet at the origin; the other six lines are generic
@@ -164,7 +191,7 @@ def pivot_step(matrix: LabeledMatrix, k: int) -> LabeledMatrix:
     Requires the pivot to divide every entry of its row; entry (k, k) is
     preserved and all other entries become P[m][n] - P[m][k] P[n][k] / P[k][k].
     """
-    if not matrix.is_symmetric():
+    if not is_symmetric(matrix):
         raise InvalidInput("pivot elimination needs a symmetric matrix")
     n = matrix.size
     if not 0 <= k < n:
@@ -219,7 +246,7 @@ def distance(arrangement: Arrangement, k: int, m: int, n: int) -> Monomial:
     if not all(0 <= i < len(regions) for i in (k, m, n)):
         raise InvalidInput("region id out of range")
     rk, rm, rn = regions[k], regions[m], regions[n]
-    return Monomial.from_mask(rk.separation_mask(rm) & rk.separation_mask(rn))
+    return Monomial.from_mask(separation_mask(rk, rm) & separation_mask(rk, rn))
 
 
 def deletion_reduction(v_ext: LabeledMatrix, e: int) -> tuple[LabeledMatrix, dict[int, int]]:
@@ -395,8 +422,8 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
     r = len(perm)
     regions = arrangement.regions()
     stepped = [regions[p] for p in perm]
-    sep = [[a.separation_mask(b) for b in stepped] for a in stepped]
-    work = build_varchenko(arrangement).permuted(perm)
+    sep = [[separation_mask(a, b) for b in stepped] for a in stepped]
+    work = permuted(build_varchenko(arrangement), perm)
     original = [row[:] for row in work.rows]
     P = [
         [Polynomial.one() if j == perm[i] else Polynomial.zero() for j in range(r)]
@@ -762,7 +789,7 @@ def det_mod_p(arrangement: Arrangement, point: dict[int, int], p: int = MERSENNE
             values[mask] = value
         return values[mask]
 
-    rows = [[at(x.separation_mask(y)) for y in regions] for x in regions]
+    rows = [[at(separation_mask(x, y)) for y in regions] for x in regions]
     det = 1
     for c in range(len(rows)):
         pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
@@ -802,7 +829,7 @@ def snf_by_smith_form(arrangement: Arrangement) -> dict[str, dict[str, int]]:
     """The single-hyperplane specialisations' Smith forms, one `integer_snf`
     per hyperplane of V at x_i = 3, x_j = 0, read off the separation masks."""
     regions = arrangement.regions()
-    masks = [[x.separation_mask(y) for y in regions] for x in regions]
+    masks = [[separation_mask(x, y) for y in regions] for x in regions]
     out = {}
     for i, name in enumerate(arrangement.names):
         diag = integer_snf(
@@ -810,3 +837,230 @@ def snf_by_smith_form(arrangement: Arrangement) -> dict[str, dict[str, int]]:
         )
         out[name] = {str(val): diag.count(val) for val in sorted(set(diag))}
     return out
+
+
+def is_symmetric(matrix: LabeledMatrix) -> bool:
+    n = matrix.size
+    return all(
+        matrix.rows[i][j] == matrix.rows[j][i] for i in range(n) for j in range(i)
+    )
+
+
+def permuted(matrix: LabeledMatrix, perm: Sequence[int]) -> LabeledMatrix:
+    """Simultaneous row/column reorder; row i of the result is row perm[i]."""
+    if sorted(perm) != list(range(matrix.size)):
+        raise InvalidInput("not a permutation of the matrix indices")
+    return LabeledMatrix(
+        [matrix.labels[p] for p in perm],
+        [[matrix.rows[p][q] for q in perm] for p in perm],
+    )
+
+
+def support(v: SignVector) -> frozenset[int]:
+    return frozenset(bits(v.support_mask))
+
+
+def zero_set(v: SignVector) -> frozenset[int]:
+    return frozenset(bits(v.zero_mask))
+
+
+def separation_mask(x: SignVector, y: SignVector) -> int:
+    """The positions where x and y have opposite nonzero signs."""
+    if x.n != y.n:
+        raise InvalidInput("separation needs equal lengths")
+    return (x.plus & y.minus) | (x.minus & y.plus)
+
+
+def separation_set(x: SignVector, y: SignVector) -> frozenset[int]:
+    return frozenset(bits(separation_mask(x, y)))
+
+
+def conforms_to(v: SignVector, face: SignVector) -> bool:
+    """True if v agrees with `face` on every nonzero entry of `face`."""
+    return not (face.plus & ~v.plus) and not (face.minus & ~v.minus)
+
+
+def reoriented(v: SignVector, flip_mask: int) -> SignVector:
+    """Swap '+' and '-' on the elements selected by `flip_mask`."""
+    keep = ~flip_mask
+    return SignVector(
+        v.n,
+        (v.plus & keep) | (v.minus & flip_mask),
+        (v.minus & keep) | (v.plus & flip_mask),
+    )
+
+
+def diagonal_matrix(cert) -> LabeledMatrix:
+    """diag(cert.diagonal), expanded, labelled by the certificate's ordering."""
+    n = len(cert.diagonal)
+    rows = [
+        [cert.diagonal[i].expand() if i == j else Polynomial.zero() for j in range(n)]
+        for i in range(n)
+    ]
+    return LabeledMatrix(list(cert.ordering), rows)
+
+
+def passed(report: AxiomReport) -> bool:
+    return report.axiom_a and report.axiom_b and report.axiom_c
+
+
+_CHAR_RANK = {"+": 0, "-": 1, "0": 2}  # '+' < '-' < '0' for canonical sorts
+
+
+def string_rank_key(v: SignVector) -> tuple[int, ...]:
+    """The canonical order's key as the ranks of the sign string."""
+    return tuple(_CHAR_RANK[c] for c in v.to_string())
+
+
+def face_table_by_full_scan(arr: Arrangement) -> FaceTable:
+    """Independent oracle: each face's flat looked up by its zero set, and
+    each region tested against each face with `conforms_to`."""
+    regions = arr.regions()
+    poset = arr.poset()
+    faces = tuple(arr.faces().sorted_members())
+    return FaceTable(
+        faces,
+        tuple(poset.flat_index(zero_set(f)) for f in faces),
+        tuple(
+            sum(1 << i for i, r in enumerate(regions) if conforms_to(r, f))
+            for f in faces
+        ),
+    )
+
+
+def down_set_by_pairs(poset: IntersectionPoset, index: int) -> int:
+    """The flats whose defining set lies in flat `index`'s, tested pairwise,
+    as a bitset over the flat indices."""
+    mine = poset.flats[index].defining_set
+    return sum(1 << y.index for y in poset if y.defining_set <= mine)
+
+
+def mobius_by_pairs(poset: IntersectionPoset) -> tuple[int, ...]:
+    """Moebius values from the bottom, each flat's from every flat before it
+    whose defining set is a proper subset of its own."""
+    mu = [0] * len(poset.flats)
+    mu[0] = 1
+    for j in range(1, len(poset.flats)):
+        dj = poset.flats[j].defining_set
+        mu[j] = -sum(mu[i] for i in range(j) if poset.flats[i].defining_set < dj)
+    return tuple(mu)
+
+
+def det_formula_by_subset_sum(arrangement: Arrangement) -> FactoredPoly:
+    """`det_formula` with each p_X summed over every flat, tested for a
+    defining set inside X's."""
+    if arrangement.mode == "covector":
+        raise Unsupported("determinant formula needs coordinates (covector mode)")
+    poset = arrangement.poset()
+    factors = []
+    for flat in poset:
+        if not flat.defining_set:
+            continue
+        p_x = abs(
+            sum(
+                mu * y.dim
+                for y, mu in zip(poset, poset.mobius)
+                if y.defining_set <= flat.defining_set
+            )
+        )
+        factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
+    n = arrangement.n
+    if arrangement.mode == "central" and poset.flat_index(range(n)) is None:
+        p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))
+        factors.append((one_minus_square(range(n)), p_origin))
+    return FactoredPoly.from_factors(factors)
+
+
+def first_agreeing_by_scan(pluses: Sequence[int], zeros: Sequence[int]) -> list[Optional[int]]:
+    """For each step, the first earlier step whose '+' mask agrees with its
+    own on its zero mask, or None, by testing every earlier step."""
+    return [
+        next((n for n in range(i) if (pluses[n] ^ plus) & zero == 0), None)
+        for i, (plus, zero) in enumerate(zip(pluses, zeros))
+    ]
+
+
+def ordering_by_rescan(arrangement: Arrangement) -> RegionOrdering:
+    """The region search of `ordering`, keeping the faces with one uncolored
+    region in a set and sorting that set at every step for the candidate
+    moves, each frame of the backtracking holding its sorted candidates."""
+    _semigeneral_gate(arrangement)
+    regions = arrangement.regions()
+    poset = arrangement.poset()
+    r = len(regions)
+    if len(poset) != r:
+        raise OrderingStuck(
+            f"flat count {len(poset)} differs from region count {r}; the "
+            f"one-new-flat-per-region coloring cannot complete"
+        )
+    table = arrangement.face_table()
+    flat_ids = table.flats
+    dims = [f.dim for f in poset.flats]
+    adjacent: list[list[int]] = [[] for _ in range(r)]  # region -> its faces
+    for f, m in enumerate(table.adjacent):
+        for region in bits(m):
+            adjacent[region].append(f)
+
+    base = 0
+    uncolored = [m & ~(1 << base) for m in table.adjacent]
+    colored = [base]
+    completed = [f for f, m in enumerate(uncolored) if m == 0]
+    encompassed = {flat_ids[f] for f in completed}
+    if len(encompassed) != 1:
+        raise OrderingStuck(
+            f"coloring the base region encompassed {len(encompassed)} flats"
+        )
+    step_flats = [flat_ids[completed[0]]]
+    step_faces = [completed[0]]
+    # the faces with exactly one uncolored adjacent region
+    single = {f for f, m in enumerate(uncolored) if m and m & (m - 1) == 0}
+
+    def toggle(region: int) -> None:
+        """Color an uncolored region, or uncolor a colored one."""
+        bit = 1 << region
+        for f in adjacent[region]:
+            m = uncolored[f] ^ bit
+            uncolored[f] = m
+            if m and m & (m - 1) == 0:
+                single.add(f)
+            else:
+                single.discard(f)
+
+    def next_candidates() -> list[tuple[int, int, int, int]]:
+        """(new flat dim, region, new flat, completed face) for regions
+        encompassing exactly one new flat."""
+        ready: dict[int, dict[int, int]] = {}
+        for f in sorted(single):
+            flat = flat_ids[f]
+            if flat not in encompassed:
+                ready.setdefault(uncolored[f].bit_length() - 1, {})[flat] = f
+        out = []
+        for region, flats in ready.items():
+            if len(flats) == 1:
+                [(flat, face)] = flats.items()
+                out.append((dims[flat], region, flat, face))
+        out.sort()
+        return out
+
+    # frames[d] holds the untried candidates after d + 1 colored regions.
+    frames: list[Iterator[tuple[int, int, int, int]]] = []
+    while len(colored) < r:
+        frames.append(iter(next_candidates()))
+        while (move := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                raise OrderingStuck(
+                    "exhaustive search found no valid region ordering (internal bug)"
+                )
+            toggle(colored.pop())
+            encompassed.discard(step_flats.pop())
+            step_faces.pop()
+        _, region, flat, face = move
+        toggle(region)
+        colored.append(region)
+        encompassed.add(flat)
+        step_flats.append(flat)
+        step_faces.append(face)
+    return RegionOrdering(
+        tuple(colored), tuple(step_flats), tuple(table.faces[f] for f in step_faces)
+    )

@@ -12,6 +12,7 @@ from reference import (
     distance,
     equal_up_to_relabeling,
     nonzero_block,
+    permuted,
     pivot_step,
 )
 from varchenko import fixtures
@@ -97,7 +98,7 @@ def test_criterion_3_closed_forms_per_step():
         # here independently for one fixture via the standalone pivot step
         arr = fixtures.three_generic_lines()
         cert = diagonalize(arr)
-        v = build_varchenko(arr).permuted(list(cert.ordering))
+        v = permuted(build_varchenko(arr), list(cert.ordering))
         original = [row[:] for row in v.rows]
         r = v.size
         work = v

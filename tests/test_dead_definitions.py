@@ -1,6 +1,8 @@
 """Every function, class and module-level name defined in the package is
 referenced somewhere in src/, tests/ or perfbench/: loaded as a name, read
-as an attribute, imported, or listed in an ``__all__``.  Every module-level
+as an attribute, imported, or listed in an ``__all__``.  Every method of a
+package class is referred to by name in src/ or perfbench/, not only by
+the tests.  Every module-level
 function, class and non-dunder assignment is also reachable, matching by
 name, from the command line (``cli.main``), the public API
 (``varchenko.__all__``) or the ``fixtures`` module, so nothing is left in
@@ -94,6 +96,34 @@ def test_no_definition_is_unreferenced():
     counts = referenced_names()
     unreferenced = sorted(name for name in defined_names() if not counts[name])
     assert unreferenced == []
+
+
+def package_methods() -> list[tuple[str, str, str]]:
+    """``(module, class, method)`` of each non-dunder method of a package
+    class."""
+    methods = []
+    for module, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (module, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, DEFINITIONS[:2]) and not _is_dunder(item.name)
+                ]
+    return methods
+
+
+def test_no_method_is_referenced_by_the_tests_alone():
+    """A method that src/ and perfbench/ never refer to by name is kept
+    only for the tests; it belongs in tests/reference.py as a function."""
+    counts = Counter()
+    for top in (ROOT / "src", ROOT / "perfbench"):
+        for path in sorted(top.rglob("*.py")):
+            counts.update(references(_parse(path)))
+    unused = sorted(
+        f"{module}.{cls}.{name}" for module, cls, name in package_methods() if not counts[name]
+    )
+    assert unused == []
 
 
 def _module_level() -> tuple[dict[tuple[str, str], ast.stmt], set[tuple[str, str]], list[str]]:

@@ -11,10 +11,13 @@ import reference
 from reference import (
     PivotDivisionFailure,
     _certificate_checks,
+    conforms_to,
+    diagonal_matrix,
     encompassed_flats,
     int_det,
     pivot_step,
     replay_elimination,
+    separation_set,
 )
 from varchenko import DiagonalizationCertificate, cli, exactlp, fixtures, polyring, varmatrix
 from varchenko.certificate import (
@@ -249,7 +252,7 @@ def test_certificate_product_verified_independently():
     cert = diagonalize(arr)
     v = build_varchenko(arr)
     product = matmul(matmul(cert.P, v.rows), cert.Q)
-    d = cert.diagonal_matrix()
+    d = diagonal_matrix(cert)
     assert product == d.rows
     det_p = det_bruteforce(LabeledMatrix(list(range(7)), cert.P))
     det_q = det_bruteforce(LabeledMatrix(list(range(7)), cert.Q))
@@ -295,7 +298,7 @@ def test_tampered_transform_raises():
     negated[3] = {j: -e for j, e in negated[3].items()}
     dense = [[row.get(j, Polynomial.zero()) for j in range(7)] for row in negated]
     transposed = [list(col) for col in zip(*dense)]
-    assert matmul(matmul(dense, v.rows), transposed) == cert.diagonal_matrix().rows
+    assert matmul(matmul(dense, v.rows), transposed) == diagonal_matrix(cert).rows
     with pytest.raises(ClosedFormViolation, match="not 1"):
         _certificate_checks(v, negated, perm, [d.expand() for d in cert.diagonal])
     above = [dict(row) for row in rows]
@@ -349,11 +352,11 @@ def transform_from_faces(arr, data):
         face = SignVector.from_string(step["face"])
         row = []
         for other in regions:
-            sep = regions[region].separation_set(other)
+            sep = separation_set(regions[region], other)
             monomial = Monomial((a, 1) for a in sep)
             row.append(
                 Polynomial.from_monomial(monomial, (-1) ** len(sep))
-                if other.conforms_to(face)
+                if conforms_to(other, face)
                 else Polynomial.zero()
             )
         rows.append(row)
@@ -416,7 +419,7 @@ def test_substitution_commutes_with_reduction():
         v = build_varchenko(arr)
         sigma = {i: Polynomial.variable(q) for i in range(arr.n)}
         v_q = v.substitute(sigma)
-        d_q = cert.diagonal_matrix().substitute(sigma)
+        d_q = diagonal_matrix(cert).substitute(sigma)
         for k in range(1, min(5, v.size + 1)):
             assert gcd_minors(v_q, k) == gcd_minors(d_q, k)
 
@@ -427,7 +430,7 @@ def test_substitution_commutes_integer_specialization():
     v = build_varchenko(arr)
     sigma = {i: 3 for i in range(arr.n)}
     v3 = v.substitute(sigma).to_int_grid()
-    d3 = cert.diagonal_matrix().substitute(sigma).to_int_grid()
+    d3 = diagonal_matrix(cert).substitute(sigma).to_int_grid()
     for k in range(1, 5):
         assert gcd_minors(v3, k) == gcd_minors(d3, k)
 
@@ -628,9 +631,10 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     # nor V: the proof reads the faces the steps complete
     assert not hasattr(diagonalize_module, "build_varchenko")
     monkeypatch.setattr(varmatrix, "build_varchenko", refuse)
-    # nor a region-by-face scan or a linear solve: the arrangement is built
-    # under these patches, so enumeration and the poset are covered too
-    monkeypatch.setattr(SignVector, "conforms_to", refuse)
+    # nor a region-by-face scan or a linear solve: `conforms_to` is a test
+    # reference, not a method of SignVector
+    assert not hasattr(SignVector, "conforms_to")
+    monkeypatch.setattr(reference, "conforms_to", refuse)
     assert not hasattr(exactlp, "LinearSystem")
     cert = diagonalize(fixtures.five_generic_lines())
     assert cert.checks == {"pvq_equals_d": True, "det_p": "-1", "det_q": "-1"}

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import _certificate_checks, replay_elimination
+from reference import _certificate_checks, ordering_by_rescan, replay_elimination
 from test_diagonalize import (
     dense_product_is_diagonal,
     ordering_by_full_scan,
@@ -112,12 +112,12 @@ def test_ordering_search_equals_the_full_scan_reference_on_synthetic_faces(data)
         face_table=lambda: table,
     )
     outcomes = []
-    for search in (ordering, ordering_by_full_scan):
+    for search in (ordering, ordering_by_full_scan, ordering_by_rescan):
         try:
             outcomes.append(search(arr))
         except OrderingStuck:
             outcomes.append(OrderingStuck)
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 NVARS = 3

@@ -1,8 +1,10 @@
 """Property tests of the face enumeration (the recursion over the flats),
 the flat dimensions it reports and the face table against full scans over
 small affine and central arrangements, many of them degenerate, of
-Zaslavsky's region count over the affine ones and of the covector axioms
-over the central ones."""
+Zaslavsky's region count over the affine ones, of the covector axioms
+over the central ones, and of the per-hyperplane bitsets (down-sets,
+Moebius values, det_formula, the region search) against the scans they
+replace."""
 
 from fractions import Fraction
 from random import Random
@@ -13,11 +15,17 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, note, settings, strategies as st
 
-from test_geometry import (
+from reference import (
+    det_formula_by_subset_sum,
+    down_set_by_pairs,
     face_table_by_full_scan,
-    faces_by_full_scan,
-    flat_dim_by_elimination,
+    mobius_by_pairs,
+    ordering_by_rescan,
+    passed,
 )
+from test_bitsets import search_outcome
+from test_geometry import faces_by_full_scan, flat_dim_by_elimination
+from varchenko.diagonalize import ordering
 from varchenko.errors import InvalidArrangement
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.signedsets import (
@@ -25,6 +33,7 @@ from varchenko.signedsets import (
     check_composition_closure,
     check_vector_axioms,
 )
+from varchenko.varmatrix import det_formula
 
 
 @st.composite
@@ -112,4 +121,19 @@ def test_central_covector_families_satisfy_the_covector_axioms(arr):
     assert check_composition_closure(family) is None
     if len(family) <= 60:
         report = check_vector_axioms(family)
-        assert report.passed, report
+        assert passed(report), report
+
+
+@settings(max_examples=120)
+@given(arrangements())
+def test_the_bitsets_equal_the_pairwise_scans(arr):
+    """On affine, central and degenerate draws: each flat's down-set, the
+    Moebius values and det_formula equal their pairwise references, and
+    the region search finds the rescan's ordering or raises as it does."""
+    poset = arr.poset()
+    assert [poset.below(f.index) for f in poset] == [
+        down_set_by_pairs(poset, f.index) for f in poset
+    ]
+    assert poset.mobius == mobius_by_pairs(poset)
+    assert det_formula(arr) == det_formula_by_subset_sum(arr)
+    assert search_outcome(ordering, arr) == search_outcome(ordering_by_rescan, arr)

@@ -6,6 +6,7 @@ from math import gcd, prod
 
 import pytest
 
+import reference
 from reference import (
     LINES_45,
     LINES_61,
@@ -402,5 +403,7 @@ def test_obstruction_report_computes_no_smith_form(monkeypatch):
 
     for name in ("integer_snf", "gcd_minors", "int_rank"):
         monkeypatch.setattr(matinvariants, name, refuse)
-    monkeypatch.setattr(SignVector, "separation_mask", refuse)
+    # separation masks are a test reference, not a method of SignVector
+    assert not hasattr(SignVector, "separation_mask")
+    monkeypatch.setattr(reference, "separation_mask", refuse)
     assert [obstruction_report(arr) for arr in arrangements] == expected

@@ -15,6 +15,7 @@ from reference import (
     equal_up_to_relabeling,
     fraction_rank,
     nonzero_block,
+    separation_mask,
     snf_by_smith_form,
 )
 from test_geometry_properties import arrangements
@@ -68,7 +69,7 @@ def test_closed_form_snf_equals_the_smith_form(arr):
     assume(len(regions) <= MAX_SNF_SIZE)
     assert _single_threes_snf(arr.names, [x.plus for x in regions]) == snf_by_smith_form(arr)
     # V's entry (m, n) is the product of the x_i over sep(R_m, R_n)
-    sizes = [[x.separation_mask(y).bit_count() for y in regions] for x in regions]
+    sizes = [[separation_mask(x, y).bit_count() for y in regions] for x in regions]
     if arr.n:
         assert gcd_minors([[3**s for s in row] for row in sizes], 2) == 8
     assert int_rank([[1**s for s in row] for row in sizes]) == 1

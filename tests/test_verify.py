@@ -217,7 +217,7 @@ def test_verify_runs_no_ordering_search_and_no_diagonalize(tmp_path, capsys, mon
     }
     assert imported == {
         "__future__", "dataclasses", "functools", "typing",
-        "errors", "geometry", "polyring", "signedsets", "varmatrix",
+        "errors", "geometry", "polyring", "signedsets",
     }
 
 
