@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import ClosedFormViolation, InvalidInput, NotSemigeneral
@@ -43,11 +43,17 @@ def _semigeneral_gate(arrangement: Arrangement) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _hyperplane_factor(a: int) -> tuple[Polynomial, int]:
+    """(1 - x_a^2) to the first power, built once per hyperplane id (at
+    most the enumeration's ground-set cap of them) and shared by every
+    diagonal entry, of `prove` and `expected_diagonal` alike."""
+    return one_minus_square((a,)), 1
+
+
 def _diagonal_entry(flat) -> FactoredPoly:
     """The product of (1 - x_a^2) over the flat's defining set."""
-    return FactoredPoly.from_factors(
-        (one_minus_square((a,)), 1) for a in flat.defining_tuple()
-    )
+    return FactoredPoly(tuple(map(_hyperplane_factor, flat.defining_tuple())))
 
 
 # A row of P by its nonzero entries: region id -> entry.
@@ -67,12 +73,11 @@ def _transform_rows(arrangement: Arrangement, order: RegionOrdering) -> list[Spa
     masks, and entries with the same S share one polynomial."""
     pluses = [region.plus for region in arrangement.regions()]
     table = arrangement.face_table()
-    adjacent = dict(zip(table.faces, table.adjacent))
     shared: dict[int, Polynomial] = {}
     rows = []
     for k, face in zip(order.order, order.step_faces):
         row = {}
-        for j in bits(adjacent[face]):
+        for j in bits(table.adjacent[table.index[face]]):
             sep = pluses[k] ^ pluses[j]
             if sep not in shared:
                 shared[sep] = _transform_entry(sep)
@@ -157,14 +162,14 @@ def _face_cube_checks(
     pluses = [region.plus for region in arrangement.regions()]
     masks = arrangement.poset().masks
     table = arrangement.face_table()
-    faces = dict(zip(table.faces, zip(table.flats, table.adjacent)))
     zeros = [face.zero_mask for face in order.step_faces]
     steps = [pluses[region] for region in order.order]
     earlier = _first_agreeing(steps, zeros, arrangement.n)
     for i, (flat, face, zero, step) in enumerate(
         zip(order.step_flats, order.step_faces, zeros, steps)
     ):
-        face_flat, adjacent = faces[face]
+        f = table.index[face]
+        face_flat, adjacent = table.flats[f], table.adjacent[f]
         seps = {a: step ^ pluses[a] for a in rows[i]}
         wrong = [
             a for a, s in seps.items()
@@ -339,7 +344,7 @@ def verify_certificate(arrangement: Arrangement, text: str) -> dict:
     """
     _semigeneral_gate(arrangement)
     order, entries, checks = read_certificate(arrangement, text)
-    known = set(arrangement.face_table().faces)
+    known = arrangement.face_table().index
     for k, face in enumerate(order.step_faces):
         if face not in known:
             raise ClosedFormViolation(

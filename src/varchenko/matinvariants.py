@@ -1,6 +1,6 @@
-"""Equivalence invariants of matrices over the integers or a univariate
-polynomial ring (gcd of k-minors, rank, integer Smith normal form), and
-the obstruction diagnostics for arrangements that are not semigeneral.
+"""Equivalence invariants of integer matrices (gcd of k-minors, rank,
+Smith normal form), and the obstruction diagnostics for arrangements
+that are not semigeneral.
 
 The report states its integer specialisations of V in closed form: the
 2 x 2 minor gcd at x_i = 3 is 8, the rank at x_i = 1 is 1, and the
@@ -12,27 +12,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd, prod
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import InvalidInput, SemigeneralInput, TooLarge, Unsupported
-from .exactlp import _normalize_int
 from .geometry import Arrangement, Flat
-from .polyring import FactoredPoly, Monomial, Polynomial
-from .varmatrix import LabeledMatrix, det_bruteforce, det_formula
+from .polyring import FactoredPoly
+from .varmatrix import det_formula
 
 MAX_SNF_SIZE = 64
-MAX_MINOR_PAIRS = 10**6
 
 IntGrid = list[list[int]]
 
 
 def _check_int_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
+    """A copy of `grid` as lists; InvalidInput if it is ragged or a cell is
+    not an int (a bool, float or Polynomial included)."""
     rows = [list(r) for r in grid]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InvalidInput("ragged integer matrix")
+    bad = next((v for r in rows for v in r if type(v) is not int), None)
+    if bad is not None:
+        raise InvalidInput(f"integer matrix has a non-integer cell {bad!r}")
     return rows
 
 
@@ -44,134 +45,21 @@ def int_rank(grid: Sequence[Sequence[int]]) -> int:
     return sum(1 for d in _snf_prefix(rows, min(len(rows), m)) if d)
 
 
-# ----------------------------------------------------------------------
-# univariate polynomial gcd (content * primitive part)
+def gcd_minors(grid: Sequence[Sequence[int]], k: int) -> int:
+    """Gcd of all k x k minor determinants of an integer grid; 0 when every
+    minor vanishes.
 
-
-def _as_coeffs(p: Polynomial) -> list[int]:
-    """Coefficient list of a polynomial in at most one variable."""
-    variables = p.variables()
-    if len(variables) > 1:
-        raise InvalidInput(f"{p} is not univariate")
-    coeffs = [0] * (p.degree() + 1 if not p.is_zero() else 1)
-    for m, c in p.terms.items():
-        coeffs[m.degree()] = c
-    return coeffs
-
-
-def _from_coeffs(coeffs: Sequence[int], var: int) -> Polynomial:
-    terms = {}
-    for deg, c in enumerate(coeffs):
-        if c:
-            terms[Monomial.variable(var, deg) if deg else Monomial.one()] = c
-    return Polynomial(terms)
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _sign_norm(coeffs: list[int]) -> list[int]:
-    """Make the lowest-degree nonzero coefficient positive (so the unit
-    ambiguity resolves to the 1 - q^2 convention)."""
-    lead = next((c for c in coeffs if c), 0)
-    if lead < 0:
-        return [-c for c in coeffs]
-    return coeffs
-
-
-def _coeff_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of integer coefficient lists: rational Euclid, then the primitive
-    integer form of the result times the common integer content."""
-    a, b = _trim(list(a)), _trim(list(b))
-    if not a:
-        return _sign_norm(b)
-    if not b:
-        return _sign_norm(a)
-    content = gcd(*a, *b)
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb:
-        fa, fb = fb, _frac_poly_mod(fa, fb)
-    # fa is the gcd over Q; rescale to a primitive integer list
-    ints, _ = _normalize_int(fa, Fraction(0))
-    return [content * c for c in _sign_norm(list(ints))]
-
-
-def _frac_poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[i + shift] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    variables = p.variables() | q.variables()
-    if len(variables) > 1:
-        raise InvalidInput("gcd of minors supports one variable at most")
-    var = next(iter(variables), 0)
-    coeffs = _coeff_gcd(_as_coeffs(p), _as_coeffs(q))
-    return _from_coeffs(coeffs, var)
-
-
-# ----------------------------------------------------------------------
-
-
-def gcd_minors(matrix, k: int):
-    """Gcd (up to sign / unit) of all k x k minor determinants.
-
-    Accepts integer grids, polynomial grids and LabeledMatrix; polynomial
-    entries must involve at most one variable.  Returns an int for integer
-    input, a Polynomial otherwise; 0 when every minor vanishes.
-
-    For an integer grid the gcd of the k x k minors is the k-th
-    determinantal divisor d_1...d_k, the product of the first k invariant
-    factors of the Smith normal form (Newman, Integral Matrices, 1972), so
-    no minor is formed; it is 0 exactly when the rank is below k.  Ints
-    go to the Smith form as they are, constant polynomials as their values.
-    Polynomial grids take the gcd of every minor's determinant.
+    The gcd of the k x k minors is the k-th determinantal divisor
+    d_1...d_k, the product of the first k invariant factors of the Smith
+    normal form (Newman, Integral Matrices, 1972), so no minor is formed;
+    it is 0 exactly when the rank is below k.  Polynomial grids are not
+    accepted: the tests' Z[q] oracle is `poly_gcd_minors` in
+    tests/reference.py.
     """
-    rows = [list(r) for r in (matrix.rows if isinstance(matrix, LabeledMatrix) else matrix)]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidInput("ragged matrix")
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if k < 0 or k > min(nrows, ncols):
+    rows = _check_int_grid(grid)
+    if k < 0 or k > min(len(rows), len(rows[0]) if rows else 0):
         raise InvalidInput(f"minor size {k} out of range")
-    if all(isinstance(e, int) or e.is_constant() for r in rows for e in r):
-        ints = [[e if isinstance(e, int) else e.as_int() for e in r] for r in rows]
-        return prod(_snf_prefix(ints, k))
-    rows = [[Polynomial.constant(e) if isinstance(e, int) else e for e in r] for r in rows]
-    if k == 0:
-        return Polynomial.one()
-    if comb(nrows, k) * comb(ncols, k) > MAX_MINOR_PAIRS:
-        raise TooLarge(f"too many {k}x{k} minors")
-
-    g = Polynomial.zero()
-    for rsel in combinations(range(nrows), k):
-        for csel in combinations(range(ncols), k):
-            sub = LabeledMatrix(
-                list(range(k)), [[rows[i][j] for j in csel] for i in rsel]
-            )
-            minor = det_bruteforce(sub)
-            if minor.is_zero():
-                continue
-            g = minor if g.is_zero() else _poly_gcd(g, minor)
-            if g.is_constant() and abs(g.as_int()) == 1:
-                return Polynomial.one()
-    return g
+    return prod(_snf_prefix(rows, k))
 
 
 def _snf_prefix(rows: IntGrid, limit: int) -> list[int]:

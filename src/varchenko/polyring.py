@@ -153,9 +153,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not self.key
 
-    def degree(self) -> int:
-        return self.key & _FIELD
-
     def variables(self) -> frozenset[int]:
         return frozenset(v for v, _ in _unpack(self.key))
 
@@ -235,12 +232,6 @@ class Polynomial:
         if self.is_constant():
             return self._terms[0]
         raise InvalidInput(f"{self} is not a constant")
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(k & _FIELD for k in self._terms)
 
     def variables(self) -> frozenset[int]:
         return frozenset(v for v, _ in _unpack(reduce(or_, self._terms, 0)))

@@ -26,6 +26,11 @@
 * `int_det` is the Bareiss determinant of an integer grid, and
   `fraction_rank` the rank by `Fraction` Gaussian elimination, which
   `int_rank` reads off the Smith form instead.
+* `poly_gcd_minors` is the gcd of the k x k minors of a matrix over Z[q],
+  each minor expanded by `det_bruteforce` and folded in by rational Euclid
+  (`_poly_gcd`, `_coeff_gcd`); the tests compare equivalent matrices with
+  it.  The package's `gcd_minors` takes integer grids only and reads the
+  gcd off the Smith form.
 * `bareiss_det` is the Bareiss determinant of a polynomial matrix, with
   exact division by the previous pivot; `det_bruteforce` expands by minors
   memoised over column subsets instead and divides nothing.
@@ -50,13 +55,15 @@
 * Methods of the package's classes that only the tests call, as
   functions: `is_symmetric` and `permuted` of a `LabeledMatrix`;
   `support`, `zero_set`, `separation_mask`, `separation_set`,
-  `conforms_to` and `reoriented` of a `SignVector`; `diagonal_matrix` of a certificate and
-  `passed` of an `AxiomReport`.
+  `conforms_to` and `reoriented` of a `SignVector`; `diagonal_matrix` of a certificate,
+  `passed` of an `AxiomReport`, and `monomial_degree` and
+  `polynomial_degree`, the `degree` of a `Monomial` and a `Polynomial`.
 """
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import floor, lcm
+from itertools import combinations
+from math import floor, gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -92,7 +99,7 @@ from varchenko.polyring import (
     one_minus_square,
 )
 from varchenko.signedsets import AxiomReport, SignVector, bits
-from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko
+from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko, det_bruteforce
 
 # S1, S2, S3 meet at the origin; the other six lines are generic
 LINES_45 = [
@@ -770,6 +777,110 @@ def bareiss_det(matrix: LabeledMatrix) -> Polynomial:
     return det if sign == 1 else -det
 
 
+
+# ----------------------------------------------------------------------
+# the gcd of k x k minors over Z[q] (content * primitive part)
+
+
+def _as_coeffs(p: Polynomial) -> list[int]:
+    """Coefficient list of a polynomial in at most one variable."""
+    variables = p.variables()
+    if len(variables) > 1:
+        raise InvalidInput(f"{p} is not univariate")
+    coeffs = [0] * (polynomial_degree(p) + 1 if not p.is_zero() else 1)
+    for m, c in p.terms.items():
+        coeffs[monomial_degree(m)] = c
+    return coeffs
+
+
+def _from_coeffs(coeffs: Sequence[int], var: int) -> Polynomial:
+    terms = {}
+    for deg, c in enumerate(coeffs):
+        if c:
+            terms[Monomial.variable(var, deg) if deg else Monomial.one()] = c
+    return Polynomial(terms)
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _sign_norm(coeffs: list[int]) -> list[int]:
+    """Make the lowest-degree nonzero coefficient positive (so the unit
+    ambiguity resolves to the 1 - q^2 convention)."""
+    lead = next((c for c in coeffs if c), 0)
+    if lead < 0:
+        return [-c for c in coeffs]
+    return coeffs
+
+
+def _coeff_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of integer coefficient lists: rational Euclid, then the primitive
+    integer form of the result times the common integer content."""
+    a, b = _trim(list(a)), _trim(list(b))
+    if not a:
+        return _sign_norm(b)
+    if not b:
+        return _sign_norm(a)
+    content = gcd(*a, *b)
+    fa = [Fraction(c) for c in a]
+    fb = [Fraction(c) for c in b]
+    while fb:
+        fa, fb = fb, _frac_poly_mod(fa, fb)
+    # fa is the gcd over Q; rescale to a primitive integer list
+    ints, _ = _normalize_int(fa, Fraction(0))
+    return [content * c for c in _sign_norm(list(ints))]
+
+
+def _frac_poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        f = a[-1] / lead
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[i + shift] -= f * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    variables = p.variables() | q.variables()
+    if len(variables) > 1:
+        raise InvalidInput("gcd of minors supports one variable at most")
+    var = next(iter(variables), 0)
+    coeffs = _coeff_gcd(_as_coeffs(p), _as_coeffs(q))
+    return _from_coeffs(coeffs, var)
+
+
+def poly_gcd_minors(matrix: LabeledMatrix | Sequence[Sequence[Polynomial]], k: int) -> Polynomial:
+    """Gcd of the determinants of every k x k minor of a matrix over Z[q]:
+    a `LabeledMatrix` or a grid of polynomials in at most one variable.
+    The unit is fixed by making the lowest-degree coefficient positive;
+    0 when every minor vanishes.
+
+    The package's `gcd_minors` reads integer grids only, off the Smith
+    form; this oracle forms each minor with `det_bruteforce` and folds
+    their gcds, constant grids included.
+    """
+    rows = matrix.rows if isinstance(matrix, LabeledMatrix) else matrix
+    g = Polynomial.zero()
+    for rsel in combinations(range(len(rows)), k):
+        for csel in combinations(range(len(rows[0])), k):
+            sub = LabeledMatrix(list(range(k)), [[rows[i][j] for j in csel] for i in rsel])
+            g = _poly_gcd(g, det_bruteforce(sub))
+            if g.is_one():
+                return g
+    return g
+
+
 MERSENNE_61 = 2**61 - 1
 
 
@@ -854,6 +965,15 @@ def permuted(matrix: LabeledMatrix, perm: Sequence[int]) -> LabeledMatrix:
         [matrix.labels[p] for p in perm],
         [[matrix.rows[p][q] for q in perm] for p in perm],
     )
+
+
+def monomial_degree(m: Monomial) -> int:
+    return m.key & _FIELD
+
+
+def polynomial_degree(p: Polynomial) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((k & _FIELD for k in p.packed()), default=-1)
 
 
 def support(v: SignVector) -> frozenset[int]:

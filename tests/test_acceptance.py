@@ -14,11 +14,12 @@ from reference import (
     nonzero_block,
     permuted,
     pivot_step,
+    poly_gcd_minors,
 )
 from varchenko import fixtures
 from varchenko.diagonalize import diagonalize, expected_diagonal, snf_q
 from varchenko.geometry import Arrangement, Hyperplane
-from varchenko.matinvariants import gcd_minors, obstruction_report
+from varchenko.matinvariants import obstruction_report
 from varchenko.polyring import Monomial, Polynomial
 from varchenko.signedsets import (
     SignedFamily,
@@ -232,7 +233,7 @@ def test_criterion_7_deletion_reduction():
             block_q = block.substitute(sigma_block)
             base_q = v_base.substitute(sigma_base)
             for k in range(1, min(4, v_base.size) + 1):
-                assert gcd_minors(block_q, k) == gcd_minors(base_q, k)
+                assert poly_gcd_minors(block_q, k) == poly_gcd_minors(base_q, k)
 
 
 def test_criterion_8_exponent_cap_properties():

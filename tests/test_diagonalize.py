@@ -16,6 +16,7 @@ from reference import (
     encompassed_flats,
     int_det,
     pivot_step,
+    poly_gcd_minors,
     replay_elimination,
     separation_set,
 )
@@ -421,7 +422,7 @@ def test_substitution_commutes_with_reduction():
         v_q = v.substitute(sigma)
         d_q = diagonal_matrix(cert).substitute(sigma)
         for k in range(1, min(5, v.size + 1)):
-            assert gcd_minors(v_q, k) == gcd_minors(d_q, k)
+            assert poly_gcd_minors(v_q, k) == poly_gcd_minors(d_q, k)
 
 
 def test_substitution_commutes_integer_specialization():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -15,6 +17,7 @@ from reference import (
     int_det,
     lines_document,
     nonzero_block,
+    poly_gcd_minors,
     snf_by_smith_form,
 )
 from varchenko import fixtures, matinvariants
@@ -54,6 +57,8 @@ def test_int_det_and_rank():
 
 
 def test_gcd_minors_univariate_diagonal():
+    """Over Z[q] the minor gcds come from the tests' oracle: `gcd_minors`
+    reads integer grids only."""
     q = 0
     one = Polynomial.one()
     base = one_minus_square((q,))
@@ -62,10 +67,10 @@ def test_gcd_minors_univariate_diagonal():
         [entries[i] if i == j else Polynomial.zero() for j in range(3)]
         for i in range(3)
     ]
-    assert gcd_minors(rows, 2) == base
-    assert gcd_minors(rows, 1) == one
-    assert gcd_minors(rows, 3) == base * base * base
-    assert gcd_minors(rows, 0) == one
+    assert poly_gcd_minors(rows, 2) == base
+    assert poly_gcd_minors(rows, 1) == one
+    assert poly_gcd_minors(rows, 3) == base * base * base
+    assert poly_gcd_minors(rows, 0) == one
 
 
 def test_gcd_minors_integer_examples():
@@ -78,11 +83,11 @@ def test_gcd_minors_integer_examples():
 def test_gcd_minors_caps_and_validation():
     with pytest.raises(InvalidInput):
         gcd_minors([[1, 2], [3, 4]], 3)
-    # the cap binds only where minors are formed, over polynomial entries;
-    # an integer grid's gcd is read off its Smith form
+    # an integer grid's gcd is read off its Smith form, so no minor count
+    # caps it; a polynomial grid is refused, not enumerated
     big = [[1] * 40 for _ in range(40)]
     assert gcd_minors(big, 20) == 0
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidInput):
         gcd_minors([[parse_polynomial("x1")] * 40 for _ in range(40)], 20)
 
 
@@ -98,7 +103,7 @@ def test_gcd_minors_reads_an_int_grid_as_its_constant_polynomials():
         for k in range(min(len(grid), len(grid[0])) + 1):
             value = gcd_minors(grid, k)
             assert type(value) is int, (grid, k)
-            assert value == gcd_minors(constants, k), (grid, k)
+            assert Polynomial.constant(value) == poly_gcd_minors(constants, k), (grid, k)
         assert grid == before  # the Smith form reduces a copy
     assert gcd_minors([], 0) == 1
     for grid, k in (([[1, 2], [3]], 1), ([[1, 2], [3, 4]], 3), ([[1, 2], [3, 4]], -1)):
@@ -149,6 +154,44 @@ def test_integer_snf_invariance_under_unimodular_moves():
 def test_integer_snf_size_cap():
     with pytest.raises(TooLarge):
         integer_snf([[1] * 65 for _ in range(65)])
+
+
+def test_integer_invariants_refuse_a_cell_that_is_not_an_int():
+    """A float, Fraction, bool or Polynomial cell is refused as
+    InvalidInput, not reduced: a float would give a fractional Smith
+    factor, and a polynomial fails inside `abs`."""
+    x = Polynomial.variable(0)
+    grids = (
+        [[1.5, 2], [3, 4]],
+        [[Fraction(1, 2), 1], [1, 1]],
+        [[True, 0], [0, 1]],
+        [[x]],
+        [[1, 0], [0, Polynomial.constant(2)]],
+    )
+    for grid in grids:
+        for invariant in (int_rank, integer_snf, lambda g: gcd_minors(g, 1)):
+            with pytest.raises(InvalidInput):
+                invariant(grid)
+
+
+def test_matinvariants_imports_no_minor_enumeration():
+    """The obstruct module forms no minor and expands no determinant: it
+    imports no combinatorics, no polynomial gcd and from varmatrix only
+    det_formula, so none of them can creep back onto its path."""
+    tree = ast.parse(inspect.getsource(matinvariants))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported == {
+        "__future__.annotations", "json", "dataclasses.dataclass", "math.prod",
+        "typing.Optional", "typing.Sequence",
+        "errors.InvalidInput", "errors.SemigeneralInput", "errors.TooLarge",
+        "errors.Unsupported", "geometry.Arrangement", "geometry.Flat",
+        "polyring.FactoredPoly", "varmatrix.det_formula",
+    }
 
 
 def reduce_and_compare(base, extended, e):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from reference import NotDivisible, capped, exact_div
+from reference import NotDivisible, capped, exact_div, polynomial_degree
 from varchenko.errors import InvalidInput, TooLarge
 from varchenko.polyring import (
     FactoredPoly,
@@ -46,17 +46,17 @@ def test_cap_caps_exponents():
     for e in (3, 256, 32000):  # one field clipped, the degree field follows
         mixed = Polynomial({Monomial([(1, e), (3, 1), (4, 5)]): 5})
         assert capped(mixed) == Polynomial({Monomial([(1, 2), (3, 1), (4, 2)]): 5})
-        assert capped(mixed).degree() == 5
+        assert polynomial_degree(capped(mixed)) == 5
     assert capped(X1) == X1
     assert capped(ONE) == ONE
     # degree 3 with no exponent above 2: the degree alone does not cap
     x1sq_x2 = parse_polynomial("x1^2*x2")
-    assert capped(x1sq_x2) == x1sq_x2 and capped(x1sq_x2).degree() == 3
+    assert capped(x1sq_x2) == x1sq_x2 and polynomial_degree(capped(x1sq_x2)) == 3
     # both terms cap to x1^2 and cancel
     assert capped(parse_polynomial("x1^3 - x1^4")) == Polynomial.zero()
     # two fields clipped by thousands, the degree field by their sum
     wide = capped(parse_polynomial("x1^16000*x2^16000"))
-    assert wide == parse_polynomial("x1^2*x2^2") and wide.degree() == 4
+    assert wide == parse_polynomial("x1^2*x2^2") and polynomial_degree(wide) == 4
 
 
 def test_cap_pull_out_square():
@@ -238,7 +238,7 @@ def test_product_overflowing_an_exponent_field_raises_too_large():
         Monomial.variable(1, 20000).mul(Monomial.variable(1, 20000))
     with pytest.raises(TooLarge):
         parse_polynomial("x1^20000*x2^20000")  # total degree overflows
-    assert (big * Polynomial.variable(0, 12767)).degree() == 32767
+    assert polynomial_degree(big * Polynomial.variable(0, 12767)) == 32767
 
 
 def test_large_variable_ids():
