@@ -26,12 +26,12 @@ FORMAT = 2
 
 @dataclass(frozen=True)
 class RegionOrdering:
-    """A coloring order together with the flat first encompassed per step
-    and the face of that flat whose adjacent regions the step completes."""
+    """A coloring order with, per step, the flat first encompassed and the
+    face-table position of the face of that flat the step completes."""
 
     order: tuple[int, ...]
     step_flats: tuple[int, ...]
-    step_faces: tuple[SignVector, ...]
+    step_faces: tuple[int, ...]
 
 
 def _semigeneral_gate(arrangement: Arrangement) -> None:
@@ -77,7 +77,7 @@ def _transform_rows(arrangement: Arrangement, order: RegionOrdering) -> list[Spa
     rows = []
     for k, face in zip(order.order, order.step_faces):
         row = {}
-        for j in bits(table.adjacent[table.index[face]]):
+        for j in bits(table.adjacent[face]):
             sep = pluses[k] ^ pluses[j]
             if sep not in shared:
                 shared[sep] = _transform_entry(sep)
@@ -148,34 +148,33 @@ def _face_cube_checks(
     """Prove P V P^T = D from the faces the steps complete, once
     `_ordering_det` has proven P = L * Pi with L unit lower-triangular.
 
-    Let step i color R_i and complete face f_i with zero set Z.  If f_i's
-    adjacent regions are R_i (+) T, R_i with its signs on T flipped, for
-    every subset T of Z, and row i of P is (-1)^|T| x^T there, (P V)[i][b] is
-    x^sep(R_i, b) * prod_{e in Z} (1 - x_e^2) if sep(R_i, b) misses Z, else
-    0: the sum over T factorises by e in Z into 1 - x_e^2 where R_i and b
-    agree on e and x_e - x_e = 0 where they differ.  If no region colored
-    before step i agrees with R_i on Z either (`_first_agreeing`), P V in
-    elimination order is upper triangular with diagonal D, so the symmetric
-    P V P^T is D.  These conditions are checked per step on masks, entries
-    read as packed keys.
+    Let step i color R_i and complete face f_i, whose zero set Z is its
+    flat's mask.  If f_i's adjacent regions are R_i (+) T, R_i with its signs
+    on T flipped, for every subset T of Z, and row i of P is (-1)^|T| x^T
+    there, (P V)[i][b] is x^sep(R_i, b) * prod_{e in Z} (1 - x_e^2) if
+    sep(R_i, b) misses Z, else 0: the sum over T factorises by e in Z into
+    1 - x_e^2 where R_i and b agree on e and x_e - x_e = 0 where they
+    differ.  If no region colored before step i agrees with R_i on Z either
+    (`_first_agreeing`), P V in elimination order is upper triangular with
+    diagonal D, so the symmetric P V P^T is D.  These conditions are checked
+    per step on masks, entries read as packed keys.
     """
     pluses = [region.plus for region in arrangement.regions()]
     masks = arrangement.poset().masks
     table = arrangement.face_table()
-    zeros = [face.zero_mask for face in order.step_faces]
+    zeros = [masks[table.flats[f]] for f in order.step_faces]
     steps = [pluses[region] for region in order.order]
     earlier = _first_agreeing(steps, zeros, arrangement.n)
-    for i, (flat, face, zero, step) in enumerate(
+    for i, (flat, f, zero, step) in enumerate(
         zip(order.step_flats, order.step_faces, zeros, steps)
     ):
-        f = table.index[face]
         face_flat, adjacent = table.flats[f], table.adjacent[f]
         seps = {a: step ^ pluses[a] for a in rows[i]}
         wrong = [
             a for a, s in seps.items()
             if s & ~zero or rows[i][a].packed() != {mask_key(s): (-1) ** s.bit_count()}
         ]
-        if face_flat != flat or masks[flat] != zero:
+        if face_flat != flat:
             failed = f"its face lies on flat {face_flat}, not on the step flat {flat}"
         elif adjacent.bit_count() != 1 << zero.bit_count():
             failed = f"its face has {adjacent.bit_count()} adjacent regions, not a full cube"
@@ -235,15 +234,16 @@ def prove(arrangement: Arrangement, order: RegionOrdering) -> DiagonalizationCer
     faces its steps complete (`_transform_rows`), `_ordering_det` proves
     det P = +-1 and `_face_cube_checks` proves P V P^T = D, or either
     raises ClosedFormViolation.  Diagonal entry k is the product of
-    (1 - x_a^2) over the defining set of step k's flat."""
+    (1 - x_a^2) over the defining set of step k's flat; the faces, held by
+    their face-table positions, are written as sign vectors."""
     rows = _transform_rows(arrangement, order)
     det = _ordering_det(rows, order.order)
     _face_cube_checks(arrangement, order, rows)
-    flats = arrangement.poset().flats
+    flats, faces = arrangement.poset().flats, arrangement.face_table().faces
     return DiagonalizationCertificate(
         ordering=order.order,
         step_flats=order.step_flats,
-        step_faces=order.step_faces,
+        step_faces=tuple(faces[f] for f in order.step_faces),
         diagonal=[_diagonal_entry(flats[flat]) for flat in order.step_flats],
         rows=rows,
         checks={"pvq_equals_d": True, "det_p": det, "det_q": det},
@@ -280,9 +280,9 @@ def _string(value, what: str) -> str:
 
 def read_certificate(
     arrangement: Arrangement, text: str
-) -> tuple[RegionOrdering, list[str], dict]:
-    """The steps, diagonal entries and checks of a format-2 certificate
-    for `arrangement`; InvalidInput if the file is not one.
+) -> tuple[tuple[int, ...], tuple[int, ...], list[SignVector], list[str], dict]:
+    """The ordering, step flats and faces, diagonal entries and checks of
+    a format-2 certificate for `arrangement`; InvalidInput if it is not one.
 
     The ordering must list every region id once and there must be one step
     per region, with its index as `k`, a flat id of the arrangement and a
@@ -329,7 +329,7 @@ def read_certificate(
         faces.append(SignVector.from_string(face))
         entries.append(_string(step["entry"], f"step {k} entry"))
     checks = _json_object(data["checks"], {"pvq_equals_d", "det_p", "det_q"}, "checks")
-    return RegionOrdering(tuple(order), tuple(flats), tuple(faces)), entries, checks
+    return tuple(order), tuple(flats), faces, entries, checks
 
 
 def verify_certificate(arrangement: Arrangement, text: str) -> dict:
@@ -343,14 +343,14 @@ def verify_certificate(arrangement: Arrangement, text: str) -> dict:
     proof gives.
     """
     _semigeneral_gate(arrangement)
-    order, entries, checks = read_certificate(arrangement, text)
-    known = arrangement.face_table().index
-    for k, face in enumerate(order.step_faces):
-        if face not in known:
+    order, flats, faces, entries, checks = read_certificate(arrangement, text)
+    position = {face: f for f, face in enumerate(arrangement.face_table().faces)}
+    for k, face in enumerate(faces):
+        if face not in position:
             raise ClosedFormViolation(
                 f"step {k}: its face {face.to_string()} is not a face of the arrangement"
             )
-    cert = prove(arrangement, order)
+    cert = prove(arrangement, RegionOrdering(order, flats, tuple(map(position.get, faces))))
     for k, (entry, expected) in enumerate(zip(entries, map(str, cert.diagonal))):
         if entry != expected:
             raise ClosedFormViolation(

@@ -159,9 +159,7 @@ def ordering(arrangement: Arrangement) -> RegionOrdering:
         colored.append(region)
         step_flats.append(flat)
         step_faces.append(face)
-    return RegionOrdering(
-        tuple(colored), tuple(step_flats), tuple(table.faces[f] for f in step_faces)
-    )
+    return RegionOrdering(tuple(colored), tuple(step_flats), tuple(step_faces))
 
 
 def diagonalize(arrangement: Arrangement) -> DiagonalizationCertificate:

@@ -216,11 +216,6 @@ class FaceTable:
     flats: tuple[int, ...]
     adjacent: tuple[int, ...]
 
-    @cached_property
-    def index(self) -> dict[SignVector, int]:
-        """Face -> its position i, built on first read."""
-        return {face: i for i, face in enumerate(self.faces)}
-
 
 def sum_over(chosen: int, values: Sequence[int]) -> int:
     """The sum of values[i] over the set bits i of `chosen`."""

@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import starmap
 from operator import or_
 from threading import Lock
 from typing import Iterable, Mapping, Union
@@ -369,6 +370,14 @@ def one_minus_square(variables: Iterable[int]) -> Polynomial:
     return _raw({0: 1, m.key: -1})
 
 
+@lru_cache(maxsize=1 << 12)
+def _factor_string(base: Polynomial, e: int) -> str:
+    """A factor of a `FactoredPoly` with its exponent, printed; memoised,
+    since diagonal entries share their (1 - x_a^2) factors."""
+    body = f"({base.to_string(spaces=False)})"
+    return body if e == 1 else f"{body}^{e}"
+
+
 @dataclass(frozen=True)
 class FactoredPoly:
     """A product of polynomial factors with positive integer exponents."""
@@ -401,13 +410,7 @@ class FactoredPoly:
         return out
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for base, e in self.factors:
-            body = f"({base.to_string(spaces=False)})"
-            parts.append(body if e == 1 else f"{body}^{e}")
-        return "".join(parts)
+        return "".join(starmap(_factor_string, self.factors)) or "1"
 
 
 def _digit_limit(what: str) -> TooLarge:

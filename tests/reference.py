@@ -1181,6 +1181,4 @@ def ordering_by_rescan(arrangement: Arrangement) -> RegionOrdering:
         encompassed.add(flat)
         step_flats.append(flat)
         step_faces.append(face)
-    return RegionOrdering(
-        tuple(colored), tuple(step_flats), tuple(table.faces[f] for f in step_faces)
-    )
+    return RegionOrdering(tuple(colored), tuple(step_flats), tuple(step_faces))

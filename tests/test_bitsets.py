@@ -73,10 +73,10 @@ def test_down_sets_moebius_and_det_formula_equal_the_pairwise_references():
 
 def steps_of(arr, order):
     """The '+' masks of the ordering's regions and its faces' zero masks."""
-    regions = arr.regions()
+    regions, faces = arr.regions(), arr.face_table().faces
     return (
         [regions[region].plus for region in order.order],
-        [face.zero_mask for face in order.step_faces],
+        [faces[f].zero_mask for f in order.step_faces],
     )
 
 

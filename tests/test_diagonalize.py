@@ -85,7 +85,7 @@ def ordering_by_full_scan(arrangement: Arrangement) -> RegionOrdering:
     poset = arrangement.poset()
     r = len(arrangement.regions())
     table = arrangement.face_table()
-    faces, flat_ids, adj_masks = table.faces, table.flats, table.adjacent
+    flat_ids, adj_masks = table.flats, table.adjacent
     dims = [f.dim for f in poset.flats]
     nfaces = len(adj_masks)
     uncolored = [m & ~1 for m in adj_masks]
@@ -134,9 +134,7 @@ def ordering_by_full_scan(arrangement: Arrangement) -> RegionOrdering:
         encompassed.add(flat)
         step_flats.append(flat)
         step_faces.append(face)
-    return RegionOrdering(
-        tuple(colored), tuple(step_flats), tuple(faces[f] for f in step_faces)
-    )
+    return RegionOrdering(tuple(colored), tuple(step_flats), tuple(step_faces))
 
 
 def test_encompassed_empty_and_singleton():
@@ -474,7 +472,19 @@ def test_ordering_does_not_recurse_per_region():
     finally:
         sys.setrecursionlimit(limit)
     assert len(result.order) == 37
-    assert result.step_faces[0] == arr.regions()[result.order[0]]
+    assert arr.face_table().faces[result.step_faces[0]] == arr.regions()[result.order[0]]
+
+
+def test_the_diagonalize_path_keeps_no_face_position_map():
+    """`ordering` hands `prove` each step face by its face-table position,
+    and `prove` writes the certificate's sign vectors from the table, so no
+    face -> position map is built on the way."""
+    arr = fixtures.five_generic_lines()
+    order = ordering(arr)
+    assert all(type(f) is int for f in order.step_faces)
+    faces = arr.face_table().faces
+    assert tuple(faces[f] for f in order.step_faces) == diagonalize(arr).step_faces
+    assert not hasattr(FaceTable, "index")
 
 
 def generated_bench_inputs(workload):
@@ -514,12 +524,12 @@ def test_closed_form_transform_equals_the_replayed_elimination():
 def test_a_wrong_step_face_is_caught(monkeypatch):
     arr = fixtures.five_generic_lines()
     true = ordering(arr)
-    regions = arr.regions()
+    table = arr.face_table()
     # the step's own region keeps P unit lower-triangular, so only the
     # product P V P^T can tell it from the face the step completes; a later
     # step's face misses the step's region, so the shape check sees it
     for wrong, message in (
-        (regions[true.order[5]], "does not equal the diagonal"),
+        (table.faces.index(arr.regions()[true.order[5]]), "does not equal the diagonal"),
         (true.step_faces[9], r"\(5,6\) is 0, not 1"),
     ):
         faces = list(true.step_faces)
@@ -566,8 +576,10 @@ def test_a_step_face_that_is_not_a_full_cube_is_caught(monkeypatch):
     arr = fixtures.five_generic_lines()
     true = ordering(arr)
     table = arr.face_table()
-    i = next(i for i, face in enumerate(true.step_faces) if face.zero_mask.bit_count() == 2)
-    f = table.faces.index(true.step_faces[i])
+    i = next(
+        i for i, f in enumerate(true.step_faces) if table.faces[f].zero_mask.bit_count() == 2
+    )
+    f = true.step_faces[i]
     # a vertex face missing a region colored before the step, or with it
     # swapped for an earlier region off the vertex: both keep P's shape
     dropped = next(a for a in bits(table.adjacent[f]) if a != true.order[i])
@@ -592,7 +604,7 @@ def test_an_earlier_region_in_the_step_regions_orthant_is_caught():
     # the shape, flat and cube checks, but the zero set is empty, so every
     # earlier region agrees with it there
     faces = list(true.step_faces)
-    faces[5] = arr.regions()[true.order[5]]
+    faces[5] = arr.face_table().faces.index(arr.regions()[true.order[5]])
     flats = list(true.step_flats)
     flats[5] = 0
     tampered = RegionOrdering(true.order, tuple(flats), tuple(faces))

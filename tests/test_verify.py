@@ -157,6 +157,15 @@ def test_malformed_certificates_exit_2(tmp_path, capsys):
             f"step 3 flat id must be an integer in 0..{nflats - 1}, got {nflats}",
         ),
         (
+            # the file is checked whole before any face is looked up, so a
+            # sign string that is no face (no three lines meet) exits 2 too
+            tampered(
+                tampered(good, lambda d: d["steps"][2].update(face="00000")),
+                lambda d: d["steps"][-1].update(flat=nflats),
+            ),
+            f"step {r - 1} flat id must be an integer in 0..{nflats - 1}, got {nflats}",
+        ),
+        (
             tampered(good, lambda d: d["ordering"].__setitem__(1, d["ordering"][0])),
             f"ordering lists region {good['ordering'][0]} twice",
         ),
