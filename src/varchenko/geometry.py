@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
@@ -509,8 +510,16 @@ class Arrangement:
     def _witnessed(self, planes, face: SignVector, point: Point) -> SignVector:
         """The face, once its point is checked to realise it."""
         p, den = point
-        realised = SignVector.from_signs([_dot(a, p) - b * den for a, b in planes])
-        if realised != face or (self.mode == "central" and not any(p)):
+        plus = minus = 0
+        for i, (a, b) in enumerate(planes):
+            value = sum(map(mul, a, p)) - b * den
+            if value > 0:
+                plus |= 1 << i
+            elif value < 0:
+                minus |= 1 << i
+        if (plus, minus) != (face.plus, face.minus) or (
+            self.mode == "central" and not any(p)
+        ):
             raise InconsistentWitness(
                 f"witness point ({', '.join(map(str, p))})/{den} does not "
                 f"realise the face {face.to_string()}"

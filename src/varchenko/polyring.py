@@ -37,7 +37,7 @@ from functools import lru_cache, reduce
 from itertools import starmap
 from operator import or_
 from threading import Lock
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInput, TooLarge
 
@@ -112,6 +112,24 @@ def _fields(key: int) -> list[tuple[int, int]]:
         key >>= _W
         s += 1
     return pairs
+
+
+def divisibility_masks(polys: Sequence[Mapping[int, int]]) -> list[int]:
+    """For each variable that a term of the packed polynomials `polys`
+    names, in variable id order, the bitmask of the positions i such that
+    the variable divides polys[i]: bit tests on the keys, one field per
+    variable, with nothing unpacked.  Every variable divides the zero
+    polynomial."""
+    used = reduce(or_, (key for terms in polys for key in terms), 0)
+    masks = []
+    for s, _ in sorted(_fields(used), key=lambda field: _VARS[field[0]]):
+        shift = _W * (s + 1)
+        masks.append(sum(
+            1 << i
+            for i, terms in enumerate(polys)
+            if all(key >> shift & _FIELD for key in terms)
+        ))
+    return masks
 
 
 def _unpack(key: int) -> tuple[tuple[int, int], ...]:
@@ -446,8 +464,11 @@ _DECIMAL_RE = re.compile("[0-9]+")
 
 
 def parse_polynomial(s: str) -> Polynomial:
-    """Parse the canonical textual form, e.g. "1 - x1^2*x2^2 + 2*x3"."""
-    text = s.replace(" ", "")
+    """Parse the canonical textual form, e.g. "1 - x1^2*x2^2 + 2*x3".
+
+    Spaces may stand around a sign or a '*', but not inside a factor:
+    "1 2" is an error, not 12."""
+    text = s.strip(" ")
     if not text:
         raise InvalidInput("empty polynomial string")
     if text[-1] in "+-":
@@ -462,7 +483,7 @@ def parse_polynomial(s: str) -> Polynomial:
         j = i
         while j < len(text) and text[j] not in "+-":
             j += 1
-        term = text[i:j]
+        term = text[i:j].strip(" ")
         if not term:
             raise InvalidInput(f"dangling sign in {s!r}")
         out = out + _parse_term(term, sign, s)
@@ -476,8 +497,11 @@ def _parse_term(term: str, sign: int, original: str) -> Polynomial:
     coeff = sign
     exps: dict[int, int] = {}
     for factor in term.split("*"):
+        factor = factor.strip(" ")
         if not factor:
             raise InvalidInput(f"empty factor in {original!r}")
+        if " " in factor:
+            raise InvalidInput(f"space inside the factor {factor!r} in {original!r}")
         if factor[0] == "x":
             body = factor[1:]
             if "^" in body:

@@ -42,16 +42,6 @@ class SignVector:
                 raise InvalidInput(f"bad sign character {c!r} in {s!r}")
         return cls(len(s), plus, minus)
 
-    @classmethod
-    def from_signs(cls, signs: Sequence[int]) -> "SignVector":
-        plus = minus = 0
-        for i, v in enumerate(signs):
-            if v > 0:
-                plus |= 1 << i
-            elif v < 0:
-                minus |= 1 << i
-        return cls(len(signs), plus, minus)
-
     def to_string(self) -> str:
         return "".join(
             "+" if self.plus >> e & 1 else "-" if self.minus >> e & 1 else "0"

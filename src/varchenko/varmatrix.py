@@ -16,6 +16,7 @@ from .polyring import (
     Polynomial,
     _check_fields,
     _raw,
+    divisibility_masks,
     one_minus_square,
     parse_json,
     parse_polynomial,
@@ -150,14 +151,46 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
     return FactoredPoly.from_factors(factors)
 
 
+def _row_order(rows: list[list[dict[int, int]]]) -> list[int]:
+    """The order in which `det_bruteforce` expands the rows of its packed
+    matrix.
+
+    Row i lies on the far side of the variable x_v from row 0 when x_v
+    divides entry (i, 0); for V that entry is the monomial of
+    sep(R_i, R_0).  The rows split on the variable whose sides are most
+    unbalanced among them (the lowest id on ties), the larger side first
+    (the side holding the lowest row on ties), and each side splits again
+    the same way; a group that no variable splits keeps its rows in
+    order."""
+    n = len(rows)
+    masks = divisibility_masks([row[0] for row in rows])
+    order: list[int] = []
+
+    def split(group: int) -> None:
+        sides = [(group & m, group & ~m) for m in masks if group & m and group & ~m]
+        if not sides:
+            order.extend(i for i in range(n) if group >> i & 1)
+            return
+        size = group.bit_count()
+        # max keeps the first of equals: the lowest variable id
+        best = max(sides, key=lambda pair: abs(2 * pair[0].bit_count() - size))
+        for side in sorted(best, key=lambda g: (-g.bit_count(), g & -g)):
+            split(side)
+
+    split((1 << n) - 1)
+    return order
+
+
 def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
     """Exact expanded determinant by Laplace expansion along the rows,
     memoised over column subsets; no division is made.
 
-    minor[T] is the determinant of rows 0..|T|-1 on the columns in the
-    bitmask T, and expanding along its last row gives
+    The rows are taken in the order `_row_order` picks, row_1, ..., row_n,
+    and the result is negated when that order is an odd permutation.
+    minor[T] is the determinant of the first |T| rows of that order on the
+    columns in the bitmask T, and expanding along its last row gives
 
-        minor[T] = sum over j in T of (-1)^(|T|-1+pos_T(j)) a[|T|-1][j] minor[T - {j}],
+        minor[T] = sum over j in T of (-1)^(|T|-1+pos_T(j)) a[row_|T|][j] minor[T - {j}],
 
     pos_T(j) being the number of columns of T below j.  The minors are
     built one layer |T| = k at a time on packed key -> coeff maps, so a
@@ -166,14 +199,25 @@ def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
     S plus its highest missing column, has read it; cancelled terms and
     zero minors are not kept.  The guard bits of every minor are checked
     as it is built, so no field carries unseen through a later sum.
+
+    The order keeps minors small.  In a k x k minor of V on rows R and
+    columns T, with a rows and b columns on the + side of hyperplane v,
+    every exponent of x_v lies in [|a - b|, min(a + b, 2k - a - b)] and
+    is congruent to a + b mod 2, so it takes at most
+    min(a, b, k - a, k - b) + 1 values, and one value while the rows so
+    far all lie on one side of v.  Taking the larger side first keeps
+    the rows on one side of the most variables for longest: on four
+    generic lines (11 regions) the term products fall from 239,038 in
+    region order to 45,117.  Any order gives the same minors up to sign.
     """
     n = matrix.size
     if n > MAX_BRUTE_DET:
         raise TooLarge(f"determinant oracle capped at {MAX_BRUTE_DET}, got {n}")
     rows = [[e.packed() for e in row] for row in matrix.rows]
+    order = _row_order(rows)
     prev: dict[int, dict[int, int]] = {0: {0: 1}}
     for k in range(1, n + 1):
-        row = rows[k - 1]
+        row = rows[order[k - 1]]
         layer: dict[int, dict[int, int]] = {}
         for cols in combinations(range(n), k):
             t = sum(1 << j for j in cols)
@@ -199,4 +243,6 @@ def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
         if not layer:
             return Polynomial.zero()
         prev = layer
-    return _raw(prev[(1 << n) - 1])
+    det = _raw(prev[(1 << n) - 1])
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -det if inversions & 1 else det

@@ -984,6 +984,17 @@ def zero_set(v: SignVector) -> frozenset[int]:
     return frozenset(bits(v.zero_mask))
 
 
+def sign_vector(signs: Sequence[int]) -> SignVector:
+    """The sign vector of a sequence of numbers, read by their signs."""
+    plus = minus = 0
+    for i, v in enumerate(signs):
+        if v > 0:
+            plus |= 1 << i
+        elif v < 0:
+            minus |= 1 << i
+    return SignVector(len(signs), plus, minus)
+
+
 def separation_mask(x: SignVector, y: SignVector) -> int:
     """The positions where x and y have opposite nonzero signs."""
     if x.n != y.n:

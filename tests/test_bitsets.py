@@ -19,6 +19,7 @@ from reference import (
     first_agreeing_by_scan,
     mobius_by_pairs,
     ordering_by_rescan,
+    sign_vector,
     string_rank_key,
 )
 from test_geometry import fixture_and_bench_cases
@@ -52,7 +53,7 @@ def test_sort_key_orders_like_the_sign_strings():
     """'+' < '-' < '0' from position 0, on every sign vector with n <= 7."""
     for n in range(8):
         vectors = [
-            SignVector.from_signs(signs) for signs in itertools.product((1, -1, 0), repeat=n)
+            sign_vector(signs) for signs in itertools.product((1, -1, 0), repeat=n)
         ]
         by_key = sorted(vectors, key=SignVector.sort_key)
         assert by_key == sorted(vectors, key=string_rank_key), n

@@ -453,6 +453,14 @@ def test_det_from_json_with_a_huge_variable_id(tmp_path, capsys):
     assert out == "1 - x2^2 - x1000000000^2 + x2^2*x1000000000^2\n"
 
 
+def test_det_from_json_rejects_a_space_inside_a_factor(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"entries": [["1", "x1"], ["x1", "1 2"]]}))
+    code, out, err = run(capsys, "det", str(path), "--from-json", "--method", "bruteforce")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "'1 2'" in err and "Traceback" not in err
+
+
 def test_det_from_json_names_a_zero_padded_variable_zero(tmp_path, capsys):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"entries": [["x00"]]}))

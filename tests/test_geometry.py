@@ -7,7 +7,13 @@ from math import gcd
 import pytest
 
 import reference
-from reference import face_table_by_full_scan, feasible_strict, solve_equalities, zero_set
+from reference import (
+    face_table_by_full_scan,
+    feasible_strict,
+    sign_vector,
+    solve_equalities,
+    zero_set,
+)
 from test_diagonalize import bench_inputs, generated_bench_inputs
 from varchenko import fixtures
 from varchenko.errors import (
@@ -198,7 +204,7 @@ def faces_by_full_scan(arr):
         if not feasible_strict(eqs, stricts, nvars, require_nonzero=arr.mode == "central"):
             return
         if len(signs) == arr.n:
-            found.add(SignVector.from_signs(signs))
+            found.add(sign_vector(signs))
             return
         a, b = planes[len(signs)]
         scan(signs + [1], eqs, stricts + [(a, b)])
@@ -296,7 +302,7 @@ def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
                 sum(c * xk for c, xk in zip(h.normal, x)) - h.offset
                 for h in arr.hyperplanes
             ]
-            assert face == SignVector.from_signs(
+            assert face == sign_vector(
                 [(v > 0) - (v < 0) for v in realised]
             ), (name, face)
             if arr.mode == "central":

@@ -180,6 +180,14 @@ def test_string_and_parse_round_trip():
         parse_polynomial("2x")
 
 
+def test_parse_rejects_a_space_inside_a_factor():
+    for text in ("1 2", "x1 2", "x1^1 0"):
+        with pytest.raises(InvalidInput, match=f"space inside the factor '{re.escape(text)}'"):
+            parse_polynomial(text)
+    # spaces around a sign or a '*' separate factors, as printed
+    assert parse_polynomial(" - x1 * x2 + 3 ") == ONE.scaled(3) - X1 * X2
+
+
 def test_canonical_string_examples():
     p = ONE - Polynomial.from_monomial(Monomial([(0, 2), (1, 2)]))
     assert p.to_string() == "1 - x1^2*x2^2"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reference import passed, reoriented, separation_set, support
+from reference import passed, reoriented, separation_set, sign_vector, support
 from varchenko.errors import InvalidInput, TooLarge
 from varchenko.signedsets import (
     SignedFamily,
@@ -47,15 +47,15 @@ def test_separation_symmetric():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 8)
-        x = SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
-        y = SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
+        x = sign_vector([rng.choice((-1, 0, 1)) for _ in range(n)])
+        y = sign_vector([rng.choice((-1, 0, 1)) for _ in range(n)])
         assert separation_set(x, y) == separation_set(y, x)
 
 
 def test_compose_associative_exhaustive():
     for n in (1, 2):
         vecs = [
-            SignVector.from_signs(signs)
+            sign_vector(signs)
             for signs in itertools.product((-1, 0, 1), repeat=n)
         ]
         for x, y, z in itertools.product(vecs, repeat=3):
@@ -67,7 +67,7 @@ def test_compose_associative_random():
     for _ in range(500):
         n = rng.randint(3, 6)
         x, y, z = (
-            SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
+            sign_vector([rng.choice((-1, 0, 1)) for _ in range(n)])
             for _ in range(3)
         )
         assert x.compose(y).compose(z) == x.compose(y.compose(z))

@@ -230,6 +230,39 @@ def test_det_bruteforce_at_its_cap():
     assert len(det.packed()) == 1729
 
 
+def four_generic_lines() -> Arrangement:
+    """Four of LINES_45's generic lines: 11 regions."""
+    return Arrangement.from_json_dict(lines_document(LINES_45[3:7]))
+
+
+def test_row_order_on_eleven_regions_is_a_permutation_but_not_the_identity():
+    v = build_varchenko(four_generic_lines())
+    assert v.size == 11
+    order = varmatrix._row_order([[e.packed() for e in row] for row in v.rows])
+    assert sorted(order) == list(range(11))
+    assert order != list(range(11))
+
+
+def test_det_bruteforce_is_the_formula_in_every_row_order():
+    arr = four_generic_lines()
+    v = build_varchenko(arr)
+    expected = det_formula(arr).expand()
+    rng = random.Random(25)
+    for _ in range(4):
+        perm = list(range(v.size))
+        rng.shuffle(perm)
+        assert det_bruteforce(permuted(v, perm)) == expected
+
+
+def test_swapping_two_rows_negates_det_bruteforce():
+    v = build_varchenko(four_generic_lines())
+    det = det_bruteforce(v)
+    for i, j in ((0, 1), (0, 10), (3, 7)):
+        rows = list(v.rows)
+        rows[i], rows[j] = rows[j], rows[i]
+        assert det_bruteforce(LabeledMatrix(v.labels, rows)) == -det
+
+
 def test_det_bruteforce_divides_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("division in the determinant oracle")

@@ -1,6 +1,8 @@
 """Property tests of the determinant formula against the exact oracle over
-small random affine and central arrangements, and of the oracle against
-the Bareiss reference over small random polynomial matrices."""
+small random affine and central arrangements, of the exponent range of
+each variable in a minor of V, which the oracle's row order relies on,
+and of the oracle against the Bareiss reference over small random
+polynomial matrices."""
 
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from reference import bareiss_det
 from varchenko.errors import InvalidArrangement
 from varchenko.geometry import Arrangement, Hyperplane
-from varchenko.polyring import Monomial, Polynomial
+from varchenko.polyring import Monomial, Polynomial, _unpack
 from varchenko.varmatrix import (
     LabeledMatrix,
     build_varchenko,
@@ -52,6 +54,30 @@ def arrangements(draw):
 @given(arrangements())
 def test_det_formula_equals_the_exact_determinant(arr):
     assert det_formula(arr).expand() == det_bruteforce(build_varchenko(arr))
+
+
+@settings(max_examples=60)
+@given(arrangements(), st.data())
+def test_minor_exponents_stay_in_their_range(arr, data):
+    """In the minor of V on rows R and columns T, |R| = |T| = k, with a rows
+    and b columns on the + side of hyperplane v, every exponent of x_v lies
+    in [|a - b|, min(a + b, 2k - a - b)] and is congruent to a + b mod 2."""
+    v = build_varchenko(arr)
+    regions = arr.regions()
+    indices = st.integers(0, v.size - 1)
+    k = data.draw(st.integers(1, v.size))
+    rows = data.draw(st.lists(indices, min_size=k, max_size=k, unique=True))
+    cols = data.draw(st.lists(indices, min_size=k, max_size=k, unique=True))
+    minor = det_bruteforce(
+        LabeledMatrix(list(range(k)), [[v.rows[i][j] for j in cols] for i in rows])
+    )
+    for var in range(arr.n):
+        a = sum(regions[i].plus >> var & 1 for i in rows)
+        b = sum(regions[j].plus >> var & 1 for j in cols)
+        for key in minor.packed():
+            e = dict(_unpack(key)).get(var, 0)
+            assert abs(a - b) <= e <= min(a + b, 2 * k - a - b)
+            assert (e - a - b) % 2 == 0
 
 
 # Entries of up to three terms in three variables, with signed coefficients
