@@ -528,7 +528,12 @@ class Arrangement:
 
     @cached_property
     def _regions(self) -> tuple[SignVector, ...]:
-        vecs = [v for v in self._faces.members if v.is_zero_free()]
+        # the faces on the ambient flat; a covector family is read as it is,
+        # since its flat table refuses a family with no poset
+        if self.mode == "covector":
+            vecs = [v for v in self.covectors.members if v.is_zero_free()]
+        else:
+            vecs = self._flats[0][1]
         return tuple(sorted(vecs, key=SignVector.sort_key))
 
     @cached_property
@@ -564,21 +569,6 @@ class Arrangement:
 
     def faces(self) -> SignedFamily:
         return self._faces
-
-    def covector_family(self) -> SignedFamily:
-        """The arrangement's sign vectors as a symmetric, zero-free family.
-
-        Affine face families are neither symmetric nor free of the zero
-        vector in general; this view adds opposites and drops the zero
-        vector, which is the family the axiom checks apply to.
-        """
-        members = set()
-        for f in self._faces.members:
-            if f.is_zero():
-                continue
-            members.add(f)
-            members.add(-f)
-        return SignedFamily.from_vectors(self.n, members)
 
     # ------------------------------------------------------------------
     # flats and the intersection poset

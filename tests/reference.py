@@ -46,8 +46,9 @@
   as an input document.
 * The scans the per-hyperplane bitsets replace: `face_table_by_full_scan`
   tests each region against each face with `conforms_to`,
-  `down_set_by_pairs`, `mobius_by_pairs` and `det_formula_by_subset_sum`
-  compare every pair of flats' defining sets, `first_agreeing_by_scan` tests each step against
+  `down_set_by_pairs`, `mobius_by_pairs`, `restriction_region_counts`
+  and `det_formula_by_subset_sum` compare every pair of flats' defining
+  sets, `first_agreeing_by_scan` tests each step against
   every step before it, and `ordering_by_rescan` sorts the faces with one
   uncolored region at every step of the region search.
 * `string_rank_key` is the canonical sign-vector order as a tuple of
@@ -55,7 +56,8 @@
 * Methods of the package's classes that only the tests call, as
   functions: `is_symmetric` and `permuted` of a `LabeledMatrix`;
   `support`, `zero_set`, `separation_mask`, `separation_set`,
-  `conforms_to` and `reoriented` of a `SignVector`; `diagonal_matrix` of a certificate,
+  `conforms_to` and `reoriented` of a `SignVector`; `covector_family` of an
+  `Arrangement`; `diagonal_matrix` of a certificate,
   `passed` of an `AxiomReport`, and `monomial_degree` and
   `polynomial_degree`, the `degree` of a `Monomial` and a `Polynomial`.
 """
@@ -98,7 +100,7 @@ from varchenko.polyring import (
     _raw,
     one_minus_square,
 )
-from varchenko.signedsets import AxiomReport, SignVector, bits
+from varchenko.signedsets import AxiomReport, SignedFamily, SignVector, bits
 from varchenko.varmatrix import MAX_BRUTE_DET, LabeledMatrix, build_varchenko, det_bruteforce
 
 # S1, S2, S3 meet at the origin; the other six lines are generic
@@ -1021,6 +1023,22 @@ def reoriented(v: SignVector, flip_mask: int) -> SignVector:
     )
 
 
+def covector_family(arrangement: Arrangement) -> SignedFamily:
+    """The arrangement's sign vectors as a symmetric, zero-free family.
+
+    Affine face families are neither symmetric nor free of the zero
+    vector in general; this view adds opposites and drops the zero
+    vector, which is the family the axiom checks apply to.
+    """
+    members = set()
+    for f in arrangement.faces().members:
+        if f.is_zero():
+            continue
+        members.add(f)
+        members.add(-f)
+    return SignedFamily.from_vectors(arrangement.n, members)
+
+
 def diagonal_matrix(cert) -> LabeledMatrix:
     """diag(cert.diagonal), expanded, labelled by the certificate's ordering."""
     n = len(cert.diagonal)
@@ -1075,6 +1093,21 @@ def mobius_by_pairs(poset: IntersectionPoset) -> tuple[int, ...]:
         dj = poset.flats[j].defining_set
         mu[j] = -sum(mu[i] for i in range(j) if poset.flats[i].defining_set < dj)
     return tuple(mu)
+
+
+def restriction_region_counts(poset: IntersectionPoset) -> list[int]:
+    """For each flat X, the sum of |mu(X, Y)| over the flats Y inside X,
+    each mu(X, Y) computed from the flats between them, tested pairwise on
+    the closed defining masks: the region count of the restriction to X
+    (Zaslavsky 1975)."""
+    counts = []
+    for x in poset.masks:
+        mu = {}  # mask of a flat inside X -> mu(X, that flat)
+        for y in poset.masks:  # by size: the flats between X and Y come first
+            if x & ~y == 0:
+                mu[y] = 1 if y == x else -sum(v for z, v in mu.items() if z & ~y == 0)
+        counts.append(sum(map(abs, mu.values())))
+    return counts
 
 
 def det_formula_by_subset_sum(arrangement: Arrangement) -> FactoredPoly:

@@ -6,8 +6,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from arrangements import fixture, named_fixtures, points_on_line, semigeneral_suite
 from reference import (
     capped,
+    covector_family,
     deletion_reduction,
     distance,
     equal_up_to_relabeling,
@@ -16,7 +18,6 @@ from reference import (
     pivot_step,
     poly_gcd_minors,
 )
-from varchenko import fixtures
 from varchenko.diagonalize import diagonalize, expected_diagonal, snf_q
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.matinvariants import obstruction_report
@@ -59,7 +60,7 @@ def diagonal_product_exponents(cert):
 def test_criterion_1_triangle_reproduction():
     with criterion(1, "triangle fixture reproduction"):
         start = time.time()
-        arr = fixtures.three_generic_lines()
+        arr = fixture("three_generic_lines")
         built = build_varchenko(arr)
         perm = equal_up_to_relabeling(triangle_reference_matrix(), built)
         assert perm is not None
@@ -72,7 +73,7 @@ def test_criterion_1_triangle_reproduction():
 
 def test_criterion_2_diagonalization_suite():
     with criterion(2, "diagonal form on 25+ semigeneral fixtures"):
-        suite = fixtures.semigeneral_suite()
+        suite = semigeneral_suite()
         assert len(suite) >= 25
         start = time.time()
         for name, arr in suite:
@@ -97,7 +98,7 @@ def test_criterion_3_closed_forms_per_step():
         # elimination step and raises ClosedFormViolation otherwise
         # (`diagonalize` proves only the final P V P^T = D); re-derive them
         # here independently for one fixture via the standalone pivot step
-        arr = fixtures.three_generic_lines()
+        arr = fixture("three_generic_lines")
         cert = diagonalize(arr)
         v = permuted(build_varchenko(arr), list(cert.ordering))
         original = [row[:] for row in v.rows]
@@ -130,7 +131,7 @@ def test_criterion_3_closed_forms_per_step():
 
 def test_criterion_4_snf_multiplicities():
     with criterion(4, "q-specialized SNF multiplicities"):
-        for name, arr in fixtures.semigeneral_suite():
+        for name, arr in semigeneral_suite():
             entries = dict(snf_q(arr))
             counts = arr.poset().dim_counts()
             expected = {
@@ -142,8 +143,8 @@ def test_criterion_4_snf_multiplicities():
 def test_criterion_5_determinant_vs_oracle():
     with criterion(5, "determinant formula vs brute force (r <= 12)"):
         checked = 0
-        pool = list(fixtures.named_fixtures().items()) + list(
-            fixtures.semigeneral_suite()
+        pool = list(named_fixtures().items()) + list(
+            semigeneral_suite()
         )
         seen = set()
         for name, arr in pool:
@@ -156,7 +157,7 @@ def test_criterion_5_determinant_vs_oracle():
             assert det_bruteforce(v) == det_formula(arr).expand(), name
             checked += 1
         assert checked >= 10
-        conc = fixtures.three_concurrent_lines()
+        conc = fixture("three_concurrent_lines")
         assert (
             str(det_formula(conc))
             == "(1-x1^2)^2(1-x2^2)^2(1-x3^2)^2(1-x1^2*x2^2*x3^2)"
@@ -165,7 +166,7 @@ def test_criterion_5_determinant_vs_oracle():
 
 def test_criterion_6_obstruction_diagnostics():
     with criterion(6, "obstruction diagnostics"):
-        for arr in (fixtures.three_concurrent_lines(), fixtures.pencil_four_planes()):
+        for arr in (fixture("three_concurrent_lines"), fixture("pencil_four_planes")):
             report = obstruction_report(arr)
             assert report.all_consistent
             by_name = {c.name: c for c in report.checks}
@@ -188,23 +189,23 @@ def _deletion_pairs():
         return Arrangement(base.mode, base.dim, hyps)
 
     pairs = []
-    single = fixtures.single_line()
+    single = fixture("single_line")
     pairs.append((single, ext(single, "T", (1,), 1)))
-    p2 = fixtures.points_on_line(2)
+    p2 = points_on_line(2)
     pairs.append((p2, ext(p2, "T", (1,), 5)))
-    p3 = fixtures.points_on_line(3)
+    p3 = points_on_line(3)
     pairs.append((p3, ext(p3, "T", (1,), 7)))
-    two = fixtures.two_generic_lines()
+    two = fixture("two_generic_lines")
     pairs.append((two, ext(two, "T", (1, 1), 1)))
     pairs.append((two, ext(two, "T", (1, 0), 1)))
-    par3 = fixtures.three_parallel_lines()
+    par3 = fixture("three_parallel_lines")
     pairs.append((par3, ext(par3, "T", (1, 0), 5)))
     pairs.append((par3, ext(par3, "T", (0, 1), 0)))
-    cross = fixtures.two_parallel_one_crossing()
+    cross = fixture("two_parallel_one_crossing")
     pairs.append((cross, ext(cross, "T", (1, 1), 3)))
-    tri = fixtures.three_generic_lines()
+    tri = fixture("three_generic_lines")
     pairs.append((tri, ext(tri, "T", (1, -1), Fraction(1, 3))))
-    circles = fixtures.two_central_circles()
+    circles = fixture("two_central_circles")
     pairs.append((circles, ext(circles, "T", (1, 1, 0), 0)))
     return pairs
 
@@ -282,15 +283,15 @@ def test_criterion_8_exponent_cap_properties():
 
 def test_criterion_9_axioms_on_fixture_families():
     with criterion(9, "signed-family axioms on fixture covector families"):
-        for name, arr in fixtures.named_fixtures().items():
-            family = arr.covector_family()
+        for name, arr in named_fixtures().items():
+            family = covector_family(arr)
             members = family.members
             assert not any(v.is_zero() for v in members), name
             assert all(-v in members for v in members), name
             assert check_composition_closure(family) is None, name
         # small families go through the full checker including elimination
         for name in ("single_line", "two_generic_lines", "three_generic_lines"):
-            family = fixtures.named_fixtures()[name].covector_family()
+            family = covector_family(fixture(name))
             report = check_vector_axioms(family)
             assert report.axiom_a and report.axiom_b, name
 

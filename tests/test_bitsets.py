@@ -13,6 +13,7 @@ from random import Random
 
 
 import reference
+from arrangements import fixture, named_fixtures
 from reference import (
     det_formula_by_subset_sum,
     down_set_by_pairs,
@@ -23,7 +24,7 @@ from reference import (
     string_rank_key,
 )
 from test_geometry import fixture_and_bench_cases
-from varchenko import cli, fixtures
+from varchenko import cli
 from varchenko.certificate import _first_agreeing, verify_certificate
 from varchenko.diagonalize import diagonalize, ordering
 from varchenko.errors import VarchenkoError
@@ -134,7 +135,7 @@ def test_the_runtime_calls_none_of_the_references(monkeypatch, tmp_path, capsys)
         "zero_set",
     ):
         monkeypatch.setattr(reference, name, refuse)
-    for name, arr in fixtures.named_fixtures().items():
+    for name, arr in named_fixtures().items():
         arr.face_table()
         if arr.mode != "covector":
             det_formula(arr)
@@ -144,7 +145,7 @@ def test_the_runtime_calls_none_of_the_references(monkeypatch, tmp_path, capsys)
         elif not arr.is_semigeneral() and arr.mode != "covector":
             obstruction_report(arr)
     path = tmp_path / "arr.json"
-    path.write_text(fixtures.five_generic_lines().to_json())
+    path.write_text(fixture("five_generic_lines").to_json())
     for command in ("diagonalize", "poset", "det"):
         assert cli.main([command, str(path)]) == 0
     capsys.readouterr()

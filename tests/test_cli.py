@@ -1,15 +1,13 @@
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from reference import LINES_45, LINES_61, lines_document
+from arrangements import FIXDIR, fixture
+from reference import LINES_45, LINES_61, covector_family, lines_document
+from test_cli_digests import TABLE
 from test_varmatrix import three_planes_on_a_line_plus_one
-from varchenko import fixtures
 from varchenko.cli import main
 from varchenko.geometry import Arrangement, Hyperplane
-
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fx(name: str) -> str:
@@ -22,13 +20,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_fixture_files_exist_and_parse():
-    named = fixtures.named_fixtures()
-    on_disk = {p.stem: p for p in FIXDIR.glob("*.json")}
-    assert set(named) == set(on_disk)
-    for name, path in on_disk.items():
-        parsed = Arrangement.from_json(path.read_text())
-        assert parsed.to_json_dict() == named[name].to_json_dict(), name
+def test_fixture_files_round_trip_and_are_the_pinned_ones():
+    """Each fixture file is its arrangement's `to_json_dict`; the files are
+    the fixtures whose CLI output `cli_digests.json` pins; and the
+    covector-mode fixture is the covector family of three generic lines."""
+    paths = sorted(FIXDIR.glob("*.json"))
+    for path in paths:
+        assert json.loads(path.read_text()) == fixture(path.stem).to_json_dict(), path.stem
+    pinned = {key.split()[1] for key in json.loads(TABLE.read_text())}
+    assert {path.stem for path in paths} == pinned
+    suspension = fixture("suspension_three_generic_lines")
+    assert suspension.covectors == covector_family(fixture("three_generic_lines"))
 
 
 def test_regions(capsys):

@@ -17,8 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from test_cli import FIXDIR
-from varchenko import fixtures
+from arrangements import FIXDIR, fixture
 from varchenko.cli import main
 from varchenko.diagonalize import diagonalize
 
@@ -32,7 +31,7 @@ SEEDS = {
         "suspension_three_generic_lines",
     )
 }
-CERTIFICATE = json.loads(diagonalize(fixtures.three_generic_lines()).to_json())
+CERTIFICATE = json.loads(diagonalize(fixture("three_generic_lines")).to_json())
 
 # (subcommand, options); `verify` also takes the certificate path
 SUBCOMMANDS = [

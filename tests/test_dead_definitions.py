@@ -2,13 +2,13 @@
 referenced somewhere in src/, tests/ or perfbench/: loaded as a name, read
 as an attribute, imported, or listed in an ``__all__``.  Every method of a
 package class is referred to by name in src/ or perfbench/, not only by
-the tests.  Every module-level
-function, class and non-dunder assignment is also reachable, matching by
-name, from the command line (``cli.main``), the public API
-(``varchenko.__all__``) or the ``fixtures`` module, so nothing is left in
-src/ for the tests alone; every public name is reached from the command
-line or imported by the benchmark; no module in src/ imports from tests/,
-and none defines or refers to a Fourier-Motzkin routine.
+the tests.  Every module-level function, class and non-dunder assignment
+is also reachable, matching by name, from the command line (``cli.main``)
+or the public API (``varchenko.__all__``), with no module exempt, so
+nothing is left in src/ for the tests alone; every public name is reached
+from the command line or imported by the benchmark; no module in src/
+imports from tests/, and none defines or refers to a Fourier-Motzkin
+routine.
 References are read from the syntax tree, so a name that occurs only in a
 docstring or a comment counts as unreferenced."""
 
@@ -173,10 +173,9 @@ def reached_from(
 def unreachable_definitions() -> list[str]:
     """``module.name`` of each module-level function, class and non-dunder
     assignment that no chain of references leads to from the roots: the
-    command line (``cli.main``), the public API and the ``fixtures``
-    module."""
+    command line (``cli.main``) and the public API."""
     statements, checked, public = _module_level()
-    roots = {key for key in statements if key[1] in public or key[0] == "fixtures"}
+    roots = {key for key in statements if key[1] in public}
     roots.add(("cli", "main"))
     reached = reached_from(statements, roots)
     return sorted(f"{module}.{name}" for module, name in checked - reached)

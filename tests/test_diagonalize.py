@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import reference
+from arrangements import fixture, random_generic_lines, semigeneral_suite
 from reference import (
     PivotDivisionFailure,
     _certificate_checks,
@@ -20,7 +21,7 @@ from reference import (
     replay_elimination,
     separation_set,
 )
-from varchenko import DiagonalizationCertificate, cli, exactlp, fixtures, polyring, varmatrix
+from varchenko import DiagonalizationCertificate, cli, exactlp, polyring, varmatrix
 from varchenko.certificate import (
     RegionOrdering,
     _diagonal_entry,
@@ -138,19 +139,19 @@ def ordering_by_full_scan(arrangement: Arrangement) -> RegionOrdering:
 
 
 def test_encompassed_empty_and_singleton():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     assert encompassed_flats(arr, []) == set()
     for region in range(7):
         assert encompassed_flats(arr, [region]) == {0}  # just the ambient flat
 
 
 def test_encompassed_single_hyperplane_both_regions():
-    arr = fixtures.single_line()
+    arr = fixture("single_line")
     assert encompassed_flats(arr, [0, 1]) == {0, 1}
 
 
 def test_encompassed_monotone():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     colored = []
     previous = set()
     for region in ordering(arr).order:
@@ -162,7 +163,7 @@ def test_encompassed_monotone():
 
 
 def test_ordering_single_hyperplane():
-    arr = fixtures.single_line()
+    arr = fixture("single_line")
     result = ordering(arr)
     assert result.order == (0, 1)
     poset = arr.poset()
@@ -170,7 +171,7 @@ def test_ordering_single_hyperplane():
 
 
 def test_ordering_triangle_dims():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     result = ordering(arr)
     poset = arr.poset()
     dims = [poset.flats[f].dim for f in result.step_flats]
@@ -182,15 +183,15 @@ def test_ordering_triangle_dims():
 
 def test_ordering_gate():
     with pytest.raises(NotSemigeneral):
-        ordering(fixtures.three_concurrent_lines())
+        ordering(fixture("three_concurrent_lines"))
     with pytest.raises(NotSemigeneral):
-        diagonalize(fixtures.pencil_four_planes())
+        diagonalize(fixture("pencil_four_planes"))
 
 
 def test_ordering_stuck_when_flats_fewer_than_regions():
     # symmetric covector families carry fewer flats than regions
     with pytest.raises(OrderingStuck):
-        ordering(fixtures.suspension_three_generic_lines())
+        ordering(fixture("suspension_three_generic_lines"))
 
 
 def test_apply_t_two_by_two():
@@ -221,7 +222,7 @@ def test_apply_t_divisibility_failure():
 
 
 def test_diagonalize_triangle():
-    cert = diagonalize(fixtures.three_generic_lines())
+    cert = diagonalize(fixture("three_generic_lines"))
     assert sorted(str(d) for d in cert.diagonal) == sorted(
         [
             "1",
@@ -237,7 +238,7 @@ def test_diagonalize_triangle():
 
 
 def test_diagonalize_single_hyperplane():
-    cert = diagonalize(fixtures.single_line())
+    cert = diagonalize(fixture("single_line"))
     assert [str(d) for d in cert.diagonal] == ["1", "(1-x1^2)"]
 
 
@@ -247,7 +248,7 @@ def test_diagonalize_empty_arrangement():
 
 
 def test_certificate_product_verified_independently():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     cert = diagonalize(arr)
     v = build_varchenko(arr)
     product = matmul(matmul(cert.P, v.rows), cert.Q)
@@ -274,8 +275,8 @@ def test_transform_det_is_the_ordering_sign_beyond_the_exact_oracle():
     """Above the 12-region cap of det_bruteforce, det P and det Q are the
     sign of the ordering, and so is det P at an integer point."""
     for arr, r in (
-        (fixtures.five_generic_lines(), 16),
-        (fixtures.random_generic_lines(8, 108), 37),
+        (fixture("five_generic_lines"), 16),
+        (random_generic_lines(8, 108), 37),
     ):
         cert = diagonalize(arr)
         assert len(cert.ordering) == r
@@ -287,7 +288,7 @@ def test_transform_det_is_the_ordering_sign_beyond_the_exact_oracle():
 
 
 def test_tampered_transform_raises():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     cert = diagonalize(arr)
     perm = list(cert.ordering)
     v = build_varchenko(arr)
@@ -309,11 +310,11 @@ def test_tampered_transform_raises():
 
 def test_diagonal_matches_expected_multiset():
     for arr in (
-        fixtures.three_generic_lines(),
-        fixtures.three_parallel_lines(),
-        fixtures.two_parallel_one_crossing(),
-        fixtures.two_central_circles(),
-        fixtures.three_central_spheres(),
+        fixture("three_generic_lines"),
+        fixture("three_parallel_lines"),
+        fixture("two_parallel_one_crossing"),
+        fixture("two_central_circles"),
+        fixture("three_central_spheres"),
     ):
         cert = diagonalize(arr)
         assert sorted(str(d) for d in cert.diagonal) == sorted(
@@ -322,7 +323,7 @@ def test_diagonal_matches_expected_multiset():
 
 
 def test_expected_diagonal_examples():
-    assert sorted(str(d) for d in expected_diagonal(fixtures.three_parallel_lines())) == [
+    assert sorted(str(d) for d in expected_diagonal(fixture("three_parallel_lines"))) == [
         "(1-x1^2)",
         "(1-x2^2)",
         "(1-x3^2)",
@@ -330,15 +331,15 @@ def test_expected_diagonal_examples():
     ]
     assert [str(d) for d in expected_diagonal(Arrangement("affine", 2, []))] == ["1"]
     with pytest.raises(NotSemigeneral):
-        expected_diagonal(fixtures.three_concurrent_lines())
+        expected_diagonal(fixture("three_concurrent_lines"))
 
 
 def test_snf_q_examples():
-    assert snf_q(fixtures.three_generic_lines()) == [(0, 1), (1, 3), (2, 3)]
-    assert snf_q(fixtures.single_line()) == [(0, 1), (1, 1)]
-    assert snf_q(fixtures.five_generic_lines()) == [(0, 1), (1, 5), (2, 10)]
+    assert snf_q(fixture("three_generic_lines")) == [(0, 1), (1, 3), (2, 3)]
+    assert snf_q(fixture("single_line")) == [(0, 1), (1, 1)]
+    assert snf_q(fixture("five_generic_lines")) == [(0, 1), (1, 5), (2, 10)]
     with pytest.raises(NotSemigeneral):
-        snf_q(fixtures.three_concurrent_lines())
+        snf_q(fixture("three_concurrent_lines"))
 
 
 def transform_from_faces(arr, data):
@@ -363,7 +364,7 @@ def transform_from_faces(arr, data):
 
 
 def test_certificate_json_schema():
-    cert = diagonalize(fixtures.single_line())
+    cert = diagonalize(fixture("single_line"))
     data = cert.to_json_dict()
     assert set(data) == {"format", "ordering", "steps", "checks"}
     assert data["format"] == 2
@@ -372,8 +373,8 @@ def test_certificate_json_schema():
     assert data["steps"][1] == {"k": 1, "flat": 1, "face": "0", "entry": "(1-x1^2)"}
     assert data["checks"]["pvq_equals_d"] is True
     assert data["checks"]["det_p"] in ("1", "-1")
-    assert transform_from_faces(fixtures.single_line(), data) == cert.P
-    for arr in (fixtures.three_generic_lines(), fixtures.five_generic_lines()):
+    assert transform_from_faces(fixture("single_line"), data) == cert.P
+    for arr in (fixture("three_generic_lines"), fixture("five_generic_lines")):
         cert = diagonalize(arr)
         data = json.loads(cert.to_json())
         assert [set(step) for step in data["steps"]] == [{"k", "flat", "face", "entry"}] * len(cert.P)
@@ -384,7 +385,7 @@ def test_certificate_json_schema():
 def test_the_dense_transform_is_built_only_when_read(tmp_path, monkeypatch, capsys):
     """`diagonalize`, `snf_q` and the CLI keep P as the sparse rows they
     prove; `cert.P` builds the dense grid on first read."""
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     cert = diagonalize(arr)
     assert "P" not in vars(cert)
     with monkeypatch.context() as m:
@@ -413,7 +414,7 @@ def test_substitution_commutes_with_reduction():
     """Specializing before or after diagonalizing gives equivalent matrices:
     their univariate minor gcds agree."""
     q = 5  # variable id for the single indeterminate
-    for arr in (fixtures.three_generic_lines(), fixtures.three_parallel_lines()):
+    for arr in (fixture("three_generic_lines"), fixture("three_parallel_lines")):
         cert = diagonalize(arr)
         v = build_varchenko(arr)
         sigma = {i: Polynomial.variable(q) for i in range(arr.n)}
@@ -424,7 +425,7 @@ def test_substitution_commutes_with_reduction():
 
 
 def test_substitution_commutes_integer_specialization():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     cert = diagonalize(arr)
     v = build_varchenko(arr)
     sigma = {i: 3 for i in range(arr.n)}
@@ -437,7 +438,7 @@ def test_substitution_commutes_integer_specialization():
 def test_ordering_prefix_validity_across_fixtures():
     """Every prefix of the produced order encompasses exactly k flats,
     recomputed through the public encompassing operation."""
-    for name, arr in fixtures.semigeneral_suite():
+    for name, arr in semigeneral_suite():
         if len(arr.regions()) > 16:
             continue
         result = ordering(arr)
@@ -450,7 +451,7 @@ def test_ordering_prefix_validity_across_fixtures():
 
 
 def test_diagonalize_randomized_fixture():
-    arr = fixtures.random_generic_lines(5, seed=321)
+    arr = random_generic_lines(5, seed=321)
     cert = diagonalize(arr)
     assert sorted(str(d) for d in cert.diagonal) == sorted(
         str(d) for d in expected_diagonal(arr)
@@ -463,7 +464,7 @@ def test_diagonalize_randomized_fixture():
 
 
 def test_ordering_does_not_recurse_per_region():
-    arr = fixtures.random_generic_lines(8, 108)
+    arr = random_generic_lines(8, 108)
     arr.regions(), arr.faces(), arr.poset()  # cached before the limit drops
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 25)
@@ -479,7 +480,7 @@ def test_the_diagonalize_path_keeps_no_face_position_map():
     """`ordering` hands `prove` each step face by its face-table position,
     and `prove` writes the certificate's sign vectors from the table, so no
     face -> position map is built on the way."""
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     order = ordering(arr)
     assert all(type(f) is int for f in order.step_faces)
     faces = arr.face_table().faces
@@ -514,7 +515,7 @@ def test_closed_form_transform_equals_the_replayed_elimination():
     step-by-step elimination produces, with every closed form checked."""
     bench = bench_inputs("semigeneral")
     assert sorted(len(arr.regions()) for _, arr in bench) == [26, 37, 42, 56, 79]
-    for name, arr in fixtures.semigeneral_suite() + bench:
+    for name, arr in semigeneral_suite() + bench:
         cert = diagonalize(arr)
         assert cert.P == replay_elimination(arr), name
         nonzeros = sum(not e.is_zero() for row in cert.P for e in row)
@@ -522,7 +523,7 @@ def test_closed_form_transform_equals_the_replayed_elimination():
 
 
 def test_a_wrong_step_face_is_caught(monkeypatch):
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     true = ordering(arr)
     table = arr.face_table()
     # the step's own region keeps P unit lower-triangular, so only the
@@ -554,7 +555,7 @@ def test_a_flipped_transform_sign_is_caught(monkeypatch):
 
     monkeypatch.setattr(certificate_module, "_transform_entry", flip_the_tenth_monomial)
     with pytest.raises(ClosedFormViolation, match="does not equal the diagonal"):
-        diagonalize(fixtures.five_generic_lines())
+        diagonalize(fixture("five_generic_lines"))
     assert len(calls) >= 10
 
 
@@ -573,7 +574,7 @@ def face_cube_checks_on(arr, order):
 
 
 def test_a_step_face_that_is_not_a_full_cube_is_caught(monkeypatch):
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     true = ordering(arr)
     table = arr.face_table()
     i = next(
@@ -598,7 +599,7 @@ def test_a_step_face_that_is_not_a_full_cube_is_caught(monkeypatch):
 
 
 def test_an_earlier_region_in_the_step_regions_orthant_is_caught():
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     true = ordering(arr)
     # step 5 completing its own region, a face on the ambient flat 0, passes
     # the shape, flat and cube checks, but the zero set is empty, so every
@@ -616,7 +617,7 @@ def test_an_earlier_region_in_the_step_regions_orthant_is_caught():
 
 
 def test_a_wrong_step_flat_is_caught():
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     true = ordering(arr)
     flats = list(true.step_flats)
     flats[5], flats[6] = flats[6], flats[5]
@@ -649,21 +650,21 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     assert not hasattr(SignVector, "conforms_to")
     monkeypatch.setattr(reference, "conforms_to", refuse)
     assert not hasattr(exactlp, "LinearSystem")
-    cert = diagonalize(fixtures.five_generic_lines())
+    cert = diagonalize(fixture("five_generic_lines"))
     assert cert.checks == {"pvq_equals_d": True, "det_p": "-1", "det_q": "-1"}
     assert sorted(str(d) for d in cert.diagonal) == sorted(
-        str(d) for d in expected_diagonal(fixtures.five_generic_lines())
+        str(d) for d in expected_diagonal(fixture("five_generic_lines"))
     )
 
 
 def test_ordering_equals_the_full_scan_reference():
     bench = bench_inputs("semigeneral")
-    for name, arr in fixtures.semigeneral_suite() + bench:
+    for name, arr in semigeneral_suite() + bench:
         assert ordering(arr) == ordering_by_full_scan(arr), name
 
 
 def test_tampered_entries_are_caught_by_the_packed_proof():
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     cert = diagonalize(arr)
     perm = list(cert.ordering)
     v = build_varchenko(arr)
@@ -706,7 +707,7 @@ def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
             return checks(*args)
 
     monkeypatch.setattr(certificate_module, "_face_cube_checks", guarded)
-    cert = diagonalize(fixtures.random_generic_lines(8, 108))
+    cert = diagonalize(random_generic_lines(8, 108))
     assert len(calls) == 1
     assert cert.checks["pvq_equals_d"] is True
 

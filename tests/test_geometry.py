@@ -7,15 +7,17 @@ from math import gcd
 import pytest
 
 import reference
+from arrangements import fixture, named_fixtures, semigeneral_suite
 from reference import (
+    covector_family,
     face_table_by_full_scan,
     feasible_strict,
+    restriction_region_counts,
     sign_vector,
     solve_equalities,
     zero_set,
 )
 from test_diagonalize import bench_inputs, generated_bench_inputs
-from varchenko import fixtures
 from varchenko.errors import (
     InconsistentWitness,
     InvalidArrangement,
@@ -64,15 +66,15 @@ def flats_by_subset_enumeration(arr):
 
 
 def test_region_counts():
-    assert len(fixtures.three_generic_lines().regions()) == 7
-    assert len(fixtures.single_line().regions()) == 2
+    assert len(fixture("three_generic_lines").regions()) == 7
+    assert len(fixture("single_line").regions()) == 2
     # pencil through a point, both pictures: 2^(d+1) - 2 regions for d = 2
-    assert len(fixtures.three_concurrent_lines().regions()) == 6
-    assert len(fixtures.three_concurrent_central().regions()) == 6
+    assert len(fixture("three_concurrent_lines").regions()) == 6
+    assert len(fixture("three_concurrent_central").regions()) == 6
 
 
 def test_regions_canonical_order():
-    regions = fixtures.three_generic_lines().regions()
+    regions = fixture("three_generic_lines").regions()
     strings = [r.to_string() for r in regions]
     assert strings == sorted(strings, key=lambda s: [("+0-").index(c) for c in s])
     assert strings[0] == "+++"
@@ -80,34 +82,34 @@ def test_regions_canonical_order():
 
 
 def test_face_counts():
-    assert len(fixtures.single_line().faces()) == 3  # two sides plus the line
+    assert len(fixture("single_line").faces()) == 3  # two sides plus the line
     # 2 generic lines: every one of the 3^2 sign vectors is realizable
-    assert len(fixtures.two_generic_lines().faces()) == 9
+    assert len(fixture("two_generic_lines").faces()) == 9
     # 3 generic lines: 7 regions + 9 edges + 3 vertices
-    assert len(fixtures.three_generic_lines().faces()) == 19
+    assert len(fixture("three_generic_lines").faces()) == 19
 
 
 def test_single_line_face_strings():
-    strings = {f.to_string() for f in fixtures.single_line().faces()}
+    strings = {f.to_string() for f in fixture("single_line").faces()}
     assert strings == {"+", "-", "0"}
 
 
 def test_poset_sizes():
-    assert len(fixtures.three_generic_lines().poset()) == 7
-    assert len(fixtures.three_concurrent_lines().poset()) == 5
+    assert len(fixture("three_generic_lines").poset()) == 7
+    assert len(fixture("three_concurrent_lines").poset()) == 5
     assert len(Arrangement("affine", 2, []).poset()) == 1
 
 
 def test_flats_match_subset_enumeration_oracle():
     for arr in (
-        fixtures.three_generic_lines(),
-        fixtures.three_concurrent_lines(),
-        fixtures.three_parallel_lines(),
-        fixtures.two_parallel_one_crossing(),
-        fixtures.pencil_four_planes(),
-        fixtures.three_concurrent_central(),
-        fixtures.two_central_circles(),
-        fixtures.five_generic_lines(),
+        fixture("three_generic_lines"),
+        fixture("three_concurrent_lines"),
+        fixture("three_parallel_lines"),
+        fixture("two_parallel_one_crossing"),
+        fixture("pencil_four_planes"),
+        fixture("three_concurrent_central"),
+        fixture("two_central_circles"),
+        fixture("five_generic_lines"),
     ):
         expected = flats_by_subset_enumeration(arr)
         got = {f.defining_set for f in arr.poset()}
@@ -121,44 +123,44 @@ def test_mobius_and_charpoly():
         "affine", 2, [Hyperplane("S1", (Fraction(1), Fraction(0)), Fraction(0))]
     )
     assert line_in_plane.charpoly() == (0, -1, 1)  # t^2 - t
-    assert fixtures.three_generic_lines().charpoly() == (3, -3, 1)
-    assert fixtures.three_concurrent_lines().charpoly() == (2, -3, 1)
+    assert fixture("three_generic_lines").charpoly() == (3, -3, 1)
+    assert fixture("three_concurrent_lines").charpoly() == (2, -3, 1)
     assert charpoly_string((3, -3, 1)) == "t^2 - 3*t + 3"
     assert charpoly_string((0, -1, 1)) == "t^2 - t"
 
 
 def test_mobius_bottom_is_one():
-    for arr in (fixtures.three_generic_lines(), fixtures.pencil_four_planes()):
+    for arr in (fixture("three_generic_lines"), fixture("pencil_four_planes")):
         assert arr.poset().mobius[0] == 1
 
 
 def test_semigeneral_verdicts():
-    assert fixtures.three_generic_lines().is_semigeneral()
-    witness = fixtures.three_concurrent_lines().semigeneral_witness()
+    assert fixture("three_generic_lines").is_semigeneral()
+    witness = fixture("three_concurrent_lines").semigeneral_witness()
     assert witness is not None
     assert witness.defining_set == {0, 1, 2}
     assert witness.dim == 0  # expected 2 - 3 = -1
-    assert fixtures.three_parallel_lines().is_semigeneral()
+    assert fixture("three_parallel_lines").is_semigeneral()
 
 
 def test_abs_mobius_sum_equals_region_count():
-    for name, arr in fixtures.semigeneral_suite():
+    for name, arr in semigeneral_suite():
         poset = arr.poset()
         assert sum(abs(m) for m in poset.mobius) == len(arr.regions()), name
-    conc = fixtures.three_concurrent_lines()
+    conc = fixture("three_concurrent_lines")
     assert sum(abs(m) for m in conc.poset().mobius) == len(conc.regions())
 
 
 def test_flat_count_equals_region_count_when_semigeneral():
-    for name, arr in fixtures.semigeneral_suite():
+    for name, arr in semigeneral_suite():
         assert len(arr.poset()) == len(arr.regions()), name
 
 
 def test_dim_strictly_decreasing_along_order():
     for arr in (
-        fixtures.five_generic_lines(),
-        fixtures.pencil_four_planes(),
-        fixtures.three_concurrent_central(),
+        fixture("five_generic_lines"),
+        fixture("pencil_four_planes"),
+        fixture("three_concurrent_central"),
     ):
         poset = arr.poset()
         for a in poset:
@@ -169,11 +171,11 @@ def test_dim_strictly_decreasing_along_order():
 
 def test_regions_are_the_zero_free_faces():
     for arr in (
-        fixtures.three_generic_lines(),
-        fixtures.three_concurrent_lines(),
-        fixtures.three_parallel_lines(),
-        fixtures.two_central_circles(),
-        fixtures.suspension_three_generic_lines(),
+        fixture("three_generic_lines"),
+        fixture("three_concurrent_lines"),
+        fixture("three_parallel_lines"),
+        fixture("two_central_circles"),
+        fixture("suspension_three_generic_lines"),
     ):
         zero_free = {f for f in arr.faces().members if f.is_zero_free()}
         assert zero_free == set(arr.regions())
@@ -181,9 +183,9 @@ def test_regions_are_the_zero_free_faces():
 
 def test_faces_compose_with_regions_into_regions():
     for arr in (
-        fixtures.three_generic_lines(),
-        fixtures.three_concurrent_lines(),
-        fixtures.two_central_circles(),
+        fixture("three_generic_lines"),
+        fixture("three_concurrent_lines"),
+        fixture("two_central_circles"),
     ):
         regions = set(arr.regions())
         for face in arr.faces():
@@ -235,7 +237,7 @@ def fixture_and_bench_cases():
         for workload in ("semigeneral", "oracle", "degenerate")
         for case in bench_inputs(workload)
     ]
-    return list(fixtures.named_fixtures().items()) + fixtures.semigeneral_suite() + bench
+    return list(named_fixtures().items()) + semigeneral_suite() + bench
 
 
 def test_face_table_equals_the_full_scan():
@@ -246,13 +248,20 @@ def test_face_table_equals_the_full_scan():
 def test_each_flat_counts_the_faces_with_its_zero_set():
     """n_X, read off the flat table, is the number of faces whose zero set
     is X's defining set; the counts cover the faces, and the ambient flat's
-    faces are the regions."""
+    faces are the regions.  On the affine inputs n_X is also the sum of
+    |mu(X, Y)| over the flats Y inside X (Zaslavsky 1975).  The others are
+    left out of that check by the open central-origin convention: the
+    covector-mode suspension's n_X exceed the sums by one, the term of the
+    origin, which its poset holds no flat for."""
     for name, arr in fixture_and_bench_cases():
-        flats = arr.poset().flats
+        poset = arr.poset()
+        flats = poset.flats
         by_zero_set = Counter(zero_set(f) for f in arr.faces().members)
         assert {f.defining_set: f.faces for f in flats} == by_zero_set, name
         assert sum(f.faces for f in flats) == len(arr.faces()), name
         assert flats[0].faces == len(arr.regions()), name
+        if arr.mode == "affine":
+            assert [f.faces for f in flats] == restriction_region_counts(poset), name
 
 
 def test_poset_face_table_and_det_formula_regroup_no_faces_by_zero_set(monkeypatch):
@@ -264,7 +273,7 @@ def test_poset_face_table_and_det_formula_regroup_no_faces_by_zero_set(monkeypat
     # zero sets are a test reference, not a method of SignVector
     assert not hasattr(SignVector, "zero_set")
     monkeypatch.setattr(reference, "zero_set", refuse)
-    for arr in fixtures.named_fixtures().values():
+    for arr in named_fixtures().values():
         arr.poset()
         arr.face_table()
         if arr.mode != "covector":
@@ -325,7 +334,7 @@ def test_a_leaf_point_that_misses_its_face_is_caught(monkeypatch):
         return original(self, planes, signs, point)
 
     monkeypatch.setattr(Arrangement, "_witnessed", corrupt)
-    for arr in (fixtures.three_generic_lines(), fixtures.two_central_circles()):
+    for arr in (fixture("three_generic_lines"), fixture("two_central_circles")):
         with pytest.raises(InconsistentWitness, match="does not realise the face"):
             arr.faces()
 
@@ -339,7 +348,7 @@ def test_region_counts_equal_the_generators_zaslavsky_count():
 
 def test_feasibility_oracle_consistency():
     """Full 3^n scan with direct feasibility calls matches the DFS output."""
-    for arr in (fixtures.three_generic_lines(), fixtures.three_concurrent_lines()):
+    for arr in (fixture("three_generic_lines"), fixture("three_concurrent_lines")):
         assert set(arr.faces().members) == faces_by_full_scan(arr)
 
 
@@ -382,7 +391,7 @@ def test_a_plane_meeting_a_flat_only_at_the_origin_still_cuts_it():
 
 
 def test_covector_mode_fixture():
-    arr = fixtures.suspension_three_generic_lines()
+    arr = fixture("suspension_three_generic_lines")
     assert arr.n == 3
     assert len(arr.regions()) == 8
     assert len(arr.poset()) == 7
@@ -391,8 +400,8 @@ def test_covector_mode_fixture():
 
 
 def test_covector_family_view():
-    arr = fixtures.three_generic_lines()
-    family = arr.covector_family()
+    arr = fixture("three_generic_lines")
+    family = covector_family(arr)
     assert not any(v.is_zero() for v in family.members)
     for v in family.members:
         assert -v in family.members
@@ -451,7 +460,7 @@ def test_enumeration_size_cap():
 
 
 def test_json_round_trip():
-    for name, arr in fixtures.named_fixtures().items():
+    for name, arr in named_fixtures().items():
         back = Arrangement.from_json(arr.to_json())
         assert back.mode == arr.mode
         assert back.dim == arr.dim
@@ -480,9 +489,9 @@ def test_bad_json_inputs():
 
 
 def test_central_fixtures():
-    two = fixtures.two_central_circles()
+    two = fixture("two_central_circles")
     assert [f.dim for f in two.poset()] == [2, 1, 1, 0]
     assert two.is_semigeneral()
-    three = fixtures.three_central_spheres()
+    three = fixture("three_central_spheres")
     assert len(three.regions()) == 8
     assert len(three.poset()) == 8

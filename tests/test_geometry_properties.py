@@ -16,12 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, note, settings, strategies as st
 
 from reference import (
+    covector_family,
     det_formula_by_subset_sum,
     down_set_by_pairs,
     face_table_by_full_scan,
     mobius_by_pairs,
     ordering_by_rescan,
     passed,
+    restriction_region_counts,
 )
 from test_bitsets import search_outcome
 from test_geometry import faces_by_full_scan, flat_dim_by_elimination
@@ -102,11 +104,16 @@ def test_faces_and_regions_equal_the_full_scan(arr):
 @given(arrangements(modes=("affine",)))
 def test_affine_region_count_is_the_moebius_sum(arr):
     """Zaslavsky (1975): an affine arrangement has sum |mu(X)| regions over
-    its intersection poset.  Central draws are left out: in central mode
-    the poset holds no flat for the origin, so the sum misses the origin's
-    term on most central draws, and whether that flat belongs to the poset
-    is the open central-origin convention."""
-    assert len(arr.regions()) == sum(abs(mu) for mu in arr.poset().mobius)
+    its intersection poset, and its restriction to a flat X has sum
+    |mu(X, Y)| over the flats Y inside X, so each flat's face count n_X,
+    which det_formula reads, is that sum (`restriction_region_counts`,
+    which reads neither `mobius` nor `below`).  Central draws are left
+    out: in central mode the poset holds no flat for the origin, so the
+    sum misses the origin's term on most central draws, and whether that
+    flat belongs to the poset is the open central-origin convention."""
+    poset = arr.poset()
+    assert len(arr.regions()) == sum(abs(mu) for mu in poset.mobius)
+    assert [f.faces for f in poset] == restriction_region_counts(poset)
 
 
 @settings(max_examples=60)
@@ -117,7 +124,7 @@ def test_central_covector_families_satisfy_the_covector_axioms(arr):
     `check_vector_axioms` (no zero vector, symmetry, elimination), which
     is checked where the family has at most 60 members, since (c) is
     quadratic in the family."""
-    family = arr.covector_family()
+    family = covector_family(arr)
     assert check_composition_closure(family) is None
     if len(family) <= 60:
         report = check_vector_axioms(family)

@@ -9,6 +9,7 @@ from math import gcd, prod
 import pytest
 
 import reference
+from arrangements import fixture, named_fixtures
 from reference import (
     LINES_45,
     LINES_61,
@@ -20,7 +21,7 @@ from reference import (
     poly_gcd_minors,
     snf_by_smith_form,
 )
-from varchenko import fixtures, matinvariants
+from varchenko import matinvariants
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.matinvariants import gcd_minors, int_rank, integer_snf, obstruction_report
@@ -219,7 +220,7 @@ def reduce_and_compare(base, extended, e):
 
 
 def test_reduce_two_parallel_lines():
-    base = fixtures.single_line()
+    base = fixture("single_line")
     extended = Arrangement(
         "affine",
         1,
@@ -235,8 +236,8 @@ def test_reduce_two_parallel_lines():
 
 
 def test_reduce_triangle_to_two_lines():
-    base = fixtures.two_generic_lines()
-    extended = fixtures.three_generic_lines()
+    base = fixture("two_generic_lines")
+    extended = fixture("three_generic_lines")
     v_ext = build_varchenko(extended)
     reduced, merge_map = deletion_reduction(v_ext, 2)
     assert len(merge_map) == 3  # 7 regions fall to 4
@@ -245,7 +246,7 @@ def test_reduce_triangle_to_two_lines():
 
 def test_reduce_single_line_to_empty():
     base = Arrangement("affine", 1, [])
-    extended = fixtures.single_line()
+    extended = fixture("single_line")
     v_ext = build_varchenko(extended)
     reduced, merge_map = deletion_reduction(v_ext, 0)
     assert len(merge_map) == 1
@@ -264,17 +265,17 @@ def test_reduce_middle_hyperplane():
             Hyperplane("S3", (Fraction(1), Fraction(1)), Fraction(1)),
         ],
     )
-    extended = fixtures.three_generic_lines()
+    extended = fixture("three_generic_lines")
     reduce_and_compare(base, extended, 1)
 
 
 def test_obstruction_refuses_semigeneral():
     with pytest.raises(SemigeneralInput):
-        obstruction_report(fixtures.three_generic_lines())
+        obstruction_report(fixture("three_generic_lines"))
 
 
 def test_obstruction_concurrent_lines():
-    report = obstruction_report(fixtures.three_concurrent_lines())
+    report = obstruction_report(fixture("three_concurrent_lines"))
     assert not report.semigeneral
     assert report.all_consistent
     by_name = {c.name: c for c in report.checks}
@@ -301,7 +302,7 @@ def test_obstruction_concurrent_lines():
 
 
 def test_obstruction_pencil():
-    report = obstruction_report(fixtures.pencil_four_planes())
+    report = obstruction_report(fixture("pencil_four_planes"))
     assert report.all_consistent
     by_name = {c.name: c for c in report.checks}
     assert by_name["rank_all_ones"].result["rank"] == 1
@@ -313,7 +314,7 @@ def test_obstruction_pencil():
 
 
 def test_obstruction_json():
-    report = obstruction_report(fixtures.three_concurrent_lines())
+    report = obstruction_report(fixture("three_concurrent_lines"))
     data = report.to_json_dict()
     assert data["semigeneral"] is False
     assert data["all_consistent"] is True
@@ -394,9 +395,9 @@ def test_core_equals_the_rebuild_and_enumerate_reference():
 
 def test_obstruction_enumerates_nothing_once_faces_and_poset_are_cached(monkeypatch):
     arrangements = [
-        fixtures.three_concurrent_lines(),
-        fixtures.pencil_four_planes(),
-        fixtures.three_concurrent_central(),
+        fixture("three_concurrent_lines"),
+        fixture("pencil_four_planes"),
+        fixture("three_concurrent_central"),
     ]
     for arr in arrangements:
         arr.regions()
@@ -416,7 +417,7 @@ def test_obstruction_enumerates_nothing_once_faces_and_poset_are_cached(monkeypa
 def test_closed_form_snf_equals_the_smith_form():
     arrangements = [
         arr
-        for arr in fixtures.named_fixtures().values()
+        for arr in named_fixtures().values()
         if arr.mode != "covector" and not arr.is_semigeneral()
     ]
     assert len(arrangements) == 3
@@ -434,9 +435,9 @@ def test_closed_form_snf_equals_the_smith_form():
 def test_obstruction_report_computes_no_smith_form(monkeypatch):
     """Once the regions and the poset are cached, the report computes no
     Smith form, minor gcd, rank or separation mask."""
-    builders = (fixtures.pencil_four_planes, fixtures.three_concurrent_lines)
-    expected = [obstruction_report(build()) for build in builders]
-    arrangements = [build() for build in builders]
+    names = ("pencil_four_planes", "three_concurrent_lines")
+    expected = [obstruction_report(fixture(name)) for name in names]
+    arrangements = [fixture(name) for name in names]
     for arr in arrangements:
         arr.regions()
         arr.poset()

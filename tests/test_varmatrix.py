@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+from arrangements import fixture, named_fixtures, random_generic_lines
 from reference import (
     LINES_45,
     LINES_61,
@@ -17,7 +18,7 @@ from reference import (
     lines_document,
     permuted,
 )
-from varchenko import fixtures, polyring, varmatrix
+from varchenko import polyring, varmatrix
 from varchenko.errors import InvalidInput, TooLarge, Unsupported
 from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.polyring import FactoredPoly, Monomial, Polynomial, parse_polynomial
@@ -51,7 +52,7 @@ def triangle_reference_matrix() -> LabeledMatrix:
 
 
 def test_triangle_matrix_up_to_relabeling():
-    built = build_varchenko(fixtures.three_generic_lines())
+    built = build_varchenko(fixture("three_generic_lines"))
     reference = triangle_reference_matrix()
     perm = equal_up_to_relabeling(reference, built)
     assert perm is not None
@@ -61,7 +62,7 @@ def test_triangle_matrix_up_to_relabeling():
 
 
 def test_single_hyperplane_matrix():
-    v = build_varchenko(fixtures.single_line())
+    v = build_varchenko(fixture("single_line"))
     x1 = Polynomial.variable(0)
     assert v.rows == [[Polynomial.one(), x1], [x1, Polynomial.one()]]
 
@@ -73,7 +74,7 @@ def test_empty_arrangement_matrix():
 
 
 def test_matrix_symmetric_with_unit_diagonal():
-    for name, arr in list(fixtures.named_fixtures().items()):
+    for name, arr in list(named_fixtures().items()):
         if arr.n > 5:
             continue
         v = build_varchenko(arr)
@@ -82,7 +83,7 @@ def test_matrix_symmetric_with_unit_diagonal():
 
 
 def test_distance_examples():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     built = build_varchenko(arr)
     perm = equal_up_to_relabeling(triangle_reference_matrix(), built)
     # in the reference numbering, sep(1,2) = {x1} and sep(1,3) = {x1,x2},
@@ -93,7 +94,7 @@ def test_distance_examples():
     for k, m in ((0, 3), (2, 5)):
         assert Polynomial.from_monomial(distance(arr, k, m, m)) == built.rows[k][m]
     # opposite corners of a generic square have disjoint separations
-    two = fixtures.two_generic_lines()
+    two = fixture("two_generic_lines")
     regions = [r.to_string() for r in two.regions()]
     a, b = regions.index("++"), regions.index("--")
     assert distance(two, a, b, b) == Monomial([(0, 1), (1, 1)])
@@ -107,9 +108,9 @@ def test_distance_examples():
 
 def test_triangle_identity():
     for arr in (
-        fixtures.three_generic_lines(),
-        fixtures.three_concurrent_lines(),
-        fixtures.two_central_circles(),
+        fixture("three_generic_lines"),
+        fixture("three_concurrent_lines"),
+        fixture("two_central_circles"),
     ):
         v = build_varchenko(arr)
         r = v.size
@@ -120,39 +121,39 @@ def test_triangle_identity():
 
 def test_det_formula_triangle():
     assert (
-        str(det_formula(fixtures.three_generic_lines()))
+        str(det_formula(fixture("three_generic_lines")))
         == "(1-x1^2)^3(1-x2^2)^3(1-x3^2)^3"
     )
 
 
 def test_det_formula_concurrent():
     assert (
-        str(det_formula(fixtures.three_concurrent_lines()))
+        str(det_formula(fixture("three_concurrent_lines")))
         == "(1-x1^2)^2(1-x2^2)^2(1-x3^2)^2(1-x1^2*x2^2*x3^2)"
     )
 
 
 def test_det_formula_single_hyperplane():
-    assert str(det_formula(fixtures.single_line())) == "(1-x1^2)"
+    assert str(det_formula(fixture("single_line"))) == "(1-x1^2)"
 
 
 def test_det_formula_parallel():
     assert (
-        str(det_formula(fixtures.three_parallel_lines()))
+        str(det_formula(fixture("three_parallel_lines")))
         == "(1-x1^2)(1-x2^2)(1-x3^2)"
     )
 
 
 def test_det_formula_covector_unsupported():
     with pytest.raises(Unsupported):
-        det_formula(fixtures.suspension_three_generic_lines())
+        det_formula(fixture("suspension_three_generic_lines"))
 
 
 def test_det_formula_enumerates_nothing_once_faces_and_poset_are_cached(monkeypatch):
     arrangements = [
-        fixtures.three_concurrent_lines(),
-        fixtures.pencil_four_planes(),
-        fixtures.three_concurrent_central(),
+        fixture("three_concurrent_lines"),
+        fixture("pencil_four_planes"),
+        fixture("three_concurrent_central"),
     ]
     for arr in arrangements:
         arr.poset()  # forces faces() too
@@ -173,15 +174,15 @@ def test_det_bruteforce_examples():
     one = Polynomial.one()
     assert det_bruteforce(LabeledMatrix([0, 1], [[one, x], [x, one]])) == one - x * x
 
-    v7 = build_varchenko(fixtures.three_generic_lines())
-    assert det_bruteforce(v7) == det_formula(fixtures.three_generic_lines()).expand()
+    v7 = build_varchenko(fixture("three_generic_lines"))
+    assert det_bruteforce(v7) == det_formula(fixture("three_generic_lines")).expand()
 
-    v6 = build_varchenko(fixtures.three_concurrent_lines())
-    assert det_bruteforce(v6) == det_formula(fixtures.three_concurrent_lines()).expand()
+    v6 = build_varchenko(fixture("three_concurrent_lines"))
+    assert det_bruteforce(v6) == det_formula(fixture("three_concurrent_lines")).expand()
 
 
 def test_det_bruteforce_matches_formula_on_small_fixtures():
-    for name, arr in fixtures.named_fixtures().items():
+    for name, arr in named_fixtures().items():
         if arr.mode == "covector":
             continue
         if len(arr.regions()) > 12:
@@ -191,7 +192,7 @@ def test_det_bruteforce_matches_formula_on_small_fixtures():
 
 
 def test_det_bruteforce_size_cap():
-    v = build_varchenko(fixtures.five_generic_lines())
+    v = build_varchenko(fixture("five_generic_lines"))
     with pytest.raises(TooLarge):
         det_bruteforce(v)
 
@@ -200,7 +201,7 @@ def test_det_bruteforce_singular_and_permuted():
     one = Polynomial.one()
     zero = Polynomial.zero()
     assert det_bruteforce(LabeledMatrix([0, 1], [[one, one], [one, one]])) == zero
-    v = build_varchenko(fixtures.three_concurrent_lines())
+    v = build_varchenko(fixture("three_concurrent_lines"))
     rng = random.Random(3)
     perm = list(range(v.size))
     rng.shuffle(perm)
@@ -365,7 +366,7 @@ def test_det_formula_on_random_degenerate_arrangement():
 
 
 def test_matrix_invariant_under_reorientation():
-    arr = fixtures.three_generic_lines()
+    arr = fixture("three_generic_lines")
     flipped = Arrangement(
         "affine",
         2,
@@ -382,20 +383,20 @@ def test_matrix_invariant_under_reorientation():
 
 
 def test_matrix_json_round_trip():
-    v = build_varchenko(fixtures.three_concurrent_lines())
+    v = build_varchenko(fixture("three_concurrent_lines"))
     back = LabeledMatrix.from_json_dict(v.to_json_dict())
     assert back == v
 
 
 def test_substitute_all():
-    v = build_varchenko(fixtures.single_line())
+    v = build_varchenko(fixture("single_line"))
     grid = v.substitute_all(3).to_int_grid()
     assert grid == [[1, 3], [3, 1]]
 
 
 def test_equal_up_to_relabeling_negative():
-    v = build_varchenko(fixtures.three_concurrent_lines())
-    w = build_varchenko(fixtures.three_parallel_lines())
+    v = build_varchenko(fixture("three_concurrent_lines"))
+    w = build_varchenko(fixture("three_parallel_lines"))
     assert equal_up_to_relabeling(v, w) is None
 
 
@@ -407,12 +408,12 @@ def test_det_formula_equals_det_v_mod_p_at_real_sizes():
     the fixtures.  Two distinct polynomials of degree d agree at a random
     point with probability at most d / p."""
     arrangements = [
-        (name, arr) for name, arr in fixtures.named_fixtures().items() if arr.mode != "covector"
+        (name, arr) for name, arr in named_fixtures().items() if arr.mode != "covector"
     ]
     arrangements += [
         ("lines_45", Arrangement.from_json_dict(lines_document(LINES_45))),
         ("lines_61", Arrangement.from_json_dict(lines_document(LINES_61))),
-        ("generic_lines_12", fixtures.random_generic_lines(12, 1005)),
+        ("generic_lines_12", random_generic_lines(12, 1005)),
     ]
     sizes = {name: len(arr.regions()) for name, arr in arrangements}
     assert [sizes[n] for n in ("lines_45", "lines_61", "generic_lines_12")] == [45, 61, 79]

@@ -8,8 +8,9 @@ import importlib
 import inspect
 import json
 
-from test_cli import FIXDIR, fx, run
-from varchenko import cli, fixtures
+from arrangements import FIXDIR, fixture, random_generic_lines
+from test_cli import fx, run
+from varchenko import cli
 
 diagonalize_module = importlib.import_module("varchenko.diagonalize")
 certificate_module = importlib.import_module("varchenko.certificate")
@@ -62,7 +63,7 @@ def test_round_trip_on_every_semigeneral_fixture(tmp_path, capsys):
 
 def test_round_trip_on_twelve_generic_lines(tmp_path, capsys):
     path = tmp_path / "lines.json"
-    path.write_text(fixtures.random_generic_lines(12, 1005).to_json())
+    path.write_text(random_generic_lines(12, 1005).to_json())
     cert_path, data = write_certificate(tmp_path, capsys, str(path))
     assert len(data["ordering"]) == 79
     code, out, _ = run(capsys, "verify", str(path), str(cert_path), "--format", "json")
@@ -131,7 +132,7 @@ def test_a_sign_string_that_is_no_face_exits_1(tmp_path, capsys):
 
 def test_malformed_certificates_exit_2(tmp_path, capsys):
     name = fx("five_generic_lines")
-    arr = fixtures.five_generic_lines()
+    arr = fixture("five_generic_lines")
     r, nflats = len(arr.regions()), len(arr.poset())
     _, good = write_certificate(tmp_path, capsys, name)
     dense = {key: value for key, value in good.items() if key != "format"}
