@@ -19,13 +19,15 @@ depth-first pass over the hyperplanes that cut X, carrying a rational
 point in every region it visits: a hyperplane either passes through the
 region's point, or it cuts the region exactly when some region of the
 flat X ∩ H, enumerated first, has the region's signs on the hyperplanes
-before it, which is one lookup by sign prefix and supplies a point on H.
-No LP is solved.  The pass runs in integers: a point x is held as (P, D),
-an integer vector and a positive denominator with x = P / D in lowest
-terms, each hyperplane is scaled once to an integer (A, B), and each flat
-direction is a primitive integer vector.  Regions are the zero-free faces.
-Every reported sign vector is backed by an explicit point, checked to
-realise it, and no floating point is involved.
+before it, which is one lookup by sign prefix and supplies a point q on
+H.  The new side is one step from the region's point or from q along the
+cut's own direction in X.  No LP is solved.  The pass runs in integers:
+a point x is held as (P, D), an integer vector and a positive
+denominator with x = P / D in lowest terms, each hyperplane is scaled
+once to an integer (A, B), and each flat direction is a primitive integer
+vector.  Regions are the zero-free faces.  Every reported sign vector is
+backed by an explicit point, checked to realise it, and no floating
+point is involved.
 """
 
 from __future__ import annotations
@@ -368,17 +370,19 @@ class Arrangement:
           the node meets X ∩ H_i, that is when some region of
           A|(X ∩ H_i) has the node's signs on hyperplanes 0..i-1: one
           lookup by that sign prefix.  The region found supplies a point q
-          of the node on H_i, and the other side steps past q away from p.
+          of the node on H_i, which meets the node's strict constraints
+          strictly, and the other side steps from q along -+d, away from
+          p's side, so a point's height grows with the dimension of its
+          flat and not with the number of cuts.
 
-        In central mode the ambient point is e_0, and a node with no strict
-        constraint is a punctured linear subspace, symmetric under
-        x -> -x: both of its sides exist (p and -p), even where the
-        hyperplane meets X only at the origin, whose lookup table is
-        empty.  Each region's point is checked to realise the sign vector
-        it is reported under.  X's dimension is len(basis), one less in
-        central mode (spherical dimension).  The flats' points, cuts and
-        lookup tables hold no reference cycle, so they are freed when the
-        enumeration returns.
+        In central mode the ambient point is e_0, and where H_i meets X
+        only at the origin, X is a line whose lookup table holds the origin
+        with no signs: the first cut steps from it to +-d, and every later
+        cut's prefix has a sign and misses.  Each region's point is checked
+        to realise the sign vector it is reported under.  X's dimension is
+        len(basis), one less in central mode (spherical dimension).  The
+        flats' points, cuts and lookup tables hold no reference cycle, so
+        they are freed when the enumeration returns.
         """
         if self.n > MAX_GROUND_SIZE:
             raise TooLarge(
@@ -461,7 +465,7 @@ class Arrangement:
             tables = []
             for i, _, _, sub in cuts:
                 low = (1 << i) - 1
-                below = {} if sub is None else regions[sub]
+                below = {(0, 0): ((0,) * nvars, 1)} if sub is None else regions[sub]
                 tables.append({(s & low, t & low): q for (s, t), q in below.items()})
             found: dict[tuple[int, int], Point] = {}
             faces = []
@@ -484,15 +488,11 @@ class Arrangement:
                         (-1, _step(point, down, stricts)),
                     ]
                 else:
-                    if central and not stricts:
-                        far = tuple(-x for x in p), den
-                    else:
-                        q = tables[k].get((plus & (bit - 1), minus & (bit - 1)))
-                        # q - p, scaled by the positive den * q's denominator
-                        far = None if q is None else _step(
-                            q, [y * den - x * q[1] for x, y in zip(p, q[0])], stricts
-                        )
                     near = 1 if value > 0 else -1
+                    q = tables[k].get((plus & (bit - 1), minus & (bit - 1)))
+                    far = None if q is None else _step(
+                        q, down if near > 0 else up, stricts
+                    )
                     children = [(near, point), (-near, far)]
                 for sign, child in children:
                     if child is not None:

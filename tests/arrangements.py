@@ -3,8 +3,10 @@
 The named examples are data: each is read from its shipped file
 fixtures/<name>.json with `Arrangement.from_json`, freshly on every call,
 so no test shares an arrangement's caches with another.  The seeded
-generators draw semigeneral affine arrangements deterministically, and
-`semigeneral_suite` collects both.
+generators draw affine arrangements deterministically: semigeneral ones,
+which `semigeneral_suite` collects with the semigeneral fixtures, and
+unrestricted ones (`random_hyperplanes`), of which `higher_dim_cases`
+holds three above R^3.
 """
 
 from __future__ import annotations
@@ -92,6 +94,31 @@ def random_generic_planes(n: int, seed: int) -> Arrangement:
         return normal, Fraction(rng.randint(-5, 5), rng.randint(1, 3))
 
     return _random_semigeneral(3, n, seed, draw)
+
+
+def random_hyperplanes(n: int, dim: int, bound: int, seed: int) -> Arrangement:
+    """n affine hyperplanes in R^dim, normals and offsets uniform integers
+    in [-bound, bound], drawn from `seed` (a zero normal is redrawn)."""
+    rng = random.Random(seed)
+    hyperplanes = []
+    for i in range(n):
+        normal = [0] * dim
+        while not any(normal):
+            normal = [rng.randint(-bound, bound) for _ in range(dim)]
+        offset = rng.randint(-bound, bound)
+        hyperplanes.append(
+            Hyperplane(f"S{i + 1}", tuple(map(Fraction, normal)), Fraction(offset))
+        )
+    return Arrangement("affine", dim, hyperplanes)
+
+
+def higher_dim_cases() -> list[tuple[str, Arrangement]]:
+    """Affine arrangements in R^4, R^5 and R^6, with 386, 219 and 466
+    regions; the fixtures and the benchmark inputs stop at R^3."""
+    return [
+        (f"random_hyperplanes{args}", random_hyperplanes(*args))
+        for args in ((10, 4, 9, 1), (8, 5, 9, 3), (9, 6, 9, 2))
+    ]
 
 
 def semigeneral_suite() -> list[tuple[str, Arrangement]]:

@@ -13,7 +13,7 @@ from random import Random
 
 
 import reference
-from arrangements import fixture, named_fixtures
+from arrangements import fixture, named_fixtures, random_hyperplanes
 from reference import (
     det_formula_by_subset_sum,
     down_set_by_pairs,
@@ -32,22 +32,6 @@ from varchenko.geometry import Arrangement, Hyperplane
 from varchenko.matinvariants import obstruction_report
 from varchenko.signedsets import SignVector
 from varchenko.varmatrix import det_formula
-
-
-def random_hyperplanes(n: int, dim: int, bound: int, seed: int) -> Arrangement:
-    """n affine hyperplanes in R^dim, normals and offsets uniform integers
-    in [-bound, bound], drawn from `seed` (a zero normal is redrawn)."""
-    rng = Random(seed)
-    hyperplanes = []
-    for i in range(n):
-        normal = [0] * dim
-        while not any(normal):
-            normal = [rng.randint(-bound, bound) for _ in range(dim)]
-        offset = rng.randint(-bound, bound)
-        hyperplanes.append(
-            Hyperplane(f"S{i + 1}", tuple(map(Fraction, normal)), Fraction(offset))
-        )
-    return Arrangement("affine", dim, hyperplanes)
 
 
 def test_sort_key_orders_like_the_sign_strings():

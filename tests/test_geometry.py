@@ -2,12 +2,12 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 import reference
-from arrangements import fixture, named_fixtures, semigeneral_suite
+from arrangements import fixture, higher_dim_cases, named_fixtures, semigeneral_suite
 from reference import (
     covector_family,
     face_table_by_full_scan,
@@ -252,8 +252,9 @@ def test_each_flat_counts_the_faces_with_its_zero_set():
     |mu(X, Y)| over the flats Y inside X (Zaslavsky 1975).  The others are
     left out of that check by the open central-origin convention: the
     covector-mode suspension's n_X exceed the sums by one, the term of the
-    origin, which its poset holds no flat for."""
-    for name, arr in fixture_and_bench_cases():
+    origin, which its poset holds no flat for.  The higher-dimension cases
+    carry the check above R^3."""
+    for name, arr in fixture_and_bench_cases() + higher_dim_cases():
         poset = arr.poset()
         flats = poset.flats
         by_zero_set = Counter(zero_set(f) for f in arr.faces().members)
@@ -297,19 +298,28 @@ def leaf_points(arr, monkeypatch):
 
 
 def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
-    for name, arr in fixture_and_bench_cases():
+    """Each leaf's numerators and denominator also stay within 16 bits per
+    coordinate of the ambient space: every step is along a cut's own
+    direction, so heights grow with the dimension and not with the number
+    of cuts."""
+    for name, arr in fixture_and_bench_cases() + higher_dim_cases():
         if arr.mode == "covector":
             continue
         leaves = leaf_points(arr, monkeypatch)
         assert len({face for face, _ in leaves}) == len(leaves) == len(arr.faces()), name
+        bits = 16 * arr._nvars
+        # the hyperplanes as given, each times the positive lcm of its
+        # denominators, so that a . P - b * D has the sign at x = P / D
+        scaled = []
+        for h in arr.hyperplanes:
+            m = lcm(*(c.denominator for c in (*h.normal, h.offset)))
+            scaled.append(([int(c * m) for c in h.normal], int(h.offset * m)))
         for face, (p, den) in leaves:
             assert all(type(v) is int for v in p) and type(den) is int, name
             assert den > 0 and gcd(*p, den) == 1, (name, face)
-            # signs from the hyperplanes as given, in rational arithmetic
-            x = [Fraction(v, den) for v in p]
+            assert max(abs(v) for v in (*p, den)).bit_length() <= bits, (name, face)
             realised = [
-                sum(c * xk for c, xk in zip(h.normal, x)) - h.offset
-                for h in arr.hyperplanes
+                sum(c * v for c, v in zip(a, p)) - b * den for a, b in scaled
             ]
             assert face == sign_vector(
                 [(v > 0) - (v < 0) for v in realised]
