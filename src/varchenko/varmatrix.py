@@ -4,7 +4,7 @@ brute-force determinant oracle."""
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from heapq import heappop, heappush
 from operator import or_
 from typing import Mapping, Sequence, Union
 
@@ -194,11 +194,15 @@ def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
 
     pos_T(j) being the number of columns of T below j.  The minors are
     built one layer |T| = k at a time on packed key -> coeff maps, so a
-    product of terms is an int add.  Each T is filled from its subsets in
-    lexicographic order, and minor[S] is freed once its last superset,
-    S plus its highest missing column, has read it; cancelled terms and
-    zero minors are not kept.  The guard bits of every minor are checked
-    as it is built, so no field carries unseen through a later sum.
+    product of terms is an int add.  Each layer pushes forward: every
+    nonzero minor[S] of the layer below is taken out in increasing order
+    of S and freed, and for each column j outside S with a nonzero entry
+    in row_k its signed product with that entry is added into the sum for
+    T = S + {j}.  As bitmasks, every S below T is at most T less its
+    lowest column, so T's sum is complete once the minors up to that
+    value have been pushed, and it is finished then: cancelled terms are
+    dropped, the guard bits of the rest are checked, so no field carries
+    unseen through a later sum, and a nonzero minor is kept.
 
     The order keeps minors small.  In a k x k minor of V on rows R and
     columns T, with a rows and b columns on the + side of hyperplane v,
@@ -217,29 +221,49 @@ def det_bruteforce(matrix: LabeledMatrix) -> Polynomial:
     order = _row_order(rows)
     prev: dict[int, dict[int, int]] = {0: {0: 1}}
     for k in range(1, n + 1):
-        row = rows[order[k - 1]]
+        # each nonzero entry of row_k as (column bit, terms, negated terms)
+        entries = [
+            (1 << j, list(e.items()), [(key, -c) for key, c in e.items()])
+            for j, e in enumerate(rows[order[k - 1]])
+            if e
+        ]
+        sums: dict[int, dict[int, int]] = {}
+        # (T less its lowest column, T) for every open sum
+        waiting: list[tuple[int, int]] = []
         layer: dict[int, dict[int, int]] = {}
-        for cols in combinations(range(n), k):
-            t = sum(1 << j for j in cols)
-            acc: dict[int, int] = {}
-            get = acc.get
-            for pos, j in enumerate(cols):
-                s = t ^ (1 << j)
-                # S's last superset in this order is T exactly when T holds
-                # every column from j up
-                sub = prev.pop(s, None) if n - j == k - pos else prev.get(s)
-                if sub is None or not row[j]:
-                    continue
-                sign = -1 if (k - 1 + pos) & 1 else 1
-                for ka, ca in row[j].items():
-                    ca *= sign
-                    for km, cm in sub.items():
-                        key = ka + km
-                        acc[key] = get(key, 0) + ca * cm
-            minor = {key: c for key, c in acc.items() if c}
+
+        def finish(t: int) -> None:
+            minor = {key: c for key, c in sums.pop(t).items() if c}
             if minor:
                 _check_fields(reduce(or_, minor))
                 layer[t] = minor
+
+        for s in sorted(prev):
+            sub = prev.pop(s)
+            for bit, terms, negated in entries:
+                if s & bit:
+                    continue
+                t = s | bit
+                # pos_T(j) = pos_S(j): the columns of S below j
+                signed = negated if (k - 1 + (s & (bit - 1)).bit_count()) & 1 else terms
+                acc = sums.get(t)
+                if acc is None:
+                    heappush(waiting, (t ^ (t & -t), t))
+                    if len(signed) == 1:
+                        # one term: its products with minor[S] have distinct keys
+                        (ka, ca), = signed
+                        sums[t] = {ka + km: ca * cm for km, cm in sub.items()}
+                        continue
+                    acc = sums[t] = {}
+                get = acc.get
+                for ka, ca in signed:
+                    for km, cm in sub.items():
+                        key = ka + km
+                        acc[key] = get(key, 0) + ca * cm
+            while waiting and waiting[0][0] <= s:
+                finish(heappop(waiting)[1])
+        while waiting:
+            finish(heappop(waiting)[1])
         if not layer:
             return Polynomial.zero()
         prev = layer

@@ -32,8 +32,9 @@
   it.  The package's `gcd_minors` takes integer grids only and reads the
   gcd off the Smith form.
 * `bareiss_det` is the Bareiss determinant of a polynomial matrix, with
-  exact division by the previous pivot; `det_bruteforce` expands by minors
-  memoised over column subsets instead and divides nothing.
+  exact division by the previous pivot; `det_bruteforce` instead expands
+  along the rows, pushing each minor forward into the minors of its
+  column supersets, and divides nothing.
 * `det_mod_p` is det V at an integer point modulo the prime 2^61 - 1, by
   Gaussian elimination over that field, and `factored_mod_p` a factored
   determinant at the same point, factor by factor: a Schwartz-Zippel

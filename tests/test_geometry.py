@@ -282,7 +282,10 @@ def test_poset_face_table_and_det_formula_regroup_no_faces_by_zero_set(monkeypat
 
 
 def leaf_points(arr, monkeypatch):
-    """(face, (P, D)) for every leaf of the enumeration, in visiting order."""
+    """(face, (P, D)) for every leaf of the enumeration, in visiting order,
+    and the faces.  It runs once, through `faces()` on a fresh copy of
+    `arr`, since some generated cases were enumerated when they were
+    checked."""
     leaves = []
     original = Arrangement._witnessed
 
@@ -292,9 +295,9 @@ def leaf_points(arr, monkeypatch):
         return face
 
     monkeypatch.setattr(Arrangement, "_witnessed", record)
-    arr._enumerate_faces()
+    faces = Arrangement(arr.mode, arr.dim, arr.hyperplanes).faces()
     monkeypatch.undo()
-    return leaves
+    return leaves, faces
 
 
 def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
@@ -305,8 +308,8 @@ def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
     for name, arr in fixture_and_bench_cases() + higher_dim_cases():
         if arr.mode == "covector":
             continue
-        leaves = leaf_points(arr, monkeypatch)
-        assert len({face for face, _ in leaves}) == len(leaves) == len(arr.faces()), name
+        leaves, faces = leaf_points(arr, monkeypatch)
+        assert len({face for face, _ in leaves}) == len(leaves) == len(faces), name
         bits = 16 * arr._nvars
         # the hyperplanes as given, each times the positive lcm of its
         # denominators, so that a . P - b * D has the sign at x = P / D

@@ -105,3 +105,8 @@ def test_det_bruteforce_equals_bareiss(matrix, data):
         rows = list(matrix.rows)
         rows[i], rows[j] = rows[j], rows[i]
         assert det_bruteforce(LabeledMatrix(matrix.labels, rows)) == -det
+        a, b = data.draw(st.lists(indices, min_size=2, max_size=2, unique=True))
+        cols = [list(row) for row in matrix.rows]
+        for row in cols:
+            row[a], row[b] = row[b], row[a]
+        assert det_bruteforce(LabeledMatrix(matrix.labels, cols)) == -det
