@@ -185,10 +185,7 @@ def _run_check(args: argparse.Namespace) -> tuple[str, object]:
         return "semigeneral", {"semigeneral": True, "witness": None}
     names = sorted(arr.names[i] for i in witness.defining_set)
     expected = arr.dim - len(witness.defining_set)
-    text = (
-        f"not semigeneral: B={{{','.join(names)}}} has dim {witness.dim}, "
-        f"expected {expected}"
-    )
+    text = str(NotSemigeneral(names, witness.dim, expected))
     payload = {
         "semigeneral": False,
         "witness": {

@@ -37,11 +37,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InconsistentWitness, InvalidArrangement, InvalidInput, TooLarge
-from .exactlp import Point, _dot, _lowest, _normalize_int, _primitive
 from .polyring import parse_int, parse_json
 from .signedsets import (
     SignedFamily,
@@ -56,6 +56,9 @@ MAX_DIM = 64
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# x = P / D with D > 0 and gcd(P..., D) = 1
+Point = tuple[tuple[int, ...], int]
+
 
 def parse_rational(s: str) -> Fraction:
     if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
@@ -65,6 +68,33 @@ def parse_rational(s: str) -> Fraction:
     if den == 0:
         raise InvalidInput(f"zero denominator in {s!r}")
     return Fraction(parse_int(numerator), den)
+
+
+def _primitive(coeffs: Sequence[int], rhs: int) -> tuple[tuple[int, ...], int]:
+    """An integer constraint divided by the gcd of its entries."""
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        return tuple(v // g for v in coeffs), rhs // g
+    return tuple(coeffs), rhs
+
+
+def _normalize_int(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
+    """Scale a constraint by a positive rational so all entries are coprime ints."""
+    denom = 1
+    for c in list(coeffs) + [rhs]:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    return _primitive([int(c * denom) for c in coeffs], int(rhs * denom))
+
+
+def _dot(a: Sequence, x: Sequence):
+    return sum(map(mul, a, x))
+
+
+def _lowest(p: Sequence[int], den: int) -> Point:
+    """The point p / den (den != 0) as (P, D) in lowest terms, D > 0."""
+    if den < 0:
+        p, den = [-v for v in p], -den
+    return _primitive(p, den)
 
 
 def _step(point: Point, d: Sequence[int], stricts) -> Point:
@@ -148,25 +178,16 @@ class IntersectionPoset:
     over the flats before it.
     """
 
-    def __init__(self, flats: list[Flat], ambient_dim: int):
+    def __init__(self, flats: list[Flat], masks: Sequence[int], n: int, ambient_dim: int):
+        """`masks[i]` is flat i's closed defining mask over the `n` hyperplanes."""
+        if masks[0]:
+            raise InvalidArrangement("poset bottom must be the ambient flat")
         self.flats = flats
         self.ambient_dim = ambient_dim
-        if flats[0].defining_set:
-            raise InvalidArrangement("poset bottom must be the ambient flat")
-        # the closed defining mask of each flat, by index, and the flats
-        # that contain each hyperplane
-        masks, containing = [], {}
-        for f in flats:
-            mask = 0
-            for h in f.defining_set:
-                mask |= 1 << h
-                containing[h] = containing.get(h, 0) | 1 << f.index
-            masks.append(mask)
         self.masks = tuple(masks)
-        self._by_mask = {m: f.index for m, f in zip(masks, flats)}
         self._everything = (1 << len(flats)) - 1
         # (hyperplane bit, the flats that do not contain it)
-        self._missing = [(1 << h, self._everything ^ c) for h, c in containing.items()]
+        self._missing = [(1 << h, out) for h, (out, _) in enumerate(side_masks(masks, n))]
         self.mobius = self._mobius_values()
 
     def __len__(self) -> int:
@@ -174,9 +195,6 @@ class IntersectionPoset:
 
     def __iter__(self):
         return iter(self.flats)
-
-    def flat_index(self, defining_set: Iterable[int]) -> Optional[int]:
-        return self._by_mask.get(sum(1 << i for i in set(defining_set)))
 
     def below(self, index: int) -> int:
         """The flats whose defining set lies in flat `index`'s, itself
@@ -512,7 +530,7 @@ class Arrangement:
         p, den = point
         plus = minus = 0
         for i, (a, b) in enumerate(planes):
-            value = sum(map(mul, a, p)) - b * den
+            value = _dot(a, p) - b * den
             if value > 0:
                 plus |= 1 << i
             elif value < 0:
@@ -580,7 +598,7 @@ class Arrangement:
             Flat(index, frozenset(bits(m)), self._flats[m][0], len(self._flats[m][1]))
             for index, m in enumerate(masks)
         ]
-        return IntersectionPoset(flats, self.dim)
+        return IntersectionPoset(flats, masks, self.n, self.dim)
 
     def poset(self) -> IntersectionPoset:
         return self._poset

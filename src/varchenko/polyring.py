@@ -158,25 +158,11 @@ class Monomial:
         return m
 
     @classmethod
-    def one(cls) -> "Monomial":
-        return _MONOMIAL_ONE
-
-    @classmethod
-    def variable(cls, v: int, e: int = 1) -> "Monomial":
-        return cls(((v, e),))
-
-    @classmethod
     def from_mask(cls, mask: int) -> "Monomial":
         return cls._of(mask_key(mask))
 
     def is_one(self) -> bool:
         return not self.key
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in _unpack(self.key))
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial._of(_check_fields(self.key + other.key))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -191,9 +177,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
-
-
-_MONOMIAL_ONE = Monomial()
 
 
 class Polynomial:
@@ -224,10 +207,6 @@ class Polynomial:
         return _raw({0: c}) if c else cls()
 
     @classmethod
-    def variable(cls, v: int, e: int = 1) -> "Polynomial":
-        return cls({Monomial.variable(v, e): 1})
-
-    @classmethod
     def from_monomial(cls, m: Monomial, c: int = 1) -> "Polynomial":
         return _raw({m.key: c}) if c else cls()
 
@@ -238,9 +217,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
 
     def is_constant(self) -> bool:
         return not self._terms or self._terms.keys() == {0}

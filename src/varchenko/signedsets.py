@@ -117,9 +117,12 @@ def bits(mask: int) -> Iterator[int]:
 
 def side_masks(pluses: Sequence[int], n: int) -> list[tuple[int, int]]:
     """For each position e < n, the bitsets over the indices of `pluses`,
-    the '+' masks of zero-free sign vectors, of those with '-' at e and of
-    those with '+' at e: the zero-free vectors that agree with a sign
-    vector on a set of positions are one AND per position."""
+    any list of n-bit masks, of those with bit e clear and of those with
+    bit e set.  For the '+' masks of zero-free sign vectors these are the
+    vectors with '-' and with '+' at e, and the zero-free vectors that
+    agree with a sign vector on a set of positions are one AND per
+    position; for the closed defining masks of flats they are the flats
+    that do not and that do contain hyperplane e."""
     # the masks' binary strings, the last vector's first: column k of them
     # is the bitset of position n - 1 - k
     strings = [f"{p:0{n}b}" for p in reversed(pluses)] if n else []

@@ -145,7 +145,7 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
         p_x = abs(sum_over(poset.below(flat.index), weights))
         factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
     n = arrangement.n
-    if arrangement.mode == "central" and poset.flat_index(range(n)) is None:
+    if arrangement.mode == "central" and (1 << n) - 1 not in poset.masks:
         p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))
         factors.append((one_minus_square(range(n)), p_origin))
     return FactoredPoly.from_factors(factors)

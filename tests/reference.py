@@ -59,8 +59,10 @@
   `support`, `zero_set`, `separation_mask`, `separation_set`,
   `conforms_to` and `reoriented` of a `SignVector`; `covector_family` of an
   `Arrangement`; `diagonal_matrix` of a certificate,
-  `passed` of an `AxiomReport`, and `monomial_degree` and
-  `polynomial_degree`, the `degree` of a `Monomial` and a `Polynomial`.
+  `passed` of an `AxiomReport`; `monomial_degree` and
+  `polynomial_degree`, the `degree` of a `Monomial` and a `Polynomial`;
+  `variable`, the polynomial x_v^e; and `flat_index` of an
+  `IntersectionPoset`, found by a pass over the flats' defining sets.
 """
 
 from fractions import Fraction
@@ -87,8 +89,14 @@ from varchenko.errors import (
     Unsupported,
     VarchenkoError,
 )
-from varchenko.exactlp import _dot, _normalize_int, _primitive
-from varchenko.geometry import Arrangement, FaceTable, IntersectionPoset
+from varchenko.geometry import (
+    Arrangement,
+    FaceTable,
+    IntersectionPoset,
+    _dot,
+    _normalize_int,
+    _primitive,
+)
 from varchenko.matinvariants import _check_int_grid, integer_snf
 from varchenko.polyring import (
     _FIELD,
@@ -157,7 +165,7 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     if q.is_zero():
         raise InvalidInput("division by the zero polynomial")
-    if q.is_one():
+    if q == Polynomial.one():
         return p
     qt = q.packed()
     lead = max(qt, key=_graded)
@@ -268,7 +276,7 @@ def deletion_reduction(v_ext: LabeledMatrix, e: int) -> tuple[LabeledMatrix, dic
     arrangement's matrix plus a zero block (up to simultaneous permutation).
     Returns the reduced matrix and the map duplicate -> representative.
     """
-    x_e = Polynomial.variable(e)
+    x_e = variable(e)
     pairs = []
     paired = set()
     for i in range(v_ext.size):
@@ -283,7 +291,7 @@ def deletion_reduction(v_ext: LabeledMatrix, e: int) -> tuple[LabeledMatrix, dic
     for row in v_ext.rows:
         for p in row:
             variables.update(p.variables())
-    sigma = {v: 1 if v == e else Polynomial.variable(v) for v in variables}
+    sigma = {v: 1 if v == e else variable(v) for v in variables}
     reduced = v_ext.substitute(sigma)
     rows = [list(r) for r in reduced.rows]
     for i, j in pairs:
@@ -466,9 +474,7 @@ def replay_elimination(arrangement: Arrangement) -> list[list[Polynomial]]:
             for n in range(max(m, k + 1), r):
                 mask = sep[k][m] & sep[k][n]
                 if mask not in factors:
-                    factors[mask] = one_minus_square(
-                        Monomial.from_mask(mask).variables()
-                    )
+                    factors[mask] = one_minus_square(bits(mask))
                 capped_product[m][n] = capped(capped_product[m][n] * factors[mask])
                 expected = original[m][n] * capped_product[m][n]
                 if rows[m][n] != expected or rows[n][m] != expected:
@@ -800,7 +806,7 @@ def _from_coeffs(coeffs: Sequence[int], var: int) -> Polynomial:
     terms = {}
     for deg, c in enumerate(coeffs):
         if c:
-            terms[Monomial.variable(var, deg) if deg else Monomial.one()] = c
+            terms[Monomial([(var, deg)]) if deg else Monomial()] = c
     return Polynomial(terms)
 
 
@@ -879,7 +885,7 @@ def poly_gcd_minors(matrix: LabeledMatrix | Sequence[Sequence[Polynomial]], k: i
         for csel in combinations(range(len(rows[0])), k):
             sub = LabeledMatrix(list(range(k)), [[rows[i][j] for j in csel] for i in rsel])
             g = _poly_gcd(g, det_bruteforce(sub))
-            if g.is_one():
+            if g == Polynomial.one():
                 return g
     return g
 
@@ -979,6 +985,17 @@ def polynomial_degree(p: Polynomial) -> int:
     return max((k & _FIELD for k in p.packed()), default=-1)
 
 
+def variable(v: int, e: int = 1) -> Polynomial:
+    """The polynomial x_v^e (variable ids are 0-based)."""
+    return Polynomial({Monomial([(v, e)]): 1})
+
+
+def flat_index(poset: IntersectionPoset, defining_set: Iterable[int]) -> Optional[int]:
+    """The index of the flat with this defining set, None if there is none."""
+    wanted = frozenset(defining_set)
+    return next((f.index for f in poset if f.defining_set == wanted), None)
+
+
 def support(v: SignVector) -> frozenset[int]:
     return frozenset(bits(v.support_mask))
 
@@ -1070,7 +1087,7 @@ def face_table_by_full_scan(arr: Arrangement) -> FaceTable:
     faces = tuple(arr.faces().sorted_members())
     return FaceTable(
         faces,
-        tuple(poset.flat_index(zero_set(f)) for f in faces),
+        tuple(flat_index(poset, zero_set(f)) for f in faces),
         tuple(
             sum(1 << i for i, r in enumerate(regions) if conforms_to(r, f))
             for f in faces
@@ -1130,7 +1147,7 @@ def det_formula_by_subset_sum(arrangement: Arrangement) -> FactoredPoly:
         )
         factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
     n = arrangement.n
-    if arrangement.mode == "central" and poset.flat_index(range(n)) is None:
+    if arrangement.mode == "central" and flat_index(poset, range(n)) is None:
         p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))
         factors.append((one_minus_square(range(n)), p_origin))
     return FactoredPoly.from_factors(factors)

@@ -17,6 +17,7 @@ from reference import (
     permuted,
     pivot_step,
     poly_gcd_minors,
+    variable,
 )
 from varchenko.diagonalize import diagonalize, expected_diagonal, snf_q
 from varchenko.geometry import Arrangement, Hyperplane
@@ -228,9 +229,9 @@ def test_criterion_7_deletion_reduction():
             assert perm is not None
             q = extended.n
             sigma_block = {
-                v: Polynomial.variable(q) if v != e else 1 for v in range(q)
+                v: variable(q) if v != e else 1 for v in range(q)
             }
-            sigma_base = {v: Polynomial.variable(q) for v in range(base.n)}
+            sigma_base = {v: variable(q) for v in range(base.n)}
             block_q = block.substitute(sigma_block)
             base_q = v_base.substitute(sigma_base)
             for k in range(1, min(4, v_base.size) + 1):
@@ -257,7 +258,7 @@ def test_criterion_8_exponent_cap_properties():
         for _ in range(10_000):
             i = rng.randrange(5)
             p = rand_poly_without(i)
-            xi2 = Polynomial.variable(i, 2)
+            xi2 = variable(i, 2)
             assert capped(xi2 * (one - xi2 * p)) == xi2 * capped(one - p)
             assert capped((one - xi2) * (one - xi2 * p)) == one - xi2
 

@@ -18,6 +18,7 @@ from reference import (
     det_formula_by_subset_sum,
     down_set_by_pairs,
     first_agreeing_by_scan,
+    flat_index,
     mobius_by_pairs,
     ordering_by_rescan,
     sign_vector,
@@ -52,7 +53,8 @@ def test_down_sets_moebius_and_det_formula_equal_the_pairwise_references():
             down_set_by_pairs(poset, f.index) for f in poset
         ], name
         assert poset.mobius == mobius_by_pairs(poset), name
-        assert all(poset.flat_index(f.defining_set) == f.index for f in poset), name
+        assert all(flat_index(poset, f.defining_set) == f.index for f in poset), name
+        assert poset.masks == tuple(sum(1 << h for h in f.defining_set) for f in poset), name
         if arr.mode != "covector":
             assert det_formula(arr) == det_formula_by_subset_sum(arr), name
 
@@ -164,7 +166,7 @@ def test_a_pencil_of_16_lines_has_one_flat_above_all_the_others():
     ]
     arr = Arrangement("affine", 2, lines)
     poset = arr.poset()
-    point = poset.flat_index(range(n))
+    point = flat_index(poset, range(n))
     assert poset.below(point) == (1 << len(poset)) - 1
     assert poset.mobius[point] == n - 1
     assert det_formula(arr) == det_formula_by_subset_sum(arr)

@@ -1,8 +1,11 @@
 """Every function, class and module-level name defined in the package is
 referenced somewhere in src/, tests/ or perfbench/: loaded as a name, read
 as an attribute, imported, or listed in an ``__all__``.  Every method of a
-package class is referred to by name in src/ or perfbench/, not only by
-the tests.  Every module-level function, class and non-dunder assignment
+package class is read as an attribute (``x.name``) somewhere in src/ or
+perfbench/ outside any function of the same name, not only by the tests:
+a bare name such as ``from operator import mul`` does not keep
+``Monomial.mul``, and two methods that call only each other keep neither.
+Every module-level function, class and non-dunder assignment
 is also reachable, matching by name, from the command line (``cli.main``)
 or the public API (``varchenko.__all__``), with no module exempt, so
 nothing is left in src/ for the tests alone; every public name is reached
@@ -113,13 +116,32 @@ def package_methods() -> list[tuple[str, str, str]]:
     return methods
 
 
+def attribute_reads(tree: ast.AST, enclosing: frozenset[str] = frozenset()) -> Counter:
+    """The attribute names read in `tree` (``x.name``), with their counts,
+    leaving out each read inside a function of the same name, so that a
+    method calling its namesake on another class does not keep either."""
+    counts = Counter()
+    if (
+        isinstance(tree, ast.Attribute)
+        and isinstance(tree.ctx, ast.Load)
+        and tree.attr not in enclosing
+    ):
+        counts[tree.attr] += 1
+    if isinstance(tree, DEFINITIONS[:2]):
+        enclosing |= {tree.name}
+    for child in ast.iter_child_nodes(tree):
+        counts.update(attribute_reads(child, enclosing))
+    return counts
+
+
 def test_no_method_is_referenced_by_the_tests_alone():
-    """A method that src/ and perfbench/ never refer to by name is kept
-    only for the tests; it belongs in tests/reference.py as a function."""
+    """A method that src/ and perfbench/ never read as an attribute,
+    outside a function of its own name, is kept only for the tests; it
+    belongs in tests/reference.py as a function."""
     counts = Counter()
     for top in (ROOT / "src", ROOT / "perfbench"):
         for path in sorted(top.rglob("*.py")):
-            counts.update(references(_parse(path)))
+            counts.update(attribute_reads(_parse(path)))
     unused = sorted(
         f"{module}.{cls}.{name}" for module, cls, name in package_methods() if not counts[name]
     )

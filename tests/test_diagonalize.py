@@ -20,8 +20,9 @@ from reference import (
     poly_gcd_minors,
     replay_elimination,
     separation_set,
+    variable,
 )
-from varchenko import DiagonalizationCertificate, cli, exactlp, polyring, varmatrix
+from varchenko import DiagonalizationCertificate, cli, geometry, polyring, varmatrix
 from varchenko.certificate import (
     RegionOrdering,
     _diagonal_entry,
@@ -195,7 +196,7 @@ def test_ordering_stuck_when_flats_fewer_than_regions():
 
 
 def test_apply_t_two_by_two():
-    x = Polynomial.variable(0)
+    x = variable(0)
     one = Polynomial.one()
     out = pivot_step(LabeledMatrix([0, 1], [[one, x], [x, one]]), 0)
     assert out.rows == [
@@ -215,7 +216,7 @@ def test_apply_t_reference_entry():
 
 
 def test_apply_t_divisibility_failure():
-    x = Polynomial.variable(0)
+    x = variable(0)
     one = Polynomial.one()
     with pytest.raises(PivotDivisionFailure):
         pivot_step(LabeledMatrix([0, 1], [[x, one], [one, x]]), 0)
@@ -417,7 +418,7 @@ def test_substitution_commutes_with_reduction():
     for arr in (fixture("three_generic_lines"), fixture("three_parallel_lines")):
         cert = diagonalize(arr)
         v = build_varchenko(arr)
-        sigma = {i: Polynomial.variable(q) for i in range(arr.n)}
+        sigma = {i: variable(q) for i in range(arr.n)}
         v_q = v.substitute(sigma)
         d_q = diagonal_matrix(cert).substitute(sigma)
         for k in range(1, min(5, v.size + 1)):
@@ -649,7 +650,7 @@ def test_diagonalize_runs_no_elimination(monkeypatch):
     # reference, not a method of SignVector
     assert not hasattr(SignVector, "conforms_to")
     monkeypatch.setattr(reference, "conforms_to", refuse)
-    assert not hasattr(exactlp, "LinearSystem")
+    assert not hasattr(geometry, "LinearSystem")
     cert = diagonalize(fixture("five_generic_lines"))
     assert cert.checks == {"pvq_equals_d": True, "det_p": "-1", "det_q": "-1"}
     assert sorted(str(d) for d in cert.diagonal) == sorted(
@@ -674,7 +675,7 @@ def test_tampered_entries_are_caught_by_the_packed_proof():
     i, a = next((i, a) for i, row in enumerate(rows) for a in row if a != perm[i])
     two_terms = rf"transform entry \({i},{a}\) is 1 \+ x1, not a signed monomial"
     for entry, message in (
-        (rows[i][a] * Polynomial.variable(2), "does not equal the diagonal"),
+        (rows[i][a] * variable(2), "does not equal the diagonal"),
         (parse_polynomial("1 + x1"), two_terms),
         (rows[i][a].scaled(2), "not a signed monomial"),
     ):
@@ -686,7 +687,7 @@ def test_tampered_entries_are_caught_by_the_packed_proof():
     # an asymmetric V: the proof reads only the entries (i, perm[n]) of P V
     # with n <= i, which is enough only because V is checked symmetric
     skew = LabeledMatrix(v.labels, v.rows)
-    skew.rows[perm[0]][perm[-1]] = v.rows[perm[0]][perm[-1]] * Polynomial.variable(0)
+    skew.rows[perm[0]][perm[-1]] = v.rows[perm[0]][perm[-1]] * variable(0)
     assert not dense_product_is_diagonal(skew.rows, rows, diagonal)
     with pytest.raises(ClosedFormViolation, match="V is not symmetric"):
         _certificate_checks(skew, rows, perm, diagonal)
@@ -713,7 +714,7 @@ def test_certificate_checks_run_no_polynomial_arithmetic(monkeypatch):
 
 
 def test_an_overflowing_product_raises_too_large():
-    big = Polynomial.variable(0, 20000)
+    big = variable(0, 20000)
     one, zero = Polynomial.one(), Polynomial.zero()
     v = LabeledMatrix([0, 1], [[big, zero], [zero, one]])
     rows = [{0: one}, {0: big, 1: one}]  # (P V)[1][0] = x1^40000

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import _certificate_checks, ordering_by_rescan, replay_elimination
+from reference import _certificate_checks, ordering_by_rescan, replay_elimination, variable
 from test_diagonalize import (
     dense_product_is_diagonal,
     ordering_by_full_scan,
@@ -180,7 +180,7 @@ def corrupted(draw, certificates):
     factor = (
         Polynomial.constant(-1)
         if kind == "sign"
-        else Polynomial.variable(draw(st.integers(0, NVARS - 1)))
+        else variable(draw(st.integers(0, NVARS - 1)))
     )
     r = v.size
     spots = [("V", a, b) for a in range(r) for b in range(a, r)] + [
@@ -233,7 +233,7 @@ def corrupted_orderings(draw):
         factor = draw(
             st.one_of(
                 st.just(Polynomial.constant(-1)),
-                st.builds(Polynomial.variable, st.integers(0, NVARS - 1)),
+                st.builds(variable, st.integers(0, NVARS - 1)),
                 st.none(),
             )
         )

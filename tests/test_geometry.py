@@ -12,6 +12,7 @@ from reference import (
     covector_family,
     face_table_by_full_scan,
     feasible_strict,
+    flat_index,
     restriction_region_counts,
     sign_vector,
     solve_equalities,
@@ -24,10 +25,10 @@ from varchenko.errors import (
     InvalidInput,
     TooLarge,
 )
-from varchenko.exactlp import _normalize_int
 from varchenko.geometry import (
     Arrangement,
     Hyperplane,
+    _normalize_int,
     charpoly_string,
     parse_rational,
 )
@@ -400,7 +401,7 @@ def test_a_plane_meeting_a_flat_only_at_the_origin_still_cuts_it():
     assert on_axis == {"00+0+", "00-0-"}
     for flat in arr.poset():
         assert flat.dim == flat_dim_by_elimination(arr, flat.defining_set)
-    assert arr.poset().flats[arr.poset().flat_index({0, 1, 3})].dim == 0
+    assert arr.poset().flats[flat_index(arr.poset(), {0, 1, 3})].dim == 0
 
 
 def test_covector_mode_fixture():

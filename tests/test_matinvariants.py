@@ -20,6 +20,7 @@ from reference import (
     nonzero_block,
     poly_gcd_minors,
     snf_by_smith_form,
+    variable,
 )
 from varchenko import matinvariants
 from varchenko.errors import InvalidArrangement, InvalidInput, SemigeneralInput, TooLarge
@@ -161,7 +162,7 @@ def test_integer_invariants_refuse_a_cell_that_is_not_an_int():
     """A float, Fraction, bool or Polynomial cell is refused as
     InvalidInput, not reduced: a float would give a fractional Smith
     factor, and a polynomial fails inside `abs`."""
-    x = Polynomial.variable(0)
+    x = variable(0)
     grids = (
         [[1.5, 2], [3, 4]],
         [[Fraction(1, 2), 1], [1, 1]],
@@ -204,7 +205,7 @@ def reduce_and_compare(base, extended, e):
     assert block.size + len(merge_map) == v_ext.size
     # merged partners really were separated only by hyperplane e
     for dup, rep in merge_map.items():
-        assert v_ext.rows[dup][rep] == Polynomial.variable(e)
+        assert v_ext.rows[dup][rep] == variable(e)
     # rename the surviving variables down to the base arrangement's ids
     n_ext = extended.n
     sigma = {}
@@ -212,7 +213,7 @@ def reduce_and_compare(base, extended, e):
         if v == e:
             sigma[v] = 1
         else:
-            sigma[v] = Polynomial.variable(v if v < e else v - 1)
+            sigma[v] = variable(v if v < e else v - 1)
     renamed = block.substitute(sigma)
     perm = equal_up_to_relabeling(renamed, v_base)
     assert perm is not None
@@ -251,7 +252,7 @@ def test_reduce_single_line_to_empty():
     reduced, merge_map = deletion_reduction(v_ext, 0)
     assert len(merge_map) == 1
     block = nonzero_block(reduced)
-    assert block.size == 1 and block.rows[0][0].is_one()
+    assert block.size == 1 and block.rows[0][0] == Polynomial.one()
     reduce_and_compare(base, extended, 0)
 
 

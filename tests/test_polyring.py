@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from reference import NotDivisible, capped, exact_div, polynomial_degree
+from reference import NotDivisible, capped, exact_div, polynomial_degree, variable
 from varchenko.errors import InvalidInput, TooLarge
 from varchenko.polyring import (
     FactoredPoly,
@@ -13,9 +13,9 @@ from varchenko.polyring import (
     parse_polynomial,
 )
 
-X1 = Polynomial.variable(0)
-X2 = Polynomial.variable(1)
-X3 = Polynomial.variable(2)
+X1 = variable(0)
+X2 = variable(1)
+X3 = variable(2)
 ONE = Polynomial.one()
 
 
@@ -40,9 +40,9 @@ def test_ring_examples():
 
 
 def test_cap_caps_exponents():
-    assert capped(Polynomial.variable(0, 3)) == Polynomial.variable(0, 2)
-    assert capped(Polynomial.variable(0, 7)) == Polynomial.variable(0, 2)
-    assert capped(Polynomial.variable(0, 32767)) == Polynomial.variable(0, 2)
+    assert capped(variable(0, 3)) == variable(0, 2)
+    assert capped(variable(0, 7)) == variable(0, 2)
+    assert capped(variable(0, 32767)) == variable(0, 2)
     for e in (3, 256, 32000):  # one field clipped, the degree field follows
         mixed = Polynomial({Monomial([(1, e), (3, 1), (4, 5)]): 5})
         assert capped(mixed) == Polynomial({Monomial([(1, 2), (3, 1), (4, 2)]): 5})
@@ -61,15 +61,15 @@ def test_cap_caps_exponents():
 
 def test_cap_pull_out_square():
     # x1^2 (1 - x1^2 x2) collapses to x1^2 (1 - x2)
-    x1sq = Polynomial.variable(0, 2)
+    x1sq = variable(0, 2)
     p = x1sq * (ONE - x1sq * X2)
     assert capped(p) == x1sq * (ONE - X2)
 
 
 def test_cap_absorbs_into_difference_of_squares():
     # (1 - x1^2)(1 - x1^2 x2^2) collapses to 1 - x1^2
-    x1sq = Polynomial.variable(0, 2)
-    x2sq = Polynomial.variable(1, 2)
+    x1sq = variable(0, 2)
+    x2sq = variable(1, 2)
     assert capped((ONE - x1sq) * (ONE - x1sq * x2sq)) == ONE - x1sq
 
 
@@ -102,14 +102,14 @@ def test_cap_pull_out_square_randomized():
         i = rng.randint(0, 3)
         p = rand_poly(rng, nvars=5)
         if i in p.variables():
-            p = p.substitute({v: (1 if v == i else Polynomial.variable(v)) for v in p.variables()})
-        xi2 = Polynomial.variable(i, 2)
+            p = p.substitute({v: (1 if v == i else variable(v)) for v in p.variables()})
+        xi2 = variable(i, 2)
         assert capped(xi2 * (ONE - xi2 * p)) == xi2 * capped(ONE - p)
         assert capped((ONE - xi2) * (ONE - xi2 * p)) == ONE - xi2
 
 
 def test_exact_div_examples():
-    assert exact_div(X2 - Polynomial.variable(0, 2) * X2, ONE - X1 * X1) == X2
+    assert exact_div(X2 - variable(0, 2) * X2, ONE - X1 * X1) == X2
     assert exact_div(X1 * X2, X1) == X2
     with pytest.raises(NotDivisible):
         exact_div(ONE, X1)
@@ -147,11 +147,11 @@ def test_exact_div_round_trip_randomized():
 
 
 def test_substitute_examples():
-    q = Polynomial.variable(9)
+    q = variable(9)
     assert (X1 * X2).substitute({0: q, 1: q}) == q * q
-    assert (ONE - Polynomial.variable(0, 2)).substitute({0: 3}) == Polynomial.constant(-8)
+    assert (ONE - variable(0, 2)).substitute({0: 3}) == Polynomial.constant(-8)
     p = X1 * X2 - X3
-    identity = {v: Polynomial.variable(v) for v in range(3)}
+    identity = {v: variable(v) for v in range(3)}
     assert p.substitute(identity) == p
 
 
@@ -201,10 +201,10 @@ def test_factored_poly():
     )
     assert str(f) == "(1-x1^2)^3(1-x2^2)"
     assert f.expand() == (
-        (ONE - Polynomial.variable(0, 2))
-        * (ONE - Polynomial.variable(0, 2))
-        * (ONE - Polynomial.variable(0, 2))
-        * (ONE - Polynomial.variable(1, 2))
+        (ONE - variable(0, 2))
+        * (ONE - variable(0, 2))
+        * (ONE - variable(0, 2))
+        * (ONE - variable(1, 2))
     )
     assert str(FactoredPoly.from_factors([])) == "1"
     assert FactoredPoly.from_factors([]).expand() == ONE
@@ -227,8 +227,8 @@ def test_exact_div_tied_leading_terms():
 def test_exact_div_sees_the_guard_bits_of_fields_given_after_import():
     # y and z get fields only now, y's below z's; dividing z by y borrows
     # from z's field into y's, which only y's guard bit shows
-    y = Polynomial.variable(424_241)
-    z = Polynomial.variable(424_242)
+    y = variable(424_241)
+    z = variable(424_242)
     with pytest.raises(NotDivisible):
         exact_div(z, y)
 
@@ -239,20 +239,18 @@ def test_print_order_is_degree_then_sparse_exponents():
 
 
 def test_product_overflowing_an_exponent_field_raises_too_large():
-    big = Polynomial.variable(0, 20000)
+    big = variable(0, 20000)
     with pytest.raises(TooLarge):
         big * big
     with pytest.raises(TooLarge):
-        Monomial.variable(1, 20000).mul(Monomial.variable(1, 20000))
-    with pytest.raises(TooLarge):
         parse_polynomial("x1^20000*x2^20000")  # total degree overflows
-    assert polynomial_degree(big * Polynomial.variable(0, 12767)) == 32767
+    assert polynomial_degree(big * variable(0, 12767)) == 32767
 
 
 def test_large_variable_ids():
     # a packed key is as wide as the number of variables in use, not as
     # the largest id: one field per variable, not one per id below it
-    assert Monomial.variable(10_000_000).key.bit_length() < 100_000
+    assert Monomial([(10_000_000, 1)]).key.bit_length() < 100_000
     x100 = parse_polynomial("x100")
     p = parse_polynomial("x100^3*x2 - x1000000000 + 4")
     assert str(p) == "4 - x1000000000 + x2*x100^3"

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st
 
-from reference import NotDivisible, capped, exact_div
+from reference import NotDivisible, capped, exact_div, variable
 from varchenko.polyring import Monomial, Polynomial
 
 NVARS = 5
@@ -58,9 +58,9 @@ def test_cap_absorbs_squares_of_a_fresh_variable(i, p):
     # criterion 8: for p free of x_i, capping pulls x_i^2 out of
     # x_i^2 (1 - x_i^2 p) and absorbs (1 - x_i^2 p) into (1 - x_i^2)
     p = p.substitute(
-        {v: 1 if v == i else Polynomial.variable(v) for v in range(NVARS)}
+        {v: 1 if v == i else variable(v) for v in range(NVARS)}
     )
-    xi2 = Polynomial.variable(i, 2)
+    xi2 = variable(i, 2)
     assert capped(xi2 * (ONE - xi2 * p)) == xi2 * capped(ONE - p)
     assert capped((ONE - xi2) * (ONE - xi2 * p)) == ONE - xi2
 
