@@ -13,27 +13,29 @@ Supported modes:
   taken from poset height.
 
 The faces of an arrangement are the regions of its restrictions to its
-flats (Zaslavsky 1975), and they come from one recursion over the flats,
-memoised by closed defining mask.  The regions of a flat X come from a
-depth-first pass over the hyperplanes that cut X, carrying a rational
-point in every region it visits: a hyperplane either passes through the
-region's point, or it cuts the region exactly when some region of the
-flat X ∩ H, enumerated first, has the region's signs on the hyperplanes
-before it, which is one lookup by sign prefix and supplies a point q on
-H.  The new side is one step from the region's point or from q along the
-cut's own direction in X.  No LP is solved.  The pass runs in integers:
-a point x is held as (P, D), an integer vector and a positive
-denominator with x = P / D in lowest terms, each hyperplane is scaled
-once to an integer (A, B), and each flat direction is a primitive integer
-vector.  Regions are the zero-free faces.  Every reported sign vector is
-backed by an explicit point, checked to realise it, and no floating
-point is involved.
+flats (Zaslavsky 1975).  One pass finds the flats, memoised by closed
+defining mask, and groups the hyperplanes that cut a flat X by the flat
+X ∩ H they cut out.  A facet sweep then finds the regions of each flat,
+lowest dimension first: every region of A|X has a facet, a face of some
+A|(X ∩ H) found before it, so the regions of A|X are the two sides of
+the faces one dimension lower, each reached by one exact step off the
+face's point along the cut's own direction in X.  No LP is solved.  The
+pass runs in integers: a point x is held as (P, D), an integer vector
+and a positive denominator with x = P / D in lowest terms, each
+hyperplane is scaled once to an integer (A, B), and each flat direction
+is a primitive integer vector.  Each point is evaluated once, at every
+hyperplane together: one int with a field per hyperplane holding
+A . P - B * D, whose signs are read off the fields' top bits and whose
+fields give the next steps' slacks.  Regions are the zero-free faces.
+Every reported sign vector is backed by an explicit point, checked to
+realise it, and no floating point is involved.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -97,22 +99,64 @@ def _lowest(p: Sequence[int], den: int) -> Point:
     return _primitive(p, den)
 
 
-def _step(point: Point, d: Sequence[int], stricts) -> Point:
-    """point + t * d for half the largest t > 0 that keeps every strict
-    constraint (a, b), a . x > b, strict at the new point (t = 1 if none
-    limits it)."""
-    p, den = point
-    limit = None
-    for a, b in stricts:
-        rate = _dot(a, d)
-        if rate < 0:
-            # a . x - b falls to 0 at t * den = slack / -rate
-            slack = _dot(a, p) - b * den
-            if limit is None or slack * limit[1] < limit[0] * -rate:
-                limit = slack, -rate
-    # t * den, as the fraction num / rat
-    num, rat = (den, 1) if limit is None else (limit[0], 2 * limit[1])
-    return _lowest([rat * x + num * c for x, c in zip(p, d)], rat * den)
+class _PackedRows:
+    """Integer hyperplanes (a, b), evaluated at a point x = P / D all at
+    once: one int, the word, with a W-bit field per hyperplane, field i
+    holding a_i . P - b_i * D + 2^(W-1).
+
+    W is derived from the point: at least two bits more than the bit
+    length of the bound max_i (|a_i|_1 + |b_i|) * max(|P|, D) on every
+    |a_i . P - b_i * D|, rounded up to a multiple of 8 and at least 24.  So
+    every field lies in [1, 2^W - 1], the sum never carries or borrows
+    across fields, and a field's top bit is set exactly when its value is
+    at least 0.  Subtracting 1 from every field borrows from none, and
+    then the top bit is set exactly when the value is positive.  One
+    multiply gathers the n top bits into an n-bit mask: bit i of the
+    tops, at i * W, meets term j of the multiplier, at (n - j) * W + j,
+    at (n + i - j) * W + j, and W >= 24 > n keeps those positions
+    distinct, so nothing carries and the diagonal i = j lands at n * W + i.
+    """
+
+    def __init__(self, rows: Sequence[tuple[tuple[int, ...], int]], nvars: int):
+        self.n = len(rows)
+        self._rows = rows
+        self._nvars = nvars
+        self._bound = max((sum(map(abs, a)) + abs(b) for a, b in rows), default=0)
+        self._packings: dict[int, tuple] = {}
+
+    def _packing(self, width: int) -> tuple:
+        """(the columns, the offsets, the biases, the ones, the multiplier)
+        of the rows packed at field width `width`."""
+        packing = self._packings.get(width)
+        if packing is None:
+            shifts = [i * width for i in range(self.n)]
+            columns = [
+                sum(a[j] << s for (a, _), s in zip(self._rows, shifts))
+                for j in range(self._nvars)
+            ]
+            offsets = sum(b << s for (_, b), s in zip(self._rows, shifts))
+            ones = sum(1 << s for s in shifts)
+            magic = sum(1 << (self.n - j) * width + j for j in range(self.n))
+            packing = columns, offsets, ones << width - 1, ones, magic
+            self._packings[width] = packing
+        return packing
+
+    def evaluate(self, point: Point) -> tuple[int, int]:
+        """(W, the word) at `point`."""
+        p, den = point
+        height = max((den, *map(abs, p)))
+        width = max(24, -(-((self._bound * height).bit_length() + 2) // 8) * 8)
+        columns, offsets, bias, _, _ = self._packing(width)
+        return width, sum(map(mul, p, columns)) - den * offsets + bias
+
+    def signs(self, width: int, word: int) -> tuple[int, int]:
+        """The (plus, minus) masks of the hyperplanes at a word of width
+        `width`."""
+        _, _, _, ones, magic = self._packing(width)
+        shift, full, top = self.n * width, (1 << self.n) - 1, width - 1
+        nonnegative = ((word >> top & ones) * magic >> shift) & full
+        positive = (((word - ones) >> top & ones) * magic >> shift) & full
+        return positive, full ^ nonnegative
 
 
 def _reject_unknown_keys(data: dict, allowed: Sequence[str], what: str) -> None:
@@ -138,13 +182,12 @@ class Hyperplane:
             raise InvalidArrangement(f"hyperplane {self.name!r} has zero normal")
 
 
-def _canonical_key(normal: Sequence[Fraction], offset: Fraction) -> tuple[int, ...]:
-    """Primitive integer form of (normal, offset), sign-normalized.
+def _canonical_key(coeffs: tuple[int, ...], rhs: int) -> tuple[int, ...]:
+    """A primitive integer constraint (coeffs, rhs), sign-normalized.
 
     Two hyperplanes with the same key have the same point set regardless of
     orientation or scaling.
     """
-    coeffs, rhs = _normalize_int(normal, offset)
     ints = coeffs + (rhs,)
     if next(v for v in ints if v) < 0:
         ints = tuple(-v for v in ints)
@@ -298,6 +341,8 @@ class Arrangement:
         nvars = self._nvars
         names = set()
         keys = {}
+        # each hyperplane scaled once to a primitive integer row (a, b)
+        self._rows = []
         for h in self.hyperplanes:
             if len(h.normal) != nvars:
                 raise InvalidArrangement(
@@ -311,7 +356,8 @@ class Arrangement:
             if h.name in names:
                 raise InvalidArrangement(f"duplicate hyperplane name {h.name!r}")
             names.add(h.name)
-            key = _canonical_key(h.normal, h.offset)
+            self._rows.append(_normalize_int(h.normal, h.offset))
+            key = _canonical_key(*self._rows[-1])
             if key in keys:
                 raise InvalidArrangement(
                     f"hyperplanes {keys[key]!r} and {h.name!r} coincide"
@@ -362,76 +408,52 @@ class Arrangement:
     # ------------------------------------------------------------------
     # face / region enumeration
 
-    def _enumerate_faces(self) -> dict[int, tuple[int, list[SignVector]]]:
-        """The flat table, closed defining mask -> (dimension, faces on the
-        flat): the faces on a flat X are the regions of the restriction A|X
-        (Zaslavsky), n_X of them, found flat by flat, each flat once.
+    def _find_flats(self) -> dict[int, tuple]:
+        """Every flat X by its closed defining mask: (its point, the size
+        of its basis, its signs, its classes of cuts, its rates).
 
         A flat X is held as a point p = P / D on it, a basis of primitive
         integer directions of its affine hull and its closed defining mask,
-        by which it is found once.  Each hyperplane outside the mask, scaled
-        to integers (a, b), is constant on X (parallel: one sign on all of
-        it) or cuts X; then X ∩ H_i is a flat too, with the point where the
-        line through p along the pivot direction d (the first basis vector
-        a does not annihilate) meets H_i, and the other basis vectors
-        projected along d onto H_i.  Its closed mask adds to X's every
-        hyperplane whose equation in X's coordinates is H_i's up to scale.
+        by which it is found once.  Each hyperplane outside the mask, a
+        primitive integer row (a, b), is constant on X (parallel: one sign
+        on all of it) or cuts X.  The hyperplanes that cut X in the same
+        flat Y = X ∩ H, found by the equation of X ∩ H in X's coordinates up
+        to scale, form a class, and Y's closed mask adds the class to X's.
+        Y's point is where the line through p along the class's pivot
+        direction d (the first basis vector its members do not annihilate)
+        meets H, and its basis is X's other basis vectors projected along d
+        onto H; both are computed only when Y is first queued.
 
-        The flats are then done in order of dimension, lowest first.  The
-        regions of A|X come from a depth-first pass over the cutting
-        hyperplanes.  A node is a region of the first i hyperplanes, held
-        as a point p in it and the strict constraints that bound it; H_i
-        splits it by the sign of v = a . P - b * D:
-
-        * v = 0: both sides, stepping exactly from p along +-d;
-        * v != 0: sign(v) keeps p, and the other side exists exactly when
-          the node meets X ∩ H_i, that is when some region of
-          A|(X ∩ H_i) has the node's signs on hyperplanes 0..i-1: one
-          lookup by that sign prefix.  The region found supplies a point q
-          of the node on H_i, which meets the node's strict constraints
-          strictly, and the other side steps from q along -+d, away from
-          p's side, so a point's height grows with the dimension of its
-          flat and not with the number of cuts.
-
-        In central mode the ambient point is e_0, and where H_i meets X
-        only at the origin, X is a line whose lookup table holds the origin
-        with no signs: the first cut steps from it to +-d, and every later
-        cut's prefix has a sign and misses.  Each region's point is checked
-        to realise the sign vector it is reported under.  X's dimension is
-        len(basis), one less in central mode (spherical dimension).  The
-        flats' points, cuts and lookup tables hold no reference cycle, so
-        they are freed when the enumeration returns.
+        X's signs are the (plus, minus) masks of the parallel hyperplanes,
+        or None where X is a point, whose witness evaluation gives them.
+        Its rates map each cutting hyperplane's bit to (its index, its
+        rates a . e at X's basis vectors e).  A class is (Y's mask, d, the
+        index of d in the basis, pos, neg, up, down): its members with
+        a . d > 0 and with a . d < 0, and the other cutting hyperplanes
+        with a . d > 0 and with a . d < 0.  In central mode the whole
+        space's point is e_0; where X is a line through the origin, every
+        cut meets it at the origin, one class whose Y (the origin, no point
+        of the sphere) has mask None, and where Y is larger but the meet is
+        the origin, Y's first basis vector is its point.  The flats hold no
+        reference cycle, so they are freed when the enumeration returns.
         """
-        if self.n > MAX_GROUND_SIZE:
-            raise TooLarge(
-                f"enumeration capped at {MAX_GROUND_SIZE} hyperplanes, got {self.n}"
-            )
-        n, nvars = self.n, self._nvars
+        nvars = self._nvars
         central = self.mode == "central"
-        planes = [_normalize_int(h.normal, h.offset) for h in self.hyperplanes]
-        sides = [
-            {1: (a, b), -1: (tuple(-c for c in a), -b)} for a, b in planes
-        ]
-
-        # every flat X by closed defining mask: its point, the size of its
-        # basis, the signs of the hyperplanes parallel to it, and its cuts:
-        # (i, the pivot direction oriented to H_i's positive side, its
-        # opposite, the mask of X ∩ H_i, None where that is only the origin)
+        planes = self._rows
         identity = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
         root = tuple(int(central and j == 0) for j in range(nvars)), 1
         flats = {}
+        queued = {0}
         pending = [(0, root, identity)]  # no hyperplane holds the whole space
         while pending:
             mask, point, basis = pending.pop()
-            if mask in flats:
-                continue
             p, den = point
             plus = minus = 0
             cutting = []
             # the hyperplanes that cut X in the same hyperplane of X, by its
             # equation in X's coordinates up to scale
             along: dict[tuple[tuple[int, ...], int], int] = {}
-            for i, (a, b) in enumerate(planes):
+            for i, (a, b) in enumerate(planes if basis else ()):
                 if mask >> i & 1:
                     continue
                 value = _dot(a, p) - b * den
@@ -447,12 +469,16 @@ class Arrangement:
                     key = tuple(-c for c in key[0]), -key[1]
                 along[key] = along.get(key, 0) | 1 << i
                 cutting.append((i, value, rates, key))
-            cuts = []
-            subs: dict[tuple[tuple[int, ...], int], Optional[int]] = {}
-            for i, value, rates, key in cutting:
+            classes = {}
+            for _, value, rates, key in cutting:
+                if key in classes:
+                    continue
                 pivot = next(j for j, rate in enumerate(rates) if rate)
                 d, rate = basis[pivot], rates[pivot]
-                if key not in subs:
+                members = along[key]
+                sub = None if central and len(basis) == 1 else mask | members
+                if sub is not None and sub not in queued:
+                    queued.add(sub)
                     on_plane = [
                         # e - r / rate * d, scaled to a primitive integer vector
                         _primitive([rate * x - r * y for x, y in zip(e, d)], 0)[0]
@@ -464,85 +490,147 @@ class Arrangement:
                         [rate * x - value * c for x, c in zip(p, d)], rate * den
                     )
                     if central and not any(meet[0]):
-                        meet = (on_plane[0], 1) if on_plane else None
-                    subs[key] = None if meet is None else mask | along[key]
-                    if meet is not None:
-                        pending.append((subs[key], meet, on_plane))
-                up = d if rate > 0 else tuple(-c for c in d)
-                cuts.append((i, up, tuple(-c for c in up), subs[key]))
-            flats[mask] = point, len(basis), plus, minus, cuts
+                        meet = on_plane[0], 1
+                    pending.append((sub, meet, on_plane))
+                pos = neg = up = down = 0
+                for k, _, other, _ in cutting:
+                    bit, r = 1 << k, other[pivot]
+                    if members & bit:
+                        if r > 0:
+                            pos |= bit
+                        else:
+                            neg |= bit
+                    elif r > 0:
+                        up |= bit
+                    elif r < 0:
+                        down |= bit
+                classes[key] = sub, d, pivot, pos, neg, up, down
+            signs = (plus, minus) if basis else None
+            rates_of = {1 << k: (k, rates) for k, _, rates, _ in cutting}
+            flats[mask] = point, len(basis), signs, list(classes.values()), rates_of
+        return flats
 
-        # the regions of A|X by (plus, minus) masks, with their points, flat
-        # by flat up from the lowest dimension, so that each cut's flat is
-        # done first
+    def _enumerate_faces(self) -> dict[int, tuple[int, list[SignVector]]]:
+        """The flat table, closed defining mask -> (dimension, faces on the
+        flat): the faces on a flat X are the regions of the restriction A|X
+        (Zaslavsky), n_X of them, found flat by flat, each flat once.
+
+        The flats and their classes of cuts come from `_find_flats`; their
+        regions come from a facet sweep, lowest dimension first.  A flat
+        with no cut has one face, the signs of its own point.  Otherwise
+        every region of A|X has a facet (a region with none would be all
+        of X), and that facet is a face F = (s, t) of A|Y for the flat
+        Y = X ∩ H of some class, so the regions of A|X are
+        (s | pos, t | neg) and (s | neg, t | pos), over every face of every
+        class.  The first time a region is met, its point is F's point q
+        plus or minus tau * d, d the class's pivot direction: tau is half
+        the largest step that keeps the sign of every cutting hyperplane
+        the step moves toward 0, each at its slack, read off a field of
+        F's word, over its rate a . d, and 1 where no such hyperplane is
+        left.  So a point's height grows with the dimension of its flat and
+        not with the number of cuts.  In central mode the origin that a
+        line's class cuts out is a face with no signs, so the line's two
+        regions are +-d.
+
+        Each point is evaluated once, at every hyperplane together
+        (`_PackedRows`), and `_witnessed` checks it realises the face it is
+        reported under; each face keeps its word until the last flat that
+        steps off it is done.  X's dimension is the size of its basis, one less in
+        central mode (spherical dimension).
+        """
+        if self.n > MAX_GROUND_SIZE:
+            raise TooLarge(
+                f"enumeration capped at {MAX_GROUND_SIZE} hyperplanes, got {self.n}"
+            )
+        central = self.mode == "central"
+        rows = _PackedRows(self._rows, self._nvars)
+        flats = self._find_flats()
+        origin = (0,) * self._nvars, 1
+        # the faces of each flat done so far by (plus, minus), each with its
+        # point and evaluation: (point, W, word), kept while a class of a
+        # flat not yet done still reads them
+        done: dict[Optional[int], dict[tuple[int, int], tuple[Point, int, int]]] = {
+            None: {(0, 0): (origin, *rows.evaluate(origin))}
+        }
+        readers = Counter(c[0] for flat in flats.values() for c in flat[3])
         table: dict[int, tuple[int, list[SignVector]]] = {}
-        regions: dict[int, dict[tuple[int, int], Point]] = {}
         for mask in sorted(flats, key=lambda m: flats[m][1]):
-            point, size, plus, minus, cuts = flats[mask]
-            # each cut's regions by their signs on the hyperplanes before it
-            tables = []
-            for i, _, _, sub in cuts:
-                low = (1 << i) - 1
-                below = {(0, 0): ((0,) * nvars, 1)} if sub is None else regions[sub]
-                tables.append({(s & low, t & low): q for (s, t), q in below.items()})
-            found: dict[tuple[int, int], Point] = {}
+            point, size, signs, classes, rates = flats[mask]
+            if not classes:
+                face, width, word = self._witnessed(rows, mask, signs, point)
+                if readers[mask]:
+                    done[mask] = {(face.plus, face.minus): (point, width, word)}
+                table[mask] = size - central, [face]
+                continue
+            found: dict[tuple[int, int], tuple[Point, int, int]] = {}
             faces = []
-            stack = [(0, point, [], plus, minus)]
-            while stack:
-                k, point, stricts, plus, minus = stack.pop()
-                if k == len(cuts):
-                    face = SignVector(n, plus, minus)
-                    faces.append(self._witnessed(planes, face, point))
-                    found[plus, minus] = point
-                    continue
-                i, up, down, _ = cuts[k]
-                a, b = planes[i]
-                p, den = point
-                value = _dot(a, p) - b * den
-                bit = 1 << i
-                if not value:
-                    children = [
-                        (1, _step(point, up, stricts)),
-                        (-1, _step(point, down, stricts)),
-                    ]
-                else:
-                    near = 1 if value > 0 else -1
-                    q = tables[k].get((plus & (bit - 1), minus & (bit - 1)))
-                    far = None if q is None else _step(
-                        q, down if near > 0 else up, stricts
-                    )
-                    children = [(near, point), (-near, far)]
-                for sign, child in children:
-                    if child is not None:
-                        stack.append((
-                            k + 1,
-                            child,
-                            stricts + [sides[i][sign]],
-                            plus | bit if sign > 0 else plus,
-                            minus | bit if sign < 0 else minus,
-                        ))
-            regions[mask] = found
+            for sub, d, pivot, pos, neg, up, down in classes:
+                for (s, t), ((q, den), width, word) in done[sub].items():
+                    field, bias = (1 << width) - 1, 1 << width - 1
+                    for side, crossed, sign in (
+                        ((s | pos, t | neg), s & down | t & up, 1),
+                        ((s | neg, t | pos), s & up | t & down, -1),
+                    ):
+                        if side in found:
+                            continue
+                        # the least step * D that zeroes a crossed hyperplane
+                        limit = None
+                        while crossed:
+                            low = crossed & -crossed
+                            crossed ^= low
+                            k, at = rates[low]
+                            rate = abs(at[pivot])
+                            slack = abs((word >> k * width & field) - bias)
+                            if limit is None or slack * limit[1] < limit[0] * rate:
+                                limit = slack, rate
+                        # step * D as the fraction num / rat
+                        num, rat = (den, 1) if limit is None else (limit[0], 2 * limit[1])
+                        num *= sign
+                        point = _primitive(
+                            [rat * x + num * c for x, c in zip(q, d)], rat * den
+                        )
+                        face, w, evaluation = self._witnessed(rows, mask, side, point)
+                        found[side] = point, w, evaluation
+                        faces.append(face)
+                readers[sub] -= 1
+                if not readers[sub]:
+                    del done[sub]
+            if readers[mask]:
+                done[mask] = found
             table[mask] = size - central, faces
         return table
 
-    def _witnessed(self, planes, face: SignVector, point: Point) -> SignVector:
-        """The face, once its point is checked to realise it."""
+    def _witnessed(
+        self,
+        rows: _PackedRows,
+        mask: int,
+        signs: Optional[tuple[int, int]],
+        point: Point,
+    ) -> tuple[SignVector, int, int]:
+        """The face at `point` with its evaluation (W, word), once the
+        point is checked to lie on exactly the hyperplanes of `mask` (and
+        off the origin in central mode) and, where `signs` are given, to
+        have those (plus, minus) masks.  With no `signs`, the flat is a
+        point and the face is read off the evaluation."""
+        width, word = rows.evaluate(point)
+        plus, minus = rows.signs(width, word)
         p, den = point
-        plus = minus = 0
-        for i, (a, b) in enumerate(planes):
-            value = _dot(a, p) - b * den
-            if value > 0:
-                plus |= 1 << i
-            elif value < 0:
-                minus |= 1 << i
-        if (plus, minus) != (face.plus, face.minus) or (
-            self.mode == "central" and not any(p)
+        if (
+            (plus | minus) ^ ((1 << self.n) - 1) != mask
+            or signs is not None and signs != (plus, minus)
+            or self.mode == "central" and not any(p)
         ):
+            # with no signs, the face is named by its zeros, '*' elsewhere
+            expected = (
+                "".join("0" if mask >> i & 1 else "*" for i in range(self.n))
+                if signs is None
+                else SignVector(self.n, *signs).to_string()
+            )
             raise InconsistentWitness(
                 f"witness point ({', '.join(map(str, p))})/{den} does not "
-                f"realise the face {face.to_string()}"
+                f"realise the face {expected}"
             )
-        return face
+        return SignVector(self.n, plus, minus), width, word
 
     @cached_property
     def _regions(self) -> tuple[SignVector, ...]:

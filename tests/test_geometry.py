@@ -290,10 +290,10 @@ def leaf_points(arr, monkeypatch):
     leaves = []
     original = Arrangement._witnessed
 
-    def record(self, planes, signs, point):
-        face = original(self, planes, signs, point)
-        leaves.append((face, point))
-        return face
+    def record(self, rows, mask, signs, point):
+        witnessed = original(self, rows, mask, signs, point)
+        leaves.append((witnessed[0], point))
+        return witnessed
 
     monkeypatch.setattr(Arrangement, "_witnessed", record)
     faces = Arrangement(arr.mode, arr.dim, arr.hyperplanes).faces()
@@ -336,7 +336,7 @@ def test_a_leaf_point_that_misses_its_face_is_caught(monkeypatch):
     original = Arrangement._witnessed
     first = []
 
-    def corrupt(self, planes, signs, point):
+    def corrupt(self, rows, mask, signs, point):
         if self.mode != "central":
             # every leaf after the first gets the first leaf's point, which
             # realises another face
@@ -345,12 +345,27 @@ def test_a_leaf_point_that_misses_its_face_is_caught(monkeypatch):
         elif not any(signs):
             # the origin has every sign 0 but is no point of the sphere
             point = (0,) * len(point[0]), 1
-        return original(self, planes, signs, point)
+        return original(self, rows, mask, signs, point)
 
     monkeypatch.setattr(Arrangement, "_witnessed", corrupt)
     for arr in (fixture("three_generic_lines"), fixture("two_central_circles")):
         with pytest.raises(InconsistentWitness, match="does not realise the face"):
             arr.faces()
+
+    # a flat with no cut has one face, its own point's signs: the line
+    # x = 0 of three parallel lines moved onto x = 1, and the vertex
+    # S1 ∩ S2 = (0, 0) of three generic lines, a point, moved onto S1 ∩ S3
+    for name, flat, moved, message in (
+        ("three_parallel_lines", 0b001, ((1, 0), 1), r"\(1, 0\)/1 .* face 0--"),
+        ("three_generic_lines", 0b011, ((0, 1), 1), r"\(0, 1\)/1 .* face 00\*"),
+    ):
+
+        def move(self, rows, mask, signs, point, flat=flat, moved=moved):
+            return original(self, rows, mask, signs, moved if mask == flat else point)
+
+        monkeypatch.setattr(Arrangement, "_witnessed", move)
+        with pytest.raises(InconsistentWitness, match=message):
+            fixture(name).faces()
 
 
 def test_region_counts_equal_the_generators_zaslavsky_count():
@@ -361,7 +376,7 @@ def test_region_counts_equal_the_generators_zaslavsky_count():
 
 
 def test_feasibility_oracle_consistency():
-    """Full 3^n scan with direct feasibility calls matches the DFS output."""
+    """Full 3^n scan with direct feasibility calls matches the facet sweep."""
     for arr in (fixture("three_generic_lines"), fixture("three_concurrent_lines")):
         assert set(arr.faces().members) == faces_by_full_scan(arr)
 

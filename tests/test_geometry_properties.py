@@ -2,9 +2,11 @@
 the flat dimensions it reports and the face table against full scans over
 small affine and central arrangements, many of them degenerate, of
 Zaslavsky's region count over the affine ones, of the covector axioms
-over the central ones, and of the per-hyperplane bitsets (down-sets,
+over the central ones, of the per-hyperplane bitsets (down-sets,
 Moebius values, det_formula, the region search) against the scans they
-replace."""
+replace, and of the packed evaluation of a point at every hyperplane
+against plain dot products, at heights far beyond those the drawn
+arrangements reach."""
 
 from fractions import Fraction
 from random import Random
@@ -29,7 +31,7 @@ from test_bitsets import search_outcome
 from test_geometry import faces_by_full_scan, flat_dim_by_elimination
 from varchenko.diagonalize import ordering
 from varchenko.errors import InvalidArrangement
-from varchenko.geometry import Arrangement, Hyperplane
+from varchenko.geometry import Arrangement, Hyperplane, _PackedRows
 from varchenko.signedsets import (
     SignVector,
     check_composition_closure,
@@ -144,3 +146,65 @@ def test_the_bitsets_equal_the_pairwise_scans(arr):
     assert poset.mobius == mobius_by_pairs(poset)
     assert det_formula(arr) == det_formula_by_subset_sum(arr)
     assert search_outcome(ordering, arr) == search_outcome(ordering_by_rescan, arr)
+
+
+def sign_masks(values):
+    """The (plus, minus) masks of a list of integers."""
+    plus = sum(1 << i for i, v in enumerate(values) if v > 0)
+    minus = sum(1 << i for i, v in enumerate(values) if v < 0)
+    return plus, minus
+
+
+@st.composite
+def packed_cases(draw):
+    """Up to 16 integer rows (a, b) in one to four coordinates and a point
+    P / D, entries small or up to 2^200 in size, with the point put exactly
+    on about half of the rows: a row D * a, a . P vanishes at P / D."""
+    nvars = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+    p = tuple(draw(st.lists(entry, min_size=nvars, max_size=nvars)))
+    den = draw(st.one_of(st.integers(1, 3), st.integers(1, 2**200)))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        a = draw(st.lists(entry, min_size=nvars, max_size=nvars))
+        if draw(st.booleans()):
+            rows.append((tuple(c * den for c in a), sum(c * x for c, x in zip(a, p))))
+        else:
+            rows.append((tuple(a), draw(entry)))
+    return rows, (p, den)
+
+
+@settings(max_examples=200)
+@given(packed_cases())
+def test_the_packed_evaluation_equals_the_dot_products(case):
+    """Field i of the word is a_i . P - b_i * D plus 2^(W-1), with W a
+    multiple of 8, at least 24 and at least two bits past the bound
+    max_i (|a_i|_1 + |b_i|) * max(|P|, D), and the signs read off the
+    fields are those of the values."""
+    rows, (p, den) = case
+    values = [sum(c * x for c, x in zip(a, p)) - b * den for a, b in rows]
+    width, word = _PackedRows(rows, len(p)).evaluate((p, den))
+    bound = max((sum(map(abs, a)) + abs(b) for a, b in rows), default=0)
+    assert width % 8 == 0 and width >= 24
+    assert width >= (bound * max(den, *map(abs, p))).bit_length() + 2
+    bias, field = 1 << width - 1, (1 << width) - 1
+    assert [(word >> i * width & field) - bias for i in range(len(rows))] == values
+    assert word >> len(rows) * width == 0
+    assert _PackedRows(rows, len(p)).signs(width, word) == sign_masks(values)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(3, 40).map(lambda w: 8 * w),
+    st.lists(st.sampled_from(["top", "-top", "1", "-1", "0", "any"]), max_size=16),
+    st.randoms(use_true_random=False),
+)
+def test_the_packed_signs_hold_at_the_extreme_fields(width, kinds, rng):
+    """The sign masks of any word whose fields hold values in
+    [-(2^(W-1) - 1), 2^(W-1) - 1], the extremes included."""
+    top = (1 << width - 1) - 1
+    named = {"top": top, "-top": -top, "1": 1, "-1": -1, "0": 0}
+    values = [named[k] if k in named else rng.randint(-top, top) for k in kinds]
+    word = sum(v + top + 1 << i * width for i, v in enumerate(values))
+    rows = [((1,), 0)] * len(values)
+    assert _PackedRows(rows, 1).signs(width, word) == sign_masks(values)
