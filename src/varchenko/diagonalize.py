@@ -14,8 +14,6 @@ reference in tests/reference.py.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .certificate import (
     DiagonalizationCertificate,
     RegionOrdering,

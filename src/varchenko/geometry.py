@@ -450,6 +450,8 @@ class Arrangement:
             p, den = point
             plus = minus = 0
             cutting = []
+            # the cuts with a . e_j > 0 and with a . e_j < 0, per basis index j
+            rising, falling = [0] * len(basis), [0] * len(basis)
             # the hyperplanes that cut X in the same hyperplane of X, by its
             # equation in X's coordinates up to scale
             along: dict[tuple[tuple[int, ...], int], int] = {}
@@ -467,8 +469,12 @@ class Arrangement:
                 key = _primitive(rates, value)
                 if next(filter(None, key[0])) < 0:
                     key = tuple(-c for c in key[0]), -key[1]
-                along[key] = along.get(key, 0) | 1 << i
+                bit = 1 << i
+                along[key] = along.get(key, 0) | bit
                 cutting.append((i, value, rates, key))
+                for j, rate in enumerate(rates):
+                    if rate:
+                        (rising if rate > 0 else falling)[j] |= bit
             classes = {}
             for _, value, rates, key in cutting:
                 if key in classes:
@@ -492,18 +498,9 @@ class Arrangement:
                     if central and not any(meet[0]):
                         meet = on_plane[0], 1
                     pending.append((sub, meet, on_plane))
-                pos = neg = up = down = 0
-                for k, _, other, _ in cutting:
-                    bit, r = 1 << k, other[pivot]
-                    if members & bit:
-                        if r > 0:
-                            pos |= bit
-                        else:
-                            neg |= bit
-                    elif r > 0:
-                        up |= bit
-                    elif r < 0:
-                        down |= bit
+                # the members' keys are proportional: all move at the pivot
+                pos, neg = members & rising[pivot], members & falling[pivot]
+                up, down = rising[pivot] ^ pos, falling[pivot] ^ neg
                 classes[key] = sub, d, pivot, pos, neg, up, down
             signs = (plus, minus) if basis else None
             rates_of = {1 << k: (k, rates) for k, _, rates, _ in cutting}

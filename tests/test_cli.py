@@ -2,6 +2,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from arrangements import FIXDIR, fixture
 from reference import LINES_45, LINES_61, covector_family, lines_document
 from test_cli_digests import TABLE
@@ -91,6 +93,18 @@ def test_axioms_on_sign_lines(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["composition_closure"] is False
     assert payload["witness_composition"] is not None
+
+
+def test_axioms_name_a_witness_for_each_failing_axiom(tmp_path, capsys):
+    path = tmp_path / "covectors.txt"
+    path.write_text("+-+\n-+-\n+++\n")
+    code, out, _ = run(capsys, "axioms", str(path))
+    assert code == 0
+    assert "axiom_b: fail (witness +++)" in out
+    assert "axiom_c: fail (witness X=+++ Y=+-+ e=1 f=0)" in out
+    code, out, _ = run(capsys, "axioms", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["witness_c"] == {"X": "+++", "Y": "+-+", "e": 1, "f": 0}
 
 
 def test_poset(capsys):
@@ -341,6 +355,7 @@ def _line(name="S1", normal=None):
 
 REGIONS = ("regions",)
 DET_GRID = ("det", "--from-json", "--method", "bruteforce")
+AXIOMS = ("axioms",)
 # every subcommand that reads an arrangement's numbers
 SUBCOMMANDS = [
     REGIONS, ("poset",), ("det",), ("diagonalize",), ("obstruct",), ("check",), ("snf-q",),
@@ -388,6 +403,36 @@ def test_malformed_input_exits_2_with_a_message(tmp_path, capsys):
         code, out, err = run(capsys, subcommand, str(path), *flags)
         assert (code, out) == (2, ""), case
         assert err.startswith("error: ") and "Traceback" not in err, case
+
+
+@pytest.mark.parametrize(
+    "command, document, code, message",
+    [
+        (REGIONS, [], 2, "arrangement JSON must be an object"),
+        (REGIONS, {"mode": "affine", "dim": -1, "hyperplanes": []}, 2,
+         "dimension must be nonnegative"),
+        (REGIONS, {"mode": "affine", "dim": 2, "hyperplanes": [_line(name="")]}, 2,
+         "hyperplane name must be nonempty"),
+        (DET_GRID, {"entries": [["1", "x1"], ["x1"]]}, 2, "labeled matrix must be square"),
+        (DET_GRID, {"entries": [[" "]]}, 2, "empty polynomial string"),
+        (DET_GRID, {"entries": [["x1**x2"]]}, 2, "empty factor"),
+        (DET_GRID, {"entries": [["1+-x1"]]}, 2, "dangling sign"),
+        (DET_GRID, {"entries": [["x1^20000*x1^20000"]]}, 4, "exponent 40000 exceeds 32767"),
+        (DET_GRID, {"entries": [["x1^20000", "1"], ["1", "x1^20000"]]}, 4,
+         "exponent or degree exceeds"),
+        (AXIOMS, "", 2, "empty covector list"),
+        (AXIOMS, ["+-", 3], 2, "JSON covector list must be an array of sign strings"),
+    ],
+)
+def test_malformed_input_exits_with_its_code_and_message(
+    tmp_path, capsys, command, document, code, message
+):
+    path = tmp_path / "input.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    subcommand, *flags = command
+    got, out, err = run(capsys, subcommand, str(path), *flags)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_size_cap_exit_code(tmp_path, capsys):

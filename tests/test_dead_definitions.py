@@ -9,9 +9,9 @@ Every module-level function, class and non-dunder assignment
 is also reachable, matching by name, from the command line (``cli.main``)
 or the public API (``varchenko.__all__``), with no module exempt, so
 nothing is left in src/ for the tests alone; every public name is reached
-from the command line or imported by the benchmark; no module in src/
-imports from tests/, and none defines or refers to a Fourier-Motzkin
-routine.
+from the command line or imported by the benchmark; every name a module
+in src/ imports is used there; no module in src/ imports from tests/, and
+none defines or refers to a Fourier-Motzkin routine.
 References are read from the syntax tree, so a name that occurs only in a
 docstring or a comment counts as unreferenced."""
 
@@ -229,6 +229,31 @@ def test_every_public_name_is_reached_from_the_cli_or_imported_by_the_benchmark(
     reached = {name for _, name in reached_from(statements, {("cli", "main")})}
     extra = sorted(set(public) - reached - benchmark_imports())
     assert extra == []
+
+
+def test_every_import_is_used_in_its_module():
+    """Every name a package module imports, other than from
+    ``__future__``, is loaded in that module or listed in its
+    ``__all__``."""
+    unused = []
+    for module, tree in _package_modules():
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            loaded.update(_all_strings(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{module} imports {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in loaded
+                ]
+    assert unused == []
 
 
 def test_no_package_module_imports_from_the_tests():
