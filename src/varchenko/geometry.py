@@ -5,9 +5,11 @@ Supported modes:
 * ``affine``  - hyperplanes ``normal . x = offset`` in R^dim; the positive
   side is ``normal . x > offset``.
 * ``central`` - the sphere S^dim; hyperplanes pass through the origin of
-  R^(dim+1) and every offset is 0.  Dimensions are spherical (linear
-  dimension minus one) and subspaces meeting the sphere only at the origin
-  count as empty.
+  R^(dim+1) and every offset is 0.  The flats and faces are those of the
+  affine computation in R^(dim+1), so the origin is a flat whenever the
+  hyperplanes meet only there, with one face, the zero sign vector
+  (the bottom of the face lattice).  Dimensions are spherical (linear
+  dimension minus one): the origin is S^-1, of dimension -1.
 * ``covector`` - no coordinates: the face family is given explicitly as a
   list of sign vectors, with flats read off as zero sets and dimensions
   taken from poset height.
@@ -222,7 +224,9 @@ class IntersectionPoset:
     """
 
     def __init__(self, flats: list[Flat], masks: Sequence[int], n: int, ambient_dim: int):
-        """`masks[i]` is flat i's closed defining mask over the `n` hyperplanes."""
+        """`masks[i]` is flat i's closed defining mask over the `n`
+        hyperplanes; `ambient_dim` is the linear dimension of the ambient
+        space (R^(dim+1) in central mode)."""
         if masks[0]:
             raise InvalidArrangement("poset bottom must be the ambient flat")
         self.flats = flats
@@ -257,10 +261,13 @@ class IntersectionPoset:
         return tuple(mu)
 
     def characteristic_polynomial(self) -> tuple[int, ...]:
-        """Integer coefficients by degree of t."""
+        """Integer coefficients by degree of t: each flat X adds mu(X) at
+        the ambient linear dimension less X's codimension, so in central
+        mode this is chi of the linear arrangement."""
         coeffs = [0] * (self.ambient_dim + 1)
+        top = self.flats[0].dim
         for f, mu in zip(self.flats, self.mobius):
-            coeffs[f.dim] += mu
+            coeffs[self.ambient_dim - top + f.dim] += mu
         return tuple(coeffs)
 
     def dim_counts(self) -> dict[int, int]:
@@ -430,18 +437,15 @@ class Arrangement:
         rates a . e at X's basis vectors e).  A class is (Y's mask, d, the
         index of d in the basis, pos, neg, up, down): its members with
         a . d > 0 and with a . d < 0, and the other cutting hyperplanes
-        with a . d > 0 and with a . d < 0.  In central mode the whole
-        space's point is e_0; where X is a line through the origin, every
-        cut meets it at the origin, one class whose Y (the origin, no point
-        of the sphere) has mask None, and where Y is larger but the meet is
-        the origin, Y's first basis vector is its point.  The flats hold no
-        reference cycle, so they are freed when the enumeration returns.
+        with a . d > 0 and with a . d < 0.  The whole space's point is the
+        origin, in central mode too, where every flat's point is then the
+        origin.  The flats hold no reference cycle, so they are freed when
+        the enumeration returns.
         """
         nvars = self._nvars
-        central = self.mode == "central"
         planes = self._rows
         identity = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-        root = tuple(int(central and j == 0) for j in range(nvars)), 1
+        root = (0,) * nvars, 1
         flats = {}
         queued = {0}
         pending = [(0, root, identity)]  # no hyperplane holds the whole space
@@ -482,8 +486,8 @@ class Arrangement:
                 pivot = next(j for j, rate in enumerate(rates) if rate)
                 d, rate = basis[pivot], rates[pivot]
                 members = along[key]
-                sub = None if central and len(basis) == 1 else mask | members
-                if sub is not None and sub not in queued:
+                sub = mask | members
+                if sub not in queued:
                     queued.add(sub)
                     on_plane = [
                         # e - r / rate * d, scaled to a primitive integer vector
@@ -495,8 +499,6 @@ class Arrangement:
                     meet = _lowest(
                         [rate * x - value * c for x, c in zip(p, d)], rate * den
                     )
-                    if central and not any(meet[0]):
-                        meet = on_plane[0], 1
                     pending.append((sub, meet, on_plane))
                 # the members' keys are proportional: all move at the pivot
                 pos, neg = members & rising[pivot], members & falling[pivot]
@@ -525,42 +527,35 @@ class Arrangement:
         the step moves toward 0, each at its slack, read off a field of
         F's word, over its rate a . d, and 1 where no such hyperplane is
         left.  So a point's height grows with the dimension of its flat and
-        not with the number of cuts.  In central mode the origin that a
-        line's class cuts out is a face with no signs, so the line's two
-        regions are +-d.
+        not with the number of cuts.
 
         Each point is evaluated once, at every hyperplane together
         (`_PackedRows`), and `_witnessed` checks it realises the face it is
         reported under; each face keeps its word until the last flat that
-        steps off it is done.  X's dimension is the size of its basis, one less in
-        central mode (spherical dimension).
+        steps off it is done.  X's dimension is the size of its basis, one
+        less in central mode (spherical dimension: the origin's is -1).
         """
         if self.n > MAX_GROUND_SIZE:
             raise TooLarge(
                 f"enumeration capped at {MAX_GROUND_SIZE} hyperplanes, got {self.n}"
             )
-        central = self.mode == "central"
+        spherical = self.mode == "central"
         rows = _PackedRows(self._rows, self._nvars)
         flats = self._find_flats()
-        origin = (0,) * self._nvars, 1
         # the faces of each flat done so far by (plus, minus), each with its
         # point and evaluation: (point, W, word), kept while a class of a
         # flat not yet done still reads them
-        done: dict[Optional[int], dict[tuple[int, int], tuple[Point, int, int]]] = {
-            None: {(0, 0): (origin, *rows.evaluate(origin))}
-        }
+        done: dict[int, dict[tuple[int, int], tuple[Point, int, int]]] = {}
         readers = Counter(c[0] for flat in flats.values() for c in flat[3])
         table: dict[int, tuple[int, list[SignVector]]] = {}
         for mask in sorted(flats, key=lambda m: flats[m][1]):
             point, size, signs, classes, rates = flats[mask]
-            if not classes:
-                face, width, word = self._witnessed(rows, mask, signs, point)
-                if readers[mask]:
-                    done[mask] = {(face.plus, face.minus): (point, width, word)}
-                table[mask] = size - central, [face]
-                continue
             found: dict[tuple[int, int], tuple[Point, int, int]] = {}
             faces = []
+            if not classes:
+                face, width, word = self._witnessed(rows, mask, signs, point)
+                found[face.plus, face.minus] = point, width, word
+                faces.append(face)
             for sub, d, pivot, pos, neg, up, down in classes:
                 for (s, t), ((q, den), width, word) in done[sub].items():
                     field, bias = (1 << width) - 1, 1 << width - 1
@@ -594,7 +589,7 @@ class Arrangement:
                     del done[sub]
             if readers[mask]:
                 done[mask] = found
-            table[mask] = size - central, faces
+            table[mask] = size - spherical, faces
         return table
 
     def _witnessed(
@@ -605,17 +600,16 @@ class Arrangement:
         point: Point,
     ) -> tuple[SignVector, int, int]:
         """The face at `point` with its evaluation (W, word), once the
-        point is checked to lie on exactly the hyperplanes of `mask` (and
-        off the origin in central mode) and, where `signs` are given, to
-        have those (plus, minus) masks.  With no `signs`, the flat is a
-        point and the face is read off the evaluation."""
+        point is checked to lie on exactly the hyperplanes of `mask` and,
+        where `signs` are given, to have those (plus, minus) masks.  With
+        no `signs`, the flat is a point, the origin among them in central
+        mode, and the face is read off the evaluation."""
         width, word = rows.evaluate(point)
         plus, minus = rows.signs(width, word)
         p, den = point
         if (
             (plus | minus) ^ ((1 << self.n) - 1) != mask
             or signs is not None and signs != (plus, minus)
-            or self.mode == "central" and not any(p)
         ):
             # with no signs, the face is named by its zeros, '*' elsewhere
             expected = (
@@ -683,7 +677,7 @@ class Arrangement:
             Flat(index, frozenset(bits(m)), self._flats[m][0], len(self._flats[m][1]))
             for index, m in enumerate(masks)
         ]
-        return IntersectionPoset(flats, masks, self.n, self.dim)
+        return IntersectionPoset(flats, masks, self.n, self._nvars)
 
     def poset(self) -> IntersectionPoset:
         return self._poset

@@ -129,10 +129,11 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
     n_X is the number of faces on X (the regions of the restriction to X),
     read off the flat, and p_X = |sum mu(Y) * dim Y| over the flats Y whose
     defining set lies in X's (|chi'(1)| of the localization at X), the set
-    bits of `IntersectionPoset.below`.  In central mode, when the
-    hyperplanes meet only at the origin, the origin is a flat too, of
-    linear dimension 0: it contributes (1 - (x_1 ... x_n)^2)^p with
-    p = |sum mu(Y) * (dim Y + 1)| over all flats."""
+    bits of `IntersectionPoset.below`.  The mu(Y) sum to 0 there, so
+    spherical and linear dimensions give the same p_X; in central mode the
+    origin, a flat when the hyperplanes meet only there, with n_X = 1,
+    contributes (1 - (x_1 ... x_n)^2)^p with p = |sum mu(Y) * (dim Y + 1)|
+    over all flats."""
     if arrangement.mode == "covector":
         raise Unsupported("determinant formula needs coordinates (covector mode)")
     poset = arrangement.poset()
@@ -143,10 +144,6 @@ def det_formula(arrangement: Arrangement) -> FactoredPoly:
             continue
         p_x = abs(sum_over(poset.below(flat.index), weights))
         factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
-    n = arrangement.n
-    if arrangement.mode == "central" and (1 << n) - 1 not in poset.masks:
-        p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))
-        factors.append((one_minus_square(range(n)), p_origin))
     return FactoredPoly.from_factors(factors)
 
 

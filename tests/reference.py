@@ -52,6 +52,9 @@
   sets, `first_agreeing_by_scan` tests each step against
   every step before it, and `ordering_by_rescan` sorts the faces with one
   uncolored region at every step of the region search.
+* `whitney` is chi and the flats by Whitney's sum over the subsets of
+  hyperplanes that meet, each with its own echelon basis, sharing no code
+  with the flats pass.
 * `string_rank_key` is the canonical sign-vector order as a tuple of
   ranks, which `SignVector.sort_key` packs into one integer.
 * Methods of the package's classes that only the tests call, as
@@ -689,21 +692,13 @@ def feasible_strict(
     eqs: Sequence[Constraint],
     stricts: Sequence[tuple[Sequence[int], int]],
     nvars: int,
-    require_nonzero: bool = False,
 ) -> bool:
     """Decide whether some x satisfies all equalities and strict inequalities
-    (integer ones, as `strict_point` takes them).
-
-    With `require_nonzero` and no strict constraints, additionally demand a
-    nonzero solution (used for sign patterns that lie on every sphere of a
-    central arrangement).
-    """
+    (integer ones, as `strict_point` takes them)."""
     solved = _solved(tuple(eqs), nvars)
     if solved is None:
         return False
     particular, basis = solved
-    if require_nonzero and not stricts:
-        return any(particular) or bool(basis)
     return strict_point(particular, basis, stricts) is not None
 
 
@@ -1128,6 +1123,54 @@ def restriction_region_counts(poset: IntersectionPoset) -> list[int]:
     return counts
 
 
+def whitney(arrangement: Arrangement) -> tuple[tuple[int, ...], set[int]]:
+    """(chi by degree of t, the flats' closed masks) by Whitney's theorem
+    (Whitney 1932; Stanley 2007, Thm 2.4): chi(t) is the sum of
+    (-1)^|S| t^(dim of the meet of S) over the subsets S of hyperplanes
+    that meet, dimensions linear (in R^(dim+1) in central mode, so the
+    origin is a meet of dimension 0), and the flats are the closures of
+    those S: the hyperplanes that hold all of the meet.
+
+    The subsets are walked depth first, each adding one hyperplane to its
+    parent's integer echelon basis of the rows [a | -b].  A subset meets
+    unless the added row reduces to the last column alone, and then no
+    subset holding it meets either, so the walk goes no deeper.  The meet
+    lies in a hyperplane when that hyperplane's row reduces to zero, and
+    each flat is the closure of a subset whose rows are independent, so
+    closures are taken only where the added row raised the rank.  Shares
+    no code with the flats pass."""
+    nvars = arrangement.dim + (arrangement.mode == "central")
+    rows = []
+    for h in arrangement.hyperplanes:
+        m = lcm(*(c.denominator for c in (*h.normal, h.offset)))
+        rows.append([int(c * m) for c in h.normal] + [int(-h.offset * m)])
+    coeffs = [0] * (nvars + 1)
+    flats: set[int] = set()
+
+    def reduced(row, basis):
+        for col, pivot in basis:
+            if row[col]:
+                f, g = row[col], pivot[col]
+                row = [g * x - f * y for x, y in zip(row, pivot)]
+        return row
+
+    def walk(start, basis, size, raised):
+        coeffs[nvars - len(basis)] += -1 if size & 1 else 1
+        if raised:
+            flats.add(sum(1 << j for j, row in enumerate(rows) if not any(reduced(row, basis))))
+        for i in range(start, len(rows)):
+            row = reduced(rows[i], basis)
+            col = next((j for j, v in enumerate(row) if v), None)
+            if col is None:
+                walk(i + 1, basis, size + 1, False)
+            elif col < nvars:
+                g = gcd(*row)
+                walk(i + 1, basis + [(col, [v // g for v in row])], size + 1, True)
+
+    walk(0, [], 0, True)
+    return tuple(coeffs), flats
+
+
 def det_formula_by_subset_sum(arrangement: Arrangement) -> FactoredPoly:
     """`det_formula` with each p_X summed over every flat, tested for a
     defining set inside X's."""
@@ -1146,10 +1189,6 @@ def det_formula_by_subset_sum(arrangement: Arrangement) -> FactoredPoly:
             )
         )
         factors.append((one_minus_square(flat.defining_tuple()), flat.faces * p_x))
-    n = arrangement.n
-    if arrangement.mode == "central" and flat_index(poset, range(n)) is None:
-        p_origin = abs(sum(mu * (y.dim + 1) for y, mu in zip(poset, poset.mobius)))
-        factors.append((one_minus_square(range(n)), p_origin))
     return FactoredPoly.from_factors(factors)
 
 

@@ -180,6 +180,46 @@ DET_BOTH = [
 ]
 
 
+ORIGIN_ONLY = [
+    # (case, document, check's output): the octants on S^2 and two lines
+    # through the origin of R^2 are semigeneral; three lines through it
+    # are not, since their origin flat lies on three hyperplanes
+    ("octants", _central(2, "100", "010", "001"), "semigeneral"),
+    ("two_lines_through_the_origin", _central(1, "10", "01"), "semigeneral"),
+    (
+        "three_lines_through_the_origin",
+        _central(1, "10", "01", "11"),
+        "not semigeneral: B={S1,S2,S3} has dim -1, expected -2",
+    ),
+]
+
+
+def test_hyperplanes_that_meet_only_at_the_origin(tmp_path, capsys):
+    """The origin is a flat: `check` reads it, `diagonalize`, `verify` and
+    `snf-q` accept the semigeneral cases and `obstruct` the other, and
+    |chi(-1)| is the number of regions, chi the linear one."""
+    for case, document, verdict in ORIGIN_ONLY:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "check", str(path))
+        assert (code, out) == (0, verdict + "\n"), case
+        cert = tmp_path / f"{case}.cert.json"
+        code, _, _ = run(capsys, "diagonalize", str(path), "--certificate", str(cert))
+        if verdict == "semigeneral":
+            assert code == 0, case
+            assert run(capsys, "verify", str(path), str(cert))[0] == 0, case
+            assert run(capsys, "snf-q", str(path))[0] == 0, case
+        else:
+            assert code == 3, case
+            assert run(capsys, "obstruct", str(path))[0] == 0, case
+        code, out, _ = run(capsys, "charpoly", str(path), "--format", "json")
+        assert code == 0, case
+        chi_at_minus_one = sum(c * (-1) ** k for k, c in enumerate(json.loads(out)["coefficients"]))
+        code, out, _ = run(capsys, "regions", str(path))
+        assert code == 0, case
+        assert abs(chi_at_minus_one) == len(out.split()), case
+
+
 def test_det_both(tmp_path, capsys):
     for case, document, formula in DET_BOTH:
         path = fx(case)

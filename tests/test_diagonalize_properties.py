@@ -38,16 +38,14 @@ from varchenko.varmatrix import LabeledMatrix, build_varchenko
 @st.composite
 def semigeneral_arrangements(draw):
     """Affine families of up to three parallel classes of one or two
-    hyperplanes each, or central families of up to `dim` hyperplanes, in
-    dimension 1 to 3.  A central family of more hyperplanes can meet only
-    at the origin, which `poset` does not count as a flat (README scope
-    notes), and then no ordering exists."""
+    hyperplanes each, or central families of up to `dim` + 1 hyperplanes,
+    in dimension 1 to 3."""
     mode = draw(st.sampled_from(("affine", "central")))
     dim = draw(st.integers(1, 3))
     nvars = dim + 1 if mode == "central" else dim
     normals = st.tuples(*[st.integers(-3, 3)] * nvars).filter(any)
     if mode == "central":
-        classes = [(normal, [0]) for normal in draw(st.lists(normals, min_size=1, max_size=dim))]
+        classes = [(normal, [0]) for normal in draw(st.lists(normals, min_size=1, max_size=dim + 1))]
     else:
         offsets = st.lists(st.integers(-4, 4), min_size=1, max_size=2, unique=True)
         classes = draw(st.lists(st.tuples(normals, offsets), min_size=1, max_size=3))
@@ -298,9 +296,13 @@ def changed_certificate_files(draw):
 
 
 def reference_accepts(arr, data) -> bool:
-    """Whether each step's entry is the product over its flat's defining
-    set and the dense P rebuilt from the file's faces passes the packed-key
-    reference proof for those entries, with the file's checks."""
+    """Whether each step's face is a face of the arrangement, its entry is
+    the product over its flat's defining set, and the dense P rebuilt from
+    the file's faces passes the packed-key reference proof for those
+    entries, with the file's checks."""
+    faces = {f.to_string() for f in arr.faces()}
+    if any(step["face"] not in faces for step in data["steps"]):
+        return False
     flats = arr.poset().flats
     entries = [_diagonal_entry(flats[step["flat"]]) for step in data["steps"]]
     if [str(e) for e in entries] != [step["entry"] for step in data["steps"]]:
@@ -315,6 +317,23 @@ def reference_accepts(arr, data) -> bool:
     except ClosedFormViolation:
         return False
     return checks == data["checks"]
+
+
+def test_the_reference_refuses_a_step_face_that_is_no_face():
+    """The points x = 0 and x = -1 of the line, with step 0's face ++
+    changed to +0: no point on x = -1 lies on the + side of x = 0, yet the
+    regions that conform to +0 are those that conform to ++."""
+    arr = Arrangement(
+        "affine",
+        1,
+        [Hyperplane("S1", (Fraction(1),)), Hyperplane("S2", (Fraction(1),), Fraction(-1))],
+    )
+    data = json.loads(diagonalize(arr).to_json())
+    assert data["steps"][0]["face"] == "++"
+    data["steps"][0]["face"] = "+0"
+    with pytest.raises(ClosedFormViolation, match="not a face of the arrangement"):
+        verify_certificate(arr, json.dumps(data))
+    assert not reference_accepts(arr, data)
 
 
 @settings(max_examples=150)

@@ -16,6 +16,7 @@ from reference import (
     restriction_region_counts,
     sign_vector,
     solve_equalities,
+    whitney,
     zero_set,
 )
 from test_diagonalize import bench_inputs, generated_bench_inputs
@@ -50,8 +51,6 @@ def flats_by_subset_enumeration(arr):
             if solved is None:
                 continue
             particular, basis = solved
-            if arr.mode == "central" and not basis:
-                continue  # origin only: empty on the sphere
             closure = set()
             for i, h in enumerate(arr.hyperplanes):
                 on_particular = (
@@ -130,6 +129,33 @@ def test_mobius_and_charpoly():
     assert charpoly_string((0, -1, 1)) == "t^2 - t"
 
 
+def test_charpoly_and_flats_equal_whitneys_sum():
+    """On every fixture with coordinates and the higher-dimension cases,
+    and on the octants and three lines through the origin, whose
+    hyperplanes meet only at the origin."""
+    def central(dim, *normals):
+        return Arrangement(
+            "central",
+            dim,
+            [
+                Hyperplane(f"S{i + 1}", tuple(map(Fraction, normal)))
+                for i, normal in enumerate(normals)
+            ],
+        )
+
+    octants = central(2, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    pencil = central(1, (1, 0), (0, 1), (1, 1))
+    cases = list(named_fixtures().items()) + higher_dim_cases()
+    for name, arr in cases + [("octants", octants), ("pencil", pencil)]:
+        if arr.mode == "covector":
+            continue
+        chi, flats = whitney(arr)
+        assert arr.charpoly() == chi, name
+        assert set(arr.poset().masks) == flats, name
+    assert octants.charpoly() == (-1, 3, -3, 1)  # (t - 1)^3
+    assert pencil.charpoly() == (2, -3, 1)  # (t - 1)(t - 2)
+
+
 def test_mobius_bottom_is_one():
     for arr in (fixture("three_generic_lines"), fixture("pencil_four_planes")):
         assert arr.poset().mobius[0] == 1
@@ -204,7 +230,7 @@ def faces_by_full_scan(arr):
     found = set()
 
     def scan(signs, eqs, stricts):
-        if not feasible_strict(eqs, stricts, nvars, require_nonzero=arr.mode == "central"):
+        if not feasible_strict(eqs, stricts, nvars):
             return
         if len(signs) == arr.n:
             found.add(sign_vector(signs))
@@ -249,12 +275,12 @@ def test_face_table_equals_the_full_scan():
 def test_each_flat_counts_the_faces_with_its_zero_set():
     """n_X, read off the flat table, is the number of faces whose zero set
     is X's defining set; the counts cover the faces, and the ambient flat's
-    faces are the regions.  On the affine inputs n_X is also the sum of
-    |mu(X, Y)| over the flats Y inside X (Zaslavsky 1975).  The others are
-    left out of that check by the open central-origin convention: the
-    covector-mode suspension's n_X exceed the sums by one, the term of the
-    origin, which its poset holds no flat for.  The higher-dimension cases
-    carry the check above R^3."""
+    faces are the regions.  On the affine and central inputs n_X is also
+    the sum of |mu(X, Y)| over the flats Y inside X (Zaslavsky 1975).  The
+    covector-mode suspension is left out of that check: its family keeps
+    out the zero vector, so its poset holds no flat for the origin and its
+    n_X exceed the sums by one, the origin's term.  The higher-dimension
+    cases carry the check above R^3."""
     for name, arr in fixture_and_bench_cases() + higher_dim_cases():
         poset = arr.poset()
         flats = poset.flats
@@ -262,7 +288,7 @@ def test_each_flat_counts_the_faces_with_its_zero_set():
         assert {f.defining_set: f.faces for f in flats} == by_zero_set, name
         assert sum(f.faces for f in flats) == len(arr.faces()), name
         assert flats[0].faces == len(arr.regions()), name
-        if arr.mode == "affine":
+        if arr.mode != "covector":
             assert [f.faces for f in flats] == restriction_region_counts(poset), name
 
 
@@ -328,8 +354,6 @@ def test_every_leaf_point_is_in_lowest_terms_and_realises_its_face(monkeypatch):
             assert face == sign_vector(
                 [(v > 0) - (v < 0) for v in realised]
             ), (name, face)
-            if arr.mode == "central":
-                assert any(p), (name, face)
 
 
 def test_a_leaf_point_that_misses_its_face_is_caught(monkeypatch):
@@ -337,15 +361,10 @@ def test_a_leaf_point_that_misses_its_face_is_caught(monkeypatch):
     first = []
 
     def corrupt(self, rows, mask, signs, point):
-        if self.mode != "central":
-            # every leaf after the first gets the first leaf's point, which
-            # realises another face
-            first.append(point)
-            point = first[0]
-        elif not any(signs):
-            # the origin has every sign 0 but is no point of the sphere
-            point = (0,) * len(point[0]), 1
-        return original(self, rows, mask, signs, point)
+        # every leaf after the first gets the first leaf's point, which
+        # realises another face
+        first.append(point)
+        return original(self, rows, mask, signs, first[0])
 
     monkeypatch.setattr(Arrangement, "_witnessed", corrupt)
     for arr in (fixture("three_generic_lines"), fixture("two_central_circles")):
@@ -383,7 +402,8 @@ def test_feasibility_oracle_consistency():
 
 def test_two_lines_on_the_circle_keep_every_face():
     # the face 0 of S1 is the split 0-sphere {(0, 1), (0, -1)}: S2 cuts it
-    # only at the origin, and both of its sides are faces
+    # only at the origin, and both of its sides are faces, as is the
+    # origin, the zero face of the flat S1 ∩ S2
     arr = Arrangement(
         "central",
         1,
@@ -392,7 +412,7 @@ def test_two_lines_on_the_circle_keep_every_face():
             Hyperplane("S2", (Fraction(0), Fraction(1))),
         ],
     )
-    expected = {"++", "+-", "-+", "--", "+0", "-0", "0+", "0-"}
+    expected = {"++", "+-", "-+", "--", "+0", "-0", "0+", "0-", "00"}
     assert {f.to_string() for f in arr.faces().members} == expected
     assert [r.to_string() for r in arr.regions()] == ["++", "+-", "-+", "--"]
 

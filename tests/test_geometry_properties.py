@@ -1,7 +1,8 @@
 """Property tests of the face enumeration (the recursion over the flats),
 the flat dimensions it reports and the face table against full scans over
 small affine and central arrangements, many of them degenerate, of
-Zaslavsky's region count over the affine ones, of the covector axioms
+Zaslavsky's region count over both, of chi and the flats against
+Whitney's sum, of the covector axioms
 over the central ones, of the per-hyperplane bitsets (down-sets,
 Moebius values, det_formula, the region search) against the scans they
 replace, and of the packed evaluation of a point at every hyperplane
@@ -26,6 +27,7 @@ from reference import (
     ordering_by_rescan,
     passed,
     restriction_region_counts,
+    whitney,
 )
 from test_bitsets import search_outcome
 from test_geometry import faces_by_full_scan, flat_dim_by_elimination
@@ -41,8 +43,8 @@ from varchenko.varmatrix import det_formula
 
 
 @st.composite
-def arrangements(draw, modes=("affine", "affine", "central")):
-    """Up to eight distinct hyperplanes, drawn from a seed as uniform
+def arrangements(draw, modes=("affine", "affine", "central"), most=8):
+    """Up to `most` distinct hyperplanes, drawn from a seed as uniform
     integers in [-3, 3]: in one to four coordinates, in a mode picked
     uniformly from `modes` (by default a third of them central), with
     normals that are combinations of one to nvars base normals (two or
@@ -61,7 +63,7 @@ def arrangements(draw, modes=("affine", "affine", "central")):
     # one base normal through a point allows one hyperplane only
     fewest = 1 if mode == "affine" and point is None else min(2, nvars)
     base = [v for v in (vector() for _ in range(rng.randint(fewest, nvars))) if any(v)]
-    size = rng.randint(1, 8)
+    size = rng.randint(1, most)
     hyperplanes = []
     for _ in range(4 * size):
         if len(hyperplanes) == size or not base:
@@ -103,19 +105,31 @@ def test_faces_and_regions_equal_the_full_scan(arr):
 
 
 @settings(max_examples=80)
-@given(arrangements(modes=("affine",)))
-def test_affine_region_count_is_the_moebius_sum(arr):
-    """Zaslavsky (1975): an affine arrangement has sum |mu(X)| regions over
-    its intersection poset, and its restriction to a flat X has sum
-    |mu(X, Y)| over the flats Y inside X, so each flat's face count n_X,
-    which det_formula reads, is that sum (`restriction_region_counts`,
-    which reads neither `mobius` nor `below`).  Central draws are left
-    out: in central mode the poset holds no flat for the origin, so the
-    sum misses the origin's term on most central draws, and whether that
-    flat belongs to the poset is the open central-origin convention."""
+@given(arrangements())
+def test_region_count_is_the_moebius_sum(arr):
+    """Zaslavsky (1975): an affine or central arrangement has sum |mu(X)|
+    regions over its intersection poset, and its restriction to a flat X
+    has sum |mu(X, Y)| over the flats Y inside X, so each flat's face
+    count n_X, which det_formula reads, is that sum
+    (`restriction_region_counts`, which reads neither `mobius` nor
+    `below`).  In central mode the origin is a flat whenever the
+    hyperplanes meet only there, so the sums hold on essential draws
+    too."""
     poset = arr.poset()
     assert len(arr.regions()) == sum(abs(mu) for mu in poset.mobius)
     assert [f.faces for f in poset] == restriction_region_counts(poset)
+
+
+@settings(max_examples=60)
+@given(st.one_of(arrangements(modes=("affine",), most=12), arrangements(modes=("central",))))
+def test_charpoly_and_flats_equal_whitneys_sum(arr):
+    """On degenerate affine draws of up to twelve hyperplanes and on
+    central draws, essential ones among them: `charpoly` and the flats'
+    masks equal Whitney's sum over the subsets that meet and their
+    closures (`whitney`, which shares no code with the flats pass)."""
+    chi, flats = whitney(arr)
+    assert arr.charpoly() == chi
+    assert set(arr.poset().masks) == flats
 
 
 @settings(max_examples=60)

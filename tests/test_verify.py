@@ -16,8 +16,9 @@ diagonalize_module = importlib.import_module("varchenko.diagonalize")
 certificate_module = importlib.import_module("varchenko.certificate")
 
 # the fixtures `diagonalize` accepts: all but the three that are not
-# semigeneral and the covector-mode suspension, whose poset holds no flat
-# for the origin (ROADMAP, the central origin), so no ordering exists
+# semigeneral and the covector-mode suspension, whose family keeps out the
+# zero vector, so its poset holds no flat for the origin and no ordering
+# exists
 DIAGONALIZABLE = [
     path.stem
     for path in sorted(FIXDIR.glob("*.json"))
